@@ -22,6 +22,7 @@ from .graph import FAMILIES, Graph, build_family, read_edge_list
 from .oracle import (
     CapacityError,
     DEFAULT_CAP,
+    check_cap,
     count_table,
     enumerate_wcds,
     gamma,
@@ -211,9 +212,12 @@ def _cmd_table(args: argparse.Namespace, cap: int) -> int:
     start = 4 if args.family == "wheel" else 1
     if args.max_n < start:
         raise _UsageError(f"--max-n must be at least {start} for family {args.family}")
-    rows = []
+    graphs = []
     for n in range(start, args.max_n + 1):
-        rows.append((n, count_table(build_family(args.family, n), cap).counts))
+        g = build_family(args.family, n)
+        check_cap(g, cap)  # refuse before sweeping any row
+        graphs.append((n, g))
+    rows = [(n, count_table(g, cap).counts) for n, g in graphs]
     sys.stdout.write(_render_rows(rows, args.fmt, args.family))
     return 0
 
@@ -224,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
     elif args.suite == "cycle_table":
         report = verify_cycle_table(args.max_n or 14, cap)
     elif args.suite == "structural":
-        report = verify_structural(args.max_n or 7, cap)
+        report = verify_structural(args.max_n or 7)
     else:
         report = verify_formula_suite(
             args.suite,

@@ -64,7 +64,7 @@ def is_wcds(g: Graph, s: Iterable[int]) -> bool:
     mask = _member_mask(g, s)
     if mask == 0:
         raise ValueError("a weakly connected dominating set must be non-empty")
-    return _weak_reach(g.neighbor_masks(), mask) == (1 << g.order) - 1
+    return mask_is_wcds(g.order, g.neighbor_masks(), mask)
 
 
 def is_dominating(g: Graph, s: Iterable[int]) -> bool:

@@ -13,6 +13,7 @@ Degenerate-cycle conventions C_1 = K_1 and C_2 = K_2 apply throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .graph import Graph, RootedGraph, is_connected, realize_extension
@@ -23,19 +24,6 @@ class RecurrenceAssumptionError(Exception):
     """Raised when the pendant-path construction hits the family pattern its
     case analysis declares impossible (longer-prefix family non-empty,
     shorter-prefix family empty, within size bounds)."""
-
-
-@dataclass(frozen=True)
-class GammaWResult:
-    """A weakly connected domination number together with the method tag that
-    produced it."""
-
-    value: int
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError("gamma_w is at least 1")
 
 
 @dataclass(frozen=True)
@@ -355,8 +343,6 @@ def boxes_brute(n: int, j: int) -> int:
         raise ValueError("box count must be positive")
     if j < 0 or j > n:
         return 0
-    from itertools import combinations
-
     total = 0
     for combo in combinations(range(n), j):
         occupied = set(combo)

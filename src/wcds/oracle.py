@@ -1,27 +1,29 @@
 """Exact counting by exhaustive subset sweep.
 
 This is the referee every closed form and recurrence is checked against, so
-it stays deliberately dumb: enumerate subsets, test the definition. The sweep
-is vectorized with numpy (all subsets of a chunk are BFS-expanded in
-parallel) and partitioned into fixed-size chunks; per-chunk counts are summed
-as Python ints, so the result is independent of the partitioning and cannot
-overflow.
+it stays deliberately dumb: enumerate subsets, test the definition. Subsets
+are ``uint32`` bitmasks (bit k is vertex k + 1) swept in fixed-size chunks;
+one kernel, :func:`_weak_ok` or its dominating-set twin :func:`_dom_ok`,
+tests a whole chunk at once with in-place numpy passes over the vertices.
+Counting queries tally each chunk's hits by popcount as Python ints, so
+counts are independent of the partitioning and cannot overflow. Listing and
+minimum queries filter one cached array of a graph's hit masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import mask_is_wcds
 from .graph import Graph, is_connected
 
 DEFAULT_CAP = 24
 HARD_CAP = 30
-_CHUNK_BITS = 20
+# 2**16 masks (256 KiB per working buffer) stay in cache; 2**20 ran half as fast
+_CHUNK_BITS = 16
 
 
 class CapacityError(Exception):
@@ -62,7 +64,8 @@ class CountTable:
         return None
 
 
-def _check_cap(g: Graph, cap: int) -> None:
+def check_cap(g: Graph, cap: int) -> None:
+    """CapacityError when g is above ``cap``; ValueError for a cap above HARD_CAP."""
     if cap > HARD_CAP:
         raise ValueError(f"cap {cap} exceeds the hard limit {HARD_CAP}")
     if g.order > cap:
@@ -72,37 +75,86 @@ def _check_cap(g: Graph, cap: int) -> None:
         )
 
 
+def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
+    """Per mask S: does keeping the edges that meet S connect every vertex
+    to vertex 1?
+
+    Reachability spreads from vertex 1 vertex by vertex, forward then
+    backward, until a pass changes nothing. A reached vertex v reaches its
+    kept neighbours: ``adj[v]`` when v is in S, otherwise ``adj[v] & S``.
+    """
+    n = len(adj)
+    reach = np.ones_like(masks)
+    prev = np.empty_like(masks)
+    kept = np.empty_like(masks)
+    bit = np.empty_like(masks)
+    seq = [*range(n), *range(n - 2, -1, -1)]
+    while True:
+        np.copyto(prev, reach)
+        for v in seq:
+            np.bitwise_and(masks, adj[v], out=kept)
+            np.right_shift(masks, v, out=bit)
+            np.bitwise_and(bit, 1, out=bit)
+            np.multiply(bit, adj[v], out=bit)
+            np.bitwise_or(kept, bit, out=kept)
+            np.right_shift(reach, v, out=bit)
+            np.bitwise_and(bit, 1, out=bit)
+            np.multiply(kept, bit, out=kept)
+            np.bitwise_or(reach, kept, out=reach)
+        if np.array_equal(prev, reach):
+            return reach == (1 << n) - 1
+
+
+def _dom_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
+    """Per mask S: do the closed neighbourhoods of S cover every vertex?"""
+    covered = np.zeros_like(masks)
+    bit = np.empty_like(masks)
+    for v, nbrs in enumerate(adj):
+        np.right_shift(masks, v, out=bit)
+        np.bitwise_and(bit, 1, out=bit)
+        np.multiply(bit, nbrs | 1 << v, out=bit)
+        np.bitwise_or(covered, bit, out=covered)
+    return covered == (1 << len(adj)) - 1
+
+
+def _sweep(adj: list[int], pred: Callable, chunk_bits: int = _CHUNK_BITS) -> Iterator[np.ndarray]:
+    """The non-empty subsets passing ``pred``, one ascending chunk at a time."""
+    n = len(adj)
+    step = 1 << min(chunk_bits, n)
+    for lo in range(0, 1 << n, step):
+        masks = np.arange(max(lo, 1), lo + step, dtype=np.uint32)
+        yield masks[pred(adj, masks)]
+
+
+def _tally(n: int, chunks: Iterator[np.ndarray]) -> list[int]:
+    """counts[k] = number of hits of popcount k, over every chunk."""
+    counts = [0] * (n + 1)
+    for hits in chunks:
+        per_size = np.bincount(np.bitwise_count(hits), minlength=n + 1)
+        counts = [c + int(b) for c, b in zip(counts, per_size)]
+    return counts
+
+
 def sweep_counts(order: int, edges: frozenset[tuple[int, int]], chunk_bits: int = _CHUNK_BITS) -> list[int]:
     """Raw subset sweep: counts[k] = number of k-subsets whose weakly induced
     spanning subgraph is connected. Exposed with a chunk-size knob so the
     partition-independence contract is testable."""
-    n = order
-    full = (1 << n) - 1
-    # forward then backward edge order lets reachability run along paths and
-    # cycles in few sweeps instead of order-many
-    fwd = sorted((u - 1, v - 1) for u, v in edges)
-    edge_seq = fwd + fwd[::-1]
-    counts = [0] * (n + 1)
-    step = 1 << min(chunk_bits, n)
-    for lo in range(0, 1 << n, step):
-        masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.int64)
-        reach = np.ones_like(masks)
-        for _ in range(n):
-            prev = reach.copy()
-            for u, v in edge_seq:
-                kept = ((masks >> u) | (masks >> v)) & 1
-                reach |= ((reach >> u) & kept) << v
-                reach |= ((reach >> v) & kept) << u
-            if np.array_equal(prev, reach):
-                break
-        hits = masks[reach == full]
-        if hits.size:
-            sizes = np.bitwise_count(hits.astype(np.uint64)).astype(np.int64)
-            for size, c in enumerate(np.bincount(sizes, minlength=n + 1)):
-                counts[size] += int(c)
-    # the all-zero mask sneaks through for order 1 (vertex 1 reaches itself)
-    counts[0] = 0
-    return counts
+    adj = Graph(order, frozenset(edges)).neighbor_masks()
+    return _tally(order, _sweep(adj, _weak_ok, chunk_bits))
+
+
+@lru_cache(maxsize=4)
+def _hits(g: Graph, pred: Callable) -> np.ndarray:
+    """Every non-empty subset of g passing ``pred``, ascending, read-only."""
+    hits = np.concatenate(list(_sweep(g.neighbor_masks(), pred)))
+    hits.flags.writeable = False
+    return hits
+
+
+def _of_size(g: Graph, pred: Callable, k: int) -> np.ndarray:
+    """The k-subsets of g passing ``pred``, ascending, as a new array."""
+    hits = _hits(g, pred)
+    return hits[np.bitwise_count(hits) == k]
 
 
 @lru_cache(maxsize=None)
@@ -120,25 +172,23 @@ def count_table(g: Graph, cap: int = DEFAULT_CAP) -> CountTable:
     subset can weakly connect them), so composition code can proceed
     uniformly. Orders above ``cap`` raise :class:`CapacityError`.
     """
-    _check_cap(g, cap)
+    check_cap(g, cap)
     return _count_table_cached(g)
 
 
 def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """All weakly connected dominating sets of cardinality i, as sorted
     tuples in lexicographic order. Empty outside 1..order."""
-    _check_cap(g, cap)
+    check_cap(g, cap)
     if i < 1 or i > g.order:
         return []
-    adj = g.neighbor_masks()
-    out = []
-    for combo in combinations(g.vertices(), i):
-        mask = 0
-        for v in combo:
-            mask |= 1 << (v - 1)
-        if mask_is_wcds(g.order, adj, mask):
-            out.append(combo)
-    return out
+    sets = _of_size(g, _weak_ok, i)
+    labels = np.empty((len(sets), i), dtype=np.uint8)
+    for j in range(i):  # peel off the lowest member, ascending
+        low = sets & -sets
+        labels[:, j] = np.bitwise_count(low - 1) + 1
+        sets ^= low
+    return sorted(map(tuple, labels.tolist()))
 
 
 def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
@@ -146,9 +196,7 @@ def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
 
     Undefined (ValueError) for disconnected graphs.
     """
-    # TODO: ascending-size search, so callers near the cap skip the full sweep
-    table = count_table(g, cap)
-    k = table.min_size()
+    k = count_table(g, cap).min_size()
     if k is None:
         raise ValueError("gamma_w undefined: graph is disconnected")
     return k
@@ -156,19 +204,8 @@ def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
 
 def gamma(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Minimum size of an ordinary dominating set."""
-    _check_cap(g, cap)
-    n = g.order
-    adj = g.neighbor_masks()
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    for i in range(1, n + 1):
-        for combo in combinations(range(n), i):
-            cov = 0
-            for v in combo:
-                cov |= closed[v]
-            if cov == full:
-                return i
-    raise AssertionError("unreachable: the full vertex set always dominates")
+    check_cap(g, cap)
+    return int(np.bitwise_count(_hits(g, _dom_ok)).min())
 
 
 def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
@@ -178,53 +215,15 @@ def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     diagnose composition formulas whose one-part terms should count
     dominating sets rather than weakly connected ones.
     """
-    _check_cap(g, cap)
-    n = g.order
-    adj = g.neighbor_masks()
-    counts = [0] * (n + 1)
-    step = 1 << min(_CHUNK_BITS, n)
-    for lo in range(0, 1 << n, step):
-        masks = np.arange(lo, min(lo + step, 1 << n), dtype=np.int64)
-        ok = np.ones(masks.shape, dtype=bool)
-        for v in range(n):
-            ok &= (((masks >> v) & 1) != 0) | ((masks & adj[v]) != 0)
-        hits = masks[ok]
-        if hits.size:
-            sizes = np.bitwise_count(hits.astype(np.uint64)).astype(np.int64)
-            for size, c in enumerate(np.bincount(sizes, minlength=n + 1)):
-                counts[size] += int(c)
-    return tuple(counts[1:])
+    check_cap(g, cap)
+    return tuple(_tally(g.order, _sweep(g.neighbor_masks(), _dom_ok))[1:])
 
 
 def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether some minimum-size weakly connected dominating set contains v."""
-    k = gamma_w(g, cap)
-    adj = g.neighbor_masks()
-    bit = 1 << (v - 1)
-    for combo in combinations(g.vertices(), k):
-        if v not in combo:
-            continue
-        mask = 0
-        for w in combo:
-            mask |= 1 << (w - 1)
-        if mask & bit and mask_is_wcds(g.order, adj, mask):
-            return True
-    return False
+    return bool(np.any(_of_size(g, _weak_ok, gamma_w(g, cap)) & (1 << (v - 1))))
 
 
 def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether some minimum-size ordinary dominating set contains v."""
-    k = gamma(g, cap)
-    n = g.order
-    adj = g.neighbor_masks()
-    closed = [adj[u] | (1 << u) for u in range(n)]
-    full = (1 << n) - 1
-    for combo in combinations(range(n), k):
-        if v - 1 not in combo:
-            continue
-        cov = 0
-        for u in combo:
-            cov |= closed[u]
-        if cov == full:
-            return True
-    return False
+    return bool(np.any(_of_size(g, _dom_ok, gamma(g, cap)) & (1 << (v - 1))))

@@ -20,14 +20,15 @@ import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from . import formulas
+from .formulas import _choose
 from .graph import Graph, RootedGraph, build_family, corona, join, make_graph, realize_extension
 from .oracle import (
     DEFAULT_CAP,
+    CapacityError,
     count_table,
     dominating_counts,
     enumerate_wcds,
@@ -180,10 +181,6 @@ def _finish(suite: str, records: list[CheckRecord], skipped: int, t0: float) -> 
     )
 
 
-def _choose(a: int, b: int) -> int:
-    return comb(a, b) if 0 <= b <= a else 0
-
-
 def verify_path_table(max_n: int = 10, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Path counts four ways: reference row, exhaustive counter, closed form,
     recurrence. Beyond the reference rows (n > 10) the comparison is
@@ -286,6 +283,23 @@ class _DenseTables:
         return mask
 
 
+# what a cached _DenseTables keeps per labelled graph: gm and w_lo, w_hi
+# (8 bytes each), conn and gw (1 byte each)
+_DENSE_BYTES_PER_GRAPH = 26
+_DENSE_MAX_ORDER = 7
+
+
+def _check_dense_order(max_order: int) -> None:
+    """Refuse all-graphs tables above ``_DENSE_MAX_ORDER`` before allocating any."""
+    if max_order > _DENSE_MAX_ORDER:
+        graphs = 1 << (max_order * (max_order - 1) // 2)
+        size = graphs * _DENSE_BYTES_PER_GRAPH
+        raise CapacityError(
+            f"order {max_order} needs all-graphs tables over {graphs} labelled graphs, "
+            f"at least {size} bytes ({size / 2**30:.1f} GiB); the limit is order {_DENSE_MAX_ORDER}"
+        )
+
+
 @lru_cache(maxsize=None)
 def _dense_tables(k: int) -> _DenseTables:
     pairs = tuple(combinations(range(k), 2))
@@ -330,12 +344,13 @@ def _dense_tables(k: int) -> _DenseTables:
     return _DenseTables(k, pairs, gm, conn, tuple(keep), w_lo, w_hi, gw)
 
 
-def verify_structural(max_order: int = 7, cap: int = DEFAULT_CAP) -> VerificationReport:
+def verify_structural(max_order: int = 7) -> VerificationReport:
     """Two definitional consequences swept over every connected labeled graph
     up to ``max_order``: supersets of a weakly connected dominating set stay
     in the family, and membership implies ordinary domination (order >= 2).
+    Orders above 7 raise :class:`CapacityError`.
     """
-    del cap  # uniform signature with the other verifiers; the sweep is dense
+    _check_dense_order(max_order)
     t0 = time.perf_counter()
     records: list[CheckRecord] = []
     for k in range(1, max_order + 1):
@@ -379,6 +394,7 @@ def verify_structural(max_order: int = 7, cap: int = DEFAULT_CAP) -> Verificatio
 
 
 def _suite_edge_deletion(max_order: int) -> tuple[list[CheckRecord], int]:
+    _check_dense_order(max_order)
     records: list[CheckRecord] = []
     total_skipped = 0
     for k in range(2, max_order + 1):
@@ -628,12 +644,10 @@ def _suite_gamma_path_cycle(max_n: int, cap: int) -> list[CheckRecord]:
     records = []
     for n in range(1, max_n + 1):
         for fam, fn in (("path", formulas.gamma_w_path), ("cycle", formulas.gamma_w_cycle)):
-            result = formulas.GammaWResult(fn(n), f"half-order-{fam}")
+            claimed = fn(n)
             o = gamma_w(build_family(fam, n), cap)
             records.append(
-                CheckRecord(
-                    f"{fam} n={n}", result.method, result.value, o, result.value == o
-                )
+                CheckRecord(f"{fam} n={n}", f"half-order-{fam}", claimed, o, claimed == o)
             )
     return records
 

@@ -1,8 +1,10 @@
 import io
 import json
+from functools import lru_cache
 
 import pytest
 
+import wcds.oracle as oracle
 from wcds.cli import run
 
 
@@ -83,6 +85,20 @@ def test_exactly_one_source_required(capsys, tmp_path):
 def test_capacity_exit_status(capsys):
     assert run(["gamma", "--family", "path", "--n", "9", "--cap", "6"]) == 3
     capsys.readouterr()
+
+
+def test_table_refuses_an_over_cap_order_before_any_sweep(capsys, monkeypatch):
+    calls = []
+    real = oracle.sweep_counts
+    monkeypatch.setattr(oracle, "sweep_counts", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    # an empty count cache, so rows cached by other tests would sweep too
+    fresh = lru_cache(maxsize=None)(oracle._count_table_cached.__wrapped__)
+    monkeypatch.setattr(oracle, "_count_table_cached", fresh)
+    assert run(["table", "--family", "star", "--max-n", "10", "--cap", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "order 11 exceeds the subset-sweep cap 10" in captured.err
+    assert calls == []
 
 
 def test_env_var_cap(capsys, monkeypatch):

@@ -1,3 +1,7 @@
+import re
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +15,8 @@ from wcds import (
     gamma_w,
     has_minimum_dominating_containing,
     has_minimum_wcds_containing,
+    is_dominating,
+    is_wcds,
     make_graph,
 )
 from wcds.oracle import sweep_counts
@@ -54,7 +60,57 @@ def test_path_totals_are_fibonacci(n):
 def test_sweep_is_chunk_size_independent():
     g = build_family("wheel", 8)
     edges = sorted(g.edges)
-    assert sweep_counts(8, edges, chunk_bits=3) == sweep_counts(8, edges, chunk_bits=20)
+    expected = sweep_counts(8, edges, chunk_bits=20)
+    assert sweep_counts(8, edges, chunk_bits=3) == expected
+    assert sweep_counts(8, edges, chunk_bits=1) == expected
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_every_query_matches_the_scalar_predicates(g):
+    # reference: the scalar definitions of core over every combination
+    n = g.order
+    by_size = {i: list(combinations(g.vertices(), i)) for i in range(1, n + 1)}
+    weak = {i: [s for s in sets if is_wcds(g, s)] for i, sets in by_size.items()}
+    dom = {i: [s for s in sets if is_dominating(g, s)] for i, sets in by_size.items()}
+
+    assert sweep_counts(n, g.edges)[1:] == [len(weak[i]) for i in weak]
+    assert count_table(g).counts == tuple(len(weak[i]) for i in weak)
+    assert dominating_counts(g) == tuple(len(dom[i]) for i in dom)
+    for i in range(0, n + 2):
+        assert enumerate_wcds(g, i) == weak.get(i, [])
+
+    gw = min((i for i, sets in weak.items() if sets), default=None)
+    gd = min(i for i, sets in dom.items() if sets)
+    assert gamma(g) == gd
+    for v in g.vertices():
+        assert has_minimum_dominating_containing(g, v) == any(v in s for s in dom[gd])
+    if gw is None:
+        with pytest.raises(ValueError, match="disconnected"):
+            gamma_w(g)
+        with pytest.raises(ValueError, match="disconnected"):
+            has_minimum_wcds_containing(g, 1)
+    else:
+        assert gamma_w(g) == gw
+        for v in g.vertices():
+            assert has_minimum_wcds_containing(g, v) == any(v in s for s in weak[gw])
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # np.bitwise_count, which the sweep uses, first shipped in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    (spec,) = [d for d in meta["project"]["dependencies"] if re.match(r"numpy\b", d)]
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", spec.replace(" ", ""))
+    assert floor and tuple(map(int, floor.groups())) >= (2, 0), spec
 
 
 def test_enumerate_lists_lexicographically():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wcds import (
+    CapacityError,
     CheckRecord,
     UnsupportedMethodError,
     VerificationReport,
@@ -15,6 +16,8 @@ from wcds import (
     verify_path_table,
     verify_cycle_table,
 )
+from wcds import verify
+from wcds.cli import run
 
 
 def test_path_table_small():
@@ -35,6 +38,24 @@ def test_structural_small():
     r = verify_structural(4)
     assert r.all_passed()
     assert len(r.records) == 7
+
+
+def test_all_graphs_suites_refuse_order_eight_before_building(monkeypatch, capsys):
+    real = verify._dense_tables
+
+    def guarded(k):
+        # the order-8 tables hold 2**28 entries per array, several GiB in all
+        assert k < 8, f"_dense_tables({k}) reached"
+        return real(k)
+
+    monkeypatch.setattr(verify, "_dense_tables", guarded)
+    with pytest.raises(CapacityError, match=r"order 8 .* 6979321856 bytes"):
+        verify_structural(8)
+    with pytest.raises(CapacityError, match=r"order 8 .* 6979321856 bytes"):
+        verify_formula_suite("edge_deletion_bounds", max_n=8)
+    for suite in ("structural", "edge_deletion_bounds"):
+        assert run(["verify", "--suite", suite, "--max-n", "8"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_complete_suite_small():
