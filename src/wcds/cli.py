@@ -194,6 +194,12 @@ def _cmd_gamma(args: argparse.Namespace, cap: int) -> int:
 def _cmd_count(args: argparse.Namespace, cap: int) -> int:
     g = _load_graph(args)
     counts = table_by_method(g, _METHODS[args.method], cap)
+    if args.method == "formula" and g.family == "wheel":
+        print(
+            "note: the formula method follows the stated wheel composition, which the sweep refutes; "
+            "`wcds verify --suite wheel` shows the counterexamples",
+            file=sys.stderr,
+        )
     if args.i is not None:
         print(counts[args.i - 1] if 1 <= args.i <= g.order else 0)
         return 0

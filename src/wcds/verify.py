@@ -251,97 +251,160 @@ def verify_cycle_table(max_n: int = 14, cap: int = DEFAULT_CAP) -> VerificationR
 
 
 # --- dense tables over every labeled graph of a fixed small order ----------
+#
+# A labelled graph of order k is its edge mask G: bit b is the b-th pair of
+# combinations(range(k), 2). A vertex subset S is a mask as well (bit v is
+# vertex v), and one flag per subset packs into a 128-bit word per graph,
+# split over two uint64 arrays: bit S of ``w_lo`` for S < 64, bit S - 64 of
+# ``w_hi`` otherwise.
+
+# graphs per step of the table build and of the structural checks; the
+# working arrays of one step stay in cache
+_DENSE_CHUNK = 1 << 16
+_DENSE_MAX_ORDER = 7
 
 
 @dataclass(frozen=True)
 class _DenseTables:
-    """Per-order arrays indexed by edge mask: connectivity, packed per-subset
-    membership flags, and the minimum cardinality for every graph."""
+    """Arrays over every labelled graph of one order, indexed by edge mask:
+    each vertex's neighbour mask, connectivity, the packed flags of the
+    weakly connected dominating sets, and their minimum cardinality (0 on a
+    disconnected graph)."""
 
     order: int
     pairs: tuple[tuple[int, int], ...]
-    gm: np.ndarray
+    nbr: np.ndarray  # uint8 (order, graphs): nbr[v, G] is v's neighbour mask
     conn: np.ndarray
-    keep: tuple[int, ...]
     w_lo: np.ndarray
     w_hi: np.ndarray
     gw: np.ndarray
-
-    def wcds_flags(self, s: int) -> np.ndarray:
-        """Boolean per graph: is vertex-mask s a weakly connected dominating
-        set of that graph."""
-        if s < 64:
-            return ((self.w_lo >> np.uint64(s)) & np.uint64(1)).astype(bool)
-        return ((self.w_hi >> np.uint64(s - 64)) & np.uint64(1)).astype(bool)
-
-    def incident_bits(self, v: int, s: int) -> int:
-        """Edge-mask of the pairs joining vertex v to members of s."""
-        mask = 0
-        for b, (a, c) in enumerate(self.pairs):
-            if (a == v and s >> c & 1) or (c == v and s >> a & 1):
-                mask |= 1 << b
-        return mask
-
-
-# what a cached _DenseTables keeps per labelled graph: gm and w_lo, w_hi
-# (8 bytes each), conn and gw (1 byte each)
-_DENSE_BYTES_PER_GRAPH = 26
-_DENSE_MAX_ORDER = 7
 
 
 def _check_dense_order(max_order: int) -> None:
     """Refuse all-graphs tables above ``_DENSE_MAX_ORDER`` before allocating any."""
     if max_order > _DENSE_MAX_ORDER:
         graphs = 1 << (max_order * (max_order - 1) // 2)
-        size = graphs * _DENSE_BYTES_PER_GRAPH
+        # what a cached _DenseTables keeps per labelled graph: w_lo and w_hi
+        # (8 bytes each), conn and gw (1 byte each), one nbr byte per vertex
+        size = graphs * (18 + max_order)
         raise CapacityError(
             f"order {max_order} needs all-graphs tables over {graphs} labelled graphs, "
             f"at least {size} bytes ({size / 2**30:.1f} GiB); the limit is order {_DENSE_MAX_ORDER}"
         )
 
 
-@lru_cache(maxsize=None)
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """Rows of at most 128 subset flags as (rows, 2) uint64 words: bit S of
+    row r's 128-bit word is ``flags[r, S]``."""
+    padded = np.zeros((flags.shape[0], 128), dtype=bool)
+    padded[:, : flags.shape[1]] = flags
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _popcount(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum())
+
+
+def _connected(nbr: np.ndarray) -> np.ndarray:
+    """Per graph: does vertex 0 reach every vertex? ``nbr`` holds the
+    (order, graphs) neighbour masks. Reachability spreads vertex by vertex,
+    forward then backward, until a pass changes nothing, as in
+    ``oracle._weak_ok``."""
+    k = nbr.shape[0]
+    reach = np.ones(nbr.shape[1], dtype=np.uint8)
+    prev = np.empty_like(reach)
+    bit = np.empty_like(reach)
+    seq = [*range(k), *range(k - 2, -1, -1)]
+    while True:
+        np.copyto(prev, reach)
+        for v in seq:
+            np.right_shift(reach, v, out=bit)
+            np.bitwise_and(bit, 1, out=bit)
+            np.multiply(bit, nbr[v], out=bit)
+            np.bitwise_or(reach, bit, out=reach)
+        if np.array_equal(prev, reach):
+            return reach == (1 << k) - 1
+
+
+@lru_cache(maxsize=_DENSE_MAX_ORDER)
 def _dense_tables(k: int) -> _DenseTables:
     pairs = tuple(combinations(range(k), 2))
-    nb = len(pairs)
-    gm = np.arange(1 << nb, dtype=np.int64)
-    full = (1 << k) - 1
-    reach = np.ones_like(gm)
-    seq = list(enumerate(pairs))
-    seq = seq + seq[::-1]
-    for _ in range(k):
-        prev = reach.copy()
-        for b, (u, v) in seq:
-            has = (gm >> b) & 1
-            reach |= ((reach >> u) & has) << v
-            reach |= ((reach >> v) & has) << u
-        if np.array_equal(prev, reach):
-            break
-    conn = reach == full
+    n_graphs = 1 << len(pairs)
+    nbr = np.zeros((k, n_graphs), dtype=np.uint8)
+    for b, (u, v) in enumerate(pairs):  # [:, 1] are the graphs with bit b set
+        nbr[u].reshape(-1, 2, 1 << b)[:, 1] |= np.uint8(1 << v)
+        nbr[v].reshape(-1, 2, 1 << b)[:, 1] |= np.uint8(1 << u)
+    # S is weakly connected dominating in G iff G & keep[S], the edges of G
+    # that meet S, is connected
+    keep = [
+        sum(1 << b for b, (u, v) in enumerate(pairs) if s >> u & 1 or s >> v & 1)
+        for s in range(1 << k)
+    ]
+    subsets = np.arange(1 << k)
+    of_size = _pack(np.bitwise_count(subsets) == np.arange(k + 1)[:, None])
 
-    keep = [0] * (1 << k)
-    for s in range(1, 1 << k):
-        km = 0
-        for b, (u, v) in enumerate(pairs):
-            if s >> u & 1 or s >> v & 1:
-                km |= 1 << b
-        keep[s] = km
+    conn = np.empty(n_graphs, dtype=bool)
+    w_lo = np.empty(n_graphs, dtype=np.uint64)
+    w_hi = np.empty(n_graphs, dtype=np.uint64)
+    gw = np.zeros(n_graphs, dtype=np.int8)
+    step = min(_DENSE_CHUNK, n_graphs)
+    planes = np.empty((16, step), dtype=np.uint8)  # byte j: the flags of S = 8j .. 8j + 7
+    idx = np.empty(step, dtype=np.intp)
+    flag = np.empty(step, dtype=np.uint8)
+    conn_bytes = conn.view(np.uint8)
+    for lo in range(0, n_graphs, step):
+        part = slice(lo, lo + step)
+        conn[part] = _connected(nbr[:, part])
+        # G & keep[S] <= G: every graph gathered here has its conn already
+        graphs = np.arange(lo, lo + step, dtype=np.intp)
+        planes.fill(0)
+        for s in range(1, 1 << k):
+            np.bitwise_and(graphs, keep[s], out=idx)
+            np.take(conn_bytes, idx, out=flag, mode="clip")
+            np.multiply(flag, 1 << (s & 7), out=flag)  # a uint8 shift runs ten times slower
+            np.bitwise_or(planes[s >> 3], flag, out=planes[s >> 3])
+        words = planes.T.copy().view("<u8")
+        w_lo[part] = words[:, 0]
+        w_hi[part] = words[:, 1]
+        for size in range(k, 0, -1):  # the smallest size with a flag is written last
+            hit = (w_lo[part] & of_size[size, 0]) | (w_hi[part] & of_size[size, 1])
+            np.copyto(gw[part], size, where=hit != 0)
+    return _DenseTables(k, pairs, nbr, conn, w_lo, w_hi, gw)
 
-    w_lo = np.zeros(1 << nb, dtype=np.uint64)
-    w_hi = np.zeros(1 << nb, dtype=np.uint64)
-    gw = np.zeros(1 << nb, dtype=np.int8)
-    for size in range(1, k + 1):
-        for combo in combinations(range(k), size):
-            s = 0
-            for v in combo:
-                s |= 1 << v
-            w = conn[gm & keep[s]]
-            if s < 64:
-                w_lo |= w.astype(np.uint64) << np.uint64(s)
-            else:
-                w_hi |= w.astype(np.uint64) << np.uint64(s - 64)
-            np.copyto(gw, np.int8(size), where=w & (gw == 0))
-    return _DenseTables(k, pairs, gm, conn, tuple(keep), w_lo, w_hi, gw)
+
+def _violations(t: _DenseTables) -> tuple[int, int]:
+    """Upward-closure and domination violations over the connected graphs of
+    ``t``. Closure counts the (S, v, G) with S weakly connected dominating
+    in G, v outside S and S + v not; domination counts the (S, G) with S
+    weakly connected dominating in G and some vertex outside S undominated.
+    A disconnected graph has no flags (its spanning subgraphs are all
+    disconnected), so every graph can be counted."""
+    k = t.order
+    subsets = np.arange(1 << k)
+    holds = (subsets >> np.arange(k)[:, None]) & 1 == 1  # holds[v, S]: v is in S
+    lack = _pack(~holds)
+    meets = (subsets[:, None] & subsets) != 0  # meets[m, S]: S meets the mask m
+    # cover[v][m]: the subsets that hold v or meet v's neighbour mask m
+    cover = [_pack(holds[v] | meets).T.copy() for v in range(k)]
+    closure = domination = 0
+    for lo in range(0, t.conn.size, _DENSE_CHUNK):
+        part = slice(lo, lo + _DENSE_CHUNK)
+        w_lo = t.w_lo[part]
+        w_hi = t.w_hi[part]
+        for v in range(k):
+            if v < 6:  # S + v is bit S + 2**v of the word that holds S
+                closure += _popcount(w_lo & lack[v, 0] & ~(w_lo >> (1 << v)))
+                closure += _popcount(w_hi & lack[v, 1] & ~(w_hi >> (1 << v)))
+            else:  # every S < 64 lacks vertex 6, and S + 6 is bit S of w_hi
+                closure += _popcount(w_lo & ~w_hi)
+        d_lo = np.full(w_lo.size, ~np.uint64(0))
+        d_hi = d_lo.copy()
+        for v in range(k):
+            m = t.nbr[v, part].astype(np.intp)  # take is slow on uint8 indices
+            d_lo &= np.take(cover[v][0], m)
+            d_hi &= np.take(cover[v][1], m)
+        domination += _popcount(w_lo & ~d_lo) + _popcount(w_hi & ~d_hi)
+    return closure, domination
 
 
 def verify_structural(max_order: int = 7) -> VerificationReport:
@@ -356,19 +419,7 @@ def verify_structural(max_order: int = 7) -> VerificationReport:
     for k in range(1, max_order + 1):
         eng = _dense_tables(k)
         n_graphs = int(np.count_nonzero(eng.conn))
-        closure_bad = 0
-        dom_bad = 0
-        for s in range(1, 1 << k):
-            ws = eng.wcds_flags(s)
-            outside = [v for v in range(k) if not s >> v & 1]
-            for v in outside:
-                wt = eng.wcds_flags(s | (1 << v))
-                closure_bad += int(np.count_nonzero(ws & ~wt & eng.conn))
-            if k >= 2 and outside:
-                dom = np.ones(eng.gm.shape, dtype=bool)
-                for v in outside:
-                    dom &= (eng.gm & eng.incident_bits(v, s)) != 0
-                dom_bad += int(np.count_nonzero(ws & ~dom & eng.conn))
+        closure_bad, dom_bad = _violations(eng)
         records.append(
             CheckRecord(
                 f"order {k} upward closure",
@@ -403,16 +454,14 @@ def _suite_edge_deletion(max_order: int) -> tuple[list[CheckRecord], int]:
         skipped = 0
         bad = 0
         for b in range(len(eng.pairs)):
-            bit = np.int64(1 << b)
-            present = ((eng.gm >> b) & 1).astype(bool)
-            sub = eng.gm ^ bit
-            conn_sub = eng.conn[sub]
-            valid = eng.conn & present & conn_sub
-            gw_sub = eng.gw[sub]
-            ok = (gw_sub - 1 <= eng.gw) & (eng.gw <= gw_sub)
+            # [:, 1] are the graphs with pair b, [:, 0] the same graphs without it
+            conn = eng.conn.reshape(-1, 2, 1 << b)
+            gw = eng.gw.reshape(-1, 2, 1 << b)
+            valid = conn[:, 1] & conn[:, 0]
+            ok = (gw[:, 0] - 1 <= gw[:, 1]) & (gw[:, 1] <= gw[:, 0])
             bad += int(np.count_nonzero(valid & ~ok))
             checked += int(np.count_nonzero(valid))
-            skipped += int(np.count_nonzero(eng.conn & present & ~conn_sub))
+            skipped += int(np.count_nonzero(conn[:, 1] & ~conn[:, 0]))
         total_skipped += skipped
         records.append(
             CheckRecord(

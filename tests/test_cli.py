@@ -139,3 +139,23 @@ def test_wheel_table_starts_at_four(capsys):
     assert run(["table", "--family", "wheel", "--max-n", "5", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("4,")
+
+
+def test_wheel_formula_row_is_stated_with_a_note(capsys):
+    # the stated wheel composition is wrong at n = 7, i = 2 (6, the sweep gives 9):
+    # stdout keeps the stated row, stderr points at the suite that refutes it
+    assert run(["count", "--family", "wheel", "--n", "7", "--method", "formula"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "| n \\ j | 1 | 2 | 3 | 4 | 5 | 6 | 7 |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+        "| 7 | 1 | 6 | 29 | 35 | 21 | 7 | 1 |\n"
+    )
+    assert "wcds verify --suite wheel" in captured.err
+    assert run(["count", "--family", "wheel", "--n", "7", "--method", "formula", "--i", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "6\n"
+    assert "wcds verify --suite wheel" in captured.err
+    run(["count", "--family", "wheel", "--n", "7"])
+    run(["count", "--family", "star", "--n", "4", "--method", "formula"])
+    assert capsys.readouterr().err == ""

@@ -19,6 +19,7 @@ from wcds import (
     is_wcds,
     make_graph,
 )
+from wcds import oracle
 from wcds.oracle import sweep_counts
 
 
@@ -111,6 +112,11 @@ def test_declared_numpy_floor_has_bitwise_count():
     (spec,) = [d for d in meta["project"]["dependencies"] if re.match(r"numpy\b", d)]
     floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", spec.replace(" ", ""))
     assert floor and tuple(map(int, floor.groups())) >= (2, 0), spec
+
+
+def test_count_cache_is_bounded():
+    maxsize = oracle._count_table_cached.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def test_enumerate_lists_lexicographically():

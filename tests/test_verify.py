@@ -1,5 +1,8 @@
+import dataclasses
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from wcds import (
@@ -9,6 +12,9 @@ from wcds import (
     VerificationReport,
     build_family,
     cross_check,
+    gamma_w,
+    is_connected,
+    is_wcds,
     make_graph,
     table_by_method,
     verify_formula_suite,
@@ -56,6 +62,91 @@ def test_all_graphs_suites_refuse_order_eight_before_building(monkeypatch, capsy
     for suite in ("structural", "edge_deletion_bounds"):
         assert run(["verify", "--suite", suite, "--max-n", "8"]) == 3
         assert capsys.readouterr().out == ""
+
+
+def _flag(t, g, s):
+    """Bit s of graph g's packed flags."""
+    word = int(t.w_lo[g]) | int(t.w_hi[g]) << 64
+    return word >> s & 1 == 1
+
+
+def test_dense_tables_match_the_scalar_predicates():
+    for k in range(1, 6):
+        t = verify._dense_tables(k)
+        assert t.pairs == tuple(combinations(range(k), 2))
+        for g in range(1 << len(t.pairs)):
+            graph = make_graph(k, [(u + 1, v + 1) for b, (u, v) in enumerate(t.pairs) if g >> b & 1])
+            connected = is_connected(graph)
+            assert t.conn[g] == connected
+            assert t.nbr[:, g].tolist() == graph.neighbor_masks()
+            assert not _flag(t, g, 0)
+            for s in range(1, 1 << k):
+                members = [v + 1 for v in range(k) if s >> v & 1]
+                assert _flag(t, g, s) == is_wcds(graph, members), (k, g, s)
+            assert t.gw[g] == (gamma_w(graph) if connected else 0)
+
+
+def _scalar_violations(t, graphs):
+    """Per-(S, v) recount of the closure and domination violations on the
+    given graphs, reading neighbours from the pairs, not from ``t.nbr``."""
+    closure = domination = 0
+    for g in graphs:
+        if not t.conn[g]:
+            continue
+        adj = [0] * t.order
+        for b, (u, v) in enumerate(t.pairs):
+            if g >> b & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        for s in range(1, 1 << t.order):
+            if not _flag(t, g, s):
+                continue
+            outside = [v for v in range(t.order) if not s >> v & 1]
+            closure += sum(not _flag(t, g, s | 1 << v) for v in outside)
+            domination += any(not adj[v] & s for v in outside)
+    return closure, domination
+
+
+def _plant(t, clear, plant):
+    """A copy of t with flag bit S of graph G cleared for each (G, S) in
+    ``clear`` and set for each in ``plant``."""
+    words = (t.w_lo.copy(), t.w_hi.copy())
+    for g, s in clear:
+        words[s >> 6][g] &= ~np.uint64(1 << (s & 63))
+    for g, s in plant:
+        words[s >> 6][g] |= np.uint64(1 << (s & 63))
+    return dataclasses.replace(t, w_lo=words[0], w_hi=words[1])
+
+
+def _edge_mask(t, edges):
+    return sum(1 << t.pairs.index(e) for e in edges)
+
+
+def test_packed_checks_count_planted_violations():
+    t = verify._dense_tables(4)
+    assert verify._violations(t) == (0, 0)
+    complete = _edge_mask(t, t.pairs)
+    path = _edge_mask(t, [(0, 1), (1, 2), (2, 3)])
+    # {0, 1} stops being a WCDS of K4; {0}, which misses vertex 3, becomes one of P4
+    planted = _plant(t, clear=[(complete, 0b0011)], plant=[(path, 0b0001)])
+    counts = verify._violations(planted)
+    assert counts == _scalar_violations(planted, range(planted.conn.size))
+    assert counts[0] > 0 and counts[1] > 0
+
+
+def test_packed_checks_reach_the_high_word():
+    # at order 7, subsets 64..127 (those holding vertex 6) live in w_hi
+    t = verify._dense_tables(7)
+    assert verify._violations(t) == (0, 0)
+    complete = _edge_mask(t, t.pairs)
+    path = _edge_mask(t, [(v, v + 1) for v in range(6)])
+    # {0, 1, 6} leaves K7's family, whose subsets {0, 1}, {0, 6}, {1, 6} all
+    # stay; {0, 6}, which misses vertices 2..4, joins the family of P7
+    planted = _plant(t, clear=[(complete, 0b1000011)], plant=[(path, 0b1000001)])
+    # all violations sit in the two planted graphs
+    counts = verify._violations(planted)
+    assert counts == _scalar_violations(planted, [complete, path])
+    assert counts[0] > 0 and counts[1] > 0
 
 
 def test_complete_suite_small():
