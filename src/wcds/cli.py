@@ -6,7 +6,7 @@ either from a named family (--family with --n) or from an edge-list file
 fixed arguments and seed; wall-clock timings go to stderr only.
 
 Exit status: 0 success / all checks pass, 1 verification failure, 2 usage
-or input error, 3 oracle capacity exceeded.
+or input error, 3 order cap or frontier-width bound exceeded.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+from .frontier import count_table_frontier, frontier_order, projected_states
 from .graph import FAMILIES, Graph, build_family, read_edge_list
 from .oracle import (
     CapacityError,
@@ -42,7 +43,12 @@ from .verify import (
 CAP_ENV_VAR = "WCDS_ORACLE_CAP"
 
 # CLI spelling -> verify-layer method name
-_METHODS = {"oracle": "oracle", "formula": "closed_form", "recurrence": "recurrence"}
+_METHODS = {
+    "oracle": "oracle",
+    "frontier": "frontier",
+    "formula": "closed_form",
+    "recurrence": "recurrence",
+}
 
 
 class _UsageError(Exception):
@@ -86,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=tuple(_METHODS),
         default="oracle",
-        help="counting method (formula and recurrence need a recognized family)",
+        help="counting method: oracle (subset sweep), frontier (frontier DP); "
+        "formula and recurrence need a recognized family",
     )
 
     p = sub.add_parser("enumerate", help="list every set of one cardinality")
@@ -214,6 +221,15 @@ def _cmd_enumerate(args: argparse.Namespace, cap: int) -> int:
     return 0
 
 
+def _table_row(g: Graph, cap: int) -> tuple[int, ...]:
+    """g's count row by the frontier DP when its projected work, order *
+    2^w * Bell(w) states, is below the sweep's 2^order masks; else by the sweep."""
+    _, width = frontier_order(g)
+    if g.order * projected_states(width) < 1 << g.order:
+        return count_table_frontier(g).counts
+    return count_table(g, cap).counts
+
+
 def _cmd_table(args: argparse.Namespace, cap: int) -> int:
     start = 4 if args.family == "wheel" else 1
     if args.max_n < start:
@@ -223,7 +239,7 @@ def _cmd_table(args: argparse.Namespace, cap: int) -> int:
         g = build_family(args.family, n)
         check_cap(g, cap)  # refuse before sweeping any row
         graphs.append((n, g))
-    rows = [(n, count_table(g, cap).counts) for n, g in graphs]
+    rows = [(n, _table_row(g, cap)) for n, g in graphs]
     sys.stdout.write(_render_rows(rows, args.fmt, args.family))
     return 0
 

@@ -27,7 +27,8 @@ _CHUNK_BITS = 16
 
 
 class CapacityError(Exception):
-    """Raised when a graph exceeds the subset-sweep cap."""
+    """Raised when a graph exceeds the subset-sweep cap or the frontier DP's
+    width bound."""
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,12 @@ import numpy as np
 
 from . import formulas
 from .formulas import _choose
+from .frontier import count_table_frontier
 from .graph import Graph, RootedGraph, build_family, corona, join, make_graph, realize_extension
 from .oracle import (
     DEFAULT_CAP,
     CapacityError,
+    check_cap,
     count_table,
     dominating_counts,
     enumerate_wcds,
@@ -875,15 +877,19 @@ def verify_formula_suite(
 
 
 def table_by_method(g: Graph, method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
-    """Full count row of g by one method: ``oracle`` (any graph),
-    ``closed_form`` (paths, complete graphs, stars, wheels; wheels get
-    their rim table wired in here), ``recurrence`` (paths). Family
-    recognition uses construction metadata, so graphs read from edge
-    lists only support ``oracle``."""
+    """Full count row of g by one method: ``oracle`` (any graph, the
+    subset sweep), ``frontier`` (any graph, the frontier DP, refused above
+    its width bound), ``closed_form`` (paths, complete graphs, stars,
+    wheels; wheels get their rim table wired in here), ``recurrence``
+    (paths). Family recognition uses construction metadata, so graphs read
+    from edge lists only support ``oracle`` and ``frontier``."""
     n = g.order
     fam = g.family
     if method == "oracle":
         return count_table(g, cap).counts
+    if method == "frontier":
+        check_cap(g, cap)
+        return count_table_frontier(g).counts
     if method == "closed_form":
         if fam == "path":
             return tuple(formulas.count_path_closed(n, j) for j in range(1, n + 1))
@@ -914,7 +920,7 @@ def cross_check(
     if not methods:
         raise ValueError("at least one method required")
     for m in methods:
-        if m not in ("oracle", "closed_form", "recurrence"):
+        if m not in ("oracle", "frontier", "closed_form", "recurrence"):
             raise ValueError(f"unknown method {m!r}")
     n = g.order
     tables = {method: table_by_method(g, method, cap) for method in methods}

@@ -4,8 +4,10 @@ from functools import lru_cache
 
 import pytest
 
+import wcds.cli as cli
 import wcds.oracle as oracle
 from wcds.cli import run
+from wcds.graph import FAMILIES, build_family
 
 
 def test_count_single_cell(capsys):
@@ -159,3 +161,29 @@ def test_wheel_formula_row_is_stated_with_a_note(capsys):
     run(["count", "--family", "wheel", "--n", "7"])
     run(["count", "--family", "star", "--n", "4", "--method", "formula"])
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fmt", ("md", "csv", "json"))
+def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
+    dp_rows = []
+    real = cli.count_table_frontier
+    monkeypatch.setattr(cli, "count_table_frontier", lambda g: dp_rows.append(g.family) or real(g))
+    for family in FAMILIES:
+        assert run(["table", "--family", family, "--max-n", "12", "--format", fmt]) == 0
+        start = 4 if family == "wheel" else 1
+        rows = [(n, oracle.count_table(build_family(family, n)).counts) for n in range(start, 13)]
+        assert capsys.readouterr().out == cli._render_rows(rows, fmt, family)
+    # the DP takes a row when order * 2^w * Bell(w) < 2^order: every path but
+    # P2, cycles of order 1 and 6+, stars of order 3+, wheels of order 9+;
+    # complete graphs only at order 1, width 0, and sweep every other row
+    assert {f: dp_rows.count(f) for f in FAMILIES} == {
+        "path": 11, "cycle": 8, "complete": 1, "star": 11, "wheel": 4,
+    }
+
+
+@pytest.mark.parametrize("argv", (["--family", "wheel", "--n", "11"], ["--family", "star", "--n", "6", "--i", "3"]))
+def test_count_frontier_method_agrees_with_oracle(capsys, argv):
+    assert run(["count", *argv, "--method", "frontier", "--format", "json"]) == 0
+    frontier_out = capsys.readouterr().out
+    assert run(["count", *argv, "--method", "oracle", "--format", "json"]) == 0
+    assert frontier_out == capsys.readouterr().out
