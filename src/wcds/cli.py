@@ -29,16 +29,7 @@ from .oracle import (
     gamma,
     gamma_w,
 )
-from .verify import (
-    DEFAULT_SEED,
-    FORMULA_SUITES,
-    UnsupportedMethodError,
-    table_by_method,
-    verify_formula_suite,
-    verify_structural,
-    verify_path_table,
-    verify_cycle_table,
-)
+from .verify import DEFAULT_SEED, SUITES, UnsupportedMethodError, table_by_method, verify_formula_suite
 
 CAP_ENV_VAR = "WCDS_ORACLE_CAP"
 
@@ -108,11 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     _add_common_args(p)
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=("path_table", "cycle_table", "structural") + FORMULA_SUITES,
-    )
+    p.add_argument("--suite", required=True, choices=tuple(SUITES))
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--random-count", type=int, default=None, dest="random_count")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -245,20 +232,9 @@ def _cmd_table(args: argparse.Namespace, cap: int) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
-    if args.suite == "path_table":
-        report = verify_path_table(args.max_n or 10, cap)
-    elif args.suite == "cycle_table":
-        report = verify_cycle_table(args.max_n or 14, cap)
-    elif args.suite == "structural":
-        report = verify_structural(args.max_n or 7)
-    else:
-        report = verify_formula_suite(
-            args.suite,
-            max_n=args.max_n,
-            random_count=args.random_count,
-            seed=args.seed,
-            cap=cap,
-        )
+    report = verify_formula_suite(
+        args.suite, max_n=args.max_n, random_count=args.random_count, seed=args.seed, cap=cap
+    )
     if args.fmt == "md":
         sys.stdout.write(report.to_markdown())
     elif args.fmt == "csv":

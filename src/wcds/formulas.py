@@ -147,13 +147,37 @@ def count_join(table_g: CountTable, table_h: CountTable, i: int) -> int:
 
     Implemented exactly as stated. The verify module's join suite shows the
     one-part terms undercount (membership in the join depends on domination
-    of the part, a weaker condition), so do not treat this as ground truth.
+    of the part, a weaker condition), so do not treat this as ground truth;
+    :func:`count_join_dominating` is the corrected rule.
     """
     if i < 1:
         return 0
-    n1, n2 = table_g.order, table_h.order
-    cross = sum(_choose(n1, i1) * _choose(n2, i - i1) for i1 in range(1, i))
-    return table_g.count(i) + table_h.count(i) + cross
+    return table_g.count(i) + table_h.count(i) + _join_cross(table_g.order, table_h.order, i)
+
+
+def count_join_dominating(dom_g: tuple[int, ...], dom_h: tuple[int, ...], i: int) -> int:
+    """Sets of cardinality i that are weakly connected dominating in the
+    join of G and H, from the parts' dominating-set counts (``dom_g[i - 1]``
+    sets of cardinality i dominate G; the tuple's length is G's order).
+
+    On a join every dominating set is weakly connected, so this is the
+    domination polynomial of the join, D(G v H, x) = ((1+x)^n1 - 1)((1+x)^n2
+    - 1) + D(G, x) + D(H, x) (Alikhani & Peng, "Introduction to domination
+    polynomial of a graph", Ars Combin. 114, 2014). It is the stated join
+    composition with dominating one-part terms in place of weakly connected
+    ones, which is why that composition and the wheel rule undercount. A
+    wheel is its rim joined with K1, so ``dom_h = (1,)``.
+    """
+    if i < 1:
+        return 0
+    n1, n2 = len(dom_g), len(dom_h)
+    one_part = (dom_g[i - 1] if i <= n1 else 0) + (dom_h[i - 1] if i <= n2 else 0)
+    return one_part + _join_cross(n1, n2, i)
+
+
+def _join_cross(n1: int, n2: int, i: int) -> int:
+    """Sets of cardinality i in a join with at least one vertex in each part."""
+    return sum(_choose(n1, i1) * _choose(n2, i - i1) for i1 in range(1, i))
 
 
 def count_wheel(n: int, i: int, cycle_table: CountTable) -> int:

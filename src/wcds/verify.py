@@ -6,8 +6,9 @@ structural checks. Reports are plain records with exact integer comparisons;
 a failing record means the stated identity and the exhaustive count disagree
 on that instance, and the record's detail says why where the cause is known.
 
-All randomized suites draw from a fixed default seed so reports are
-reproducible byte for byte.
+Every suite is one entry of ``SUITES`` (record builder and default sizes),
+and ``verify_formula_suite`` runs each of them. All randomized suites draw
+from a fixed default seed so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import io
 import json
 import random
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from . import formulas
-from .formulas import _choose
 from .frontier import count_table_frontier
 from .graph import Graph, RootedGraph, build_family, corona, join, make_graph, realize_extension
 from .oracle import (
@@ -41,21 +43,6 @@ from .oracle import (
 )
 
 DEFAULT_SEED = 1729
-
-FORMULA_SUITES = (
-    "complete",
-    "star",
-    "wheel",
-    "join",
-    "corona_gamma",
-    "join_gamma",
-    "gamma_path_cycle",
-    "extension_recurrence",
-    "extension_constructive",
-    "extension_gamma",
-    "boxes",
-    "edge_deletion_bounds",
-)
 
 # Frozen reference rows. Cardinalities run 1..n; zero entries are cells the
 # source layout leaves blank. Any disagreement between these rows and the
@@ -183,11 +170,15 @@ def _finish(suite: str, records: list[CheckRecord], skipped: int, t0: float) -> 
     )
 
 
-def verify_path_table(max_n: int = 10, cap: int = DEFAULT_CAP) -> VerificationReport:
+def _check(key: str, source: str, claimed: int | str, exhaustive: int | str, detail: str = "") -> CheckRecord:
+    """A record whose verdict is plain equality of claim and exhaustive value."""
+    return CheckRecord(key, source, claimed, exhaustive, claimed == exhaustive, detail)
+
+
+def _suite_path_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
     """Path counts four ways: reference row, exhaustive counter, closed form,
     recurrence. Beyond the reference rows (n > 10) the comparison is
     three-way with the exhaustive counter as referee."""
-    t0 = time.perf_counter()
     records: list[CheckRecord] = []
     for n in range(1, max_n + 1):
         actual = count_table(build_family("path", n), cap)
@@ -210,46 +201,30 @@ def verify_path_table(max_n: int = 10, cap: int = DEFAULT_CAP) -> VerificationRe
             records.append(
                 CheckRecord(f"path n={n} j={j}", source, claimed, o, passed, detail)
             )
-    return _finish("path_table", records, 0, t0)
+    return records
 
 
-def verify_cycle_table(max_n: int = 14, cap: int = DEFAULT_CAP) -> VerificationReport:
+def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
     """Cycle counts against the reference rows (n <= 14), plus the top-cell
     closed forms and the one-step shift identity on exhaustive values."""
-    t0 = time.perf_counter()
     records: list[CheckRecord] = []
     for n in range(1, min(max_n, 14) + 1):
         actual = count_table(build_family("cycle", n), cap)
         for j in range(1, n + 1):
             ref = REFERENCE_CYCLE_TABLE[n][j - 1]
-            o = actual.count(j)
-            records.append(
-                CheckRecord(
-                    f"cycle n={n} j={j}",
-                    "reference row",
-                    ref,
-                    o,
-                    ref == o,
-                )
-            )
+            records.append(_check(f"cycle n={n} j={j}", "reference row", ref, actual.count(j)))
     for n in range(4, max_n + 1):
         actual = count_table(build_family("cycle", n), cap)
         tops = ([n - 3] if n >= 6 else []) + [n - 2, n - 1, n]
         for i in tops:
             c = formulas.count_cycle_top(n, i)
-            o = actual.count(i)
-            records.append(
-                CheckRecord(f"cycle n={n} i={i}", "top-cell closed form", c, o, c == o)
-            )
+            records.append(_check(f"cycle n={n} i={i}", "top-cell closed form", c, actual.count(i)))
     for n in range(7, max_n + 1):
         cur = count_table(build_family("cycle", n), cap)
         prev = count_table(build_family("cycle", n - 1), cap)
         claimed = prev.count(n - 4) + prev.count(n - 3) - 1
-        o = cur.count(n - 3)
-        records.append(
-            CheckRecord(f"cycle n={n} shift", "one-step shift identity", claimed, o, claimed == o)
-        )
-    return _finish("cycle_table", records, 0, t0)
+        records.append(_check(f"cycle n={n} shift", "one-step shift identity", claimed, cur.count(n - 3)))
+    return records
 
 
 # --- dense tables over every labeled graph of a fixed small order ----------
@@ -409,48 +384,33 @@ def _violations(t: _DenseTables) -> tuple[int, int]:
     return closure, domination
 
 
-def verify_structural(max_order: int = 7) -> VerificationReport:
+def _suite_structural(max_n: int, **_) -> list[CheckRecord]:
     """Two definitional consequences swept over every connected labeled graph
-    up to ``max_order``: supersets of a weakly connected dominating set stay
-    in the family, and membership implies ordinary domination (order >= 2).
-    Orders above 7 raise :class:`CapacityError`.
-    """
-    _check_dense_order(max_order)
-    t0 = time.perf_counter()
+    up to order ``max_n``: supersets of a weakly connected dominating set
+    stay in the family, and membership implies ordinary domination (order
+    >= 2). Orders above 7 raise :class:`CapacityError`."""
+    _check_dense_order(max_n)
     records: list[CheckRecord] = []
-    for k in range(1, max_order + 1):
+    for k in range(1, max_n + 1):
         eng = _dense_tables(k)
-        n_graphs = int(np.count_nonzero(eng.conn))
+        swept = f"{int(np.count_nonzero(eng.conn))} connected graphs swept"
         closure_bad, dom_bad = _violations(eng)
-        records.append(
-            CheckRecord(
-                f"order {k} upward closure",
-                "superset preservation",
-                0,
-                closure_bad,
-                closure_bad == 0,
-                f"{n_graphs} connected graphs swept",
-            )
-        )
+        records.append(_check(f"order {k} upward closure", "superset preservation", 0, closure_bad, swept))
         if k >= 2:
             records.append(
-                CheckRecord(
-                    f"order {k} domination implication",
-                    "membership implies domination",
-                    0,
-                    dom_bad,
-                    dom_bad == 0,
-                    f"{n_graphs} connected graphs swept",
-                )
+                _check(f"order {k} domination implication", "membership implies domination", 0, dom_bad, swept)
             )
-    return _finish("structural", records, 0, t0)
+    return records
 
 
-def _suite_edge_deletion(max_order: int) -> tuple[list[CheckRecord], int]:
-    _check_dense_order(max_order)
+def _suite_edge_deletion(max_n: int, **_) -> tuple[list[CheckRecord], int]:
+    """Deleting an edge that keeps a labeled graph of order 2..``max_n``
+    connected never lowers gamma_w and raises it by at most one. Also
+    returns the number of disconnecting deletions skipped."""
+    _check_dense_order(max_n)
     records: list[CheckRecord] = []
     total_skipped = 0
-    for k in range(2, max_order + 1):
+    for k in range(2, max_n + 1):
         eng = _dense_tables(k)
         checked = 0
         skipped = 0
@@ -466,12 +426,11 @@ def _suite_edge_deletion(max_order: int) -> tuple[list[CheckRecord], int]:
             skipped += int(np.count_nonzero(conn[:, 1] & ~conn[:, 0]))
         total_skipped += skipped
         records.append(
-            CheckRecord(
+            _check(
                 f"order {k} deletion bounds",
                 "single-edge stability window",
                 0,
                 bad,
-                bad == 0,
                 f"{checked} connectivity-preserving deletions checked, "
                 f"{skipped} disconnecting deletions skipped",
             )
@@ -488,7 +447,6 @@ def _named_family_graphs(
 ) -> list[tuple[str, Graph]]:
     """Distinct labeled graphs from the named families up to ``max_order``,
     first label wins on duplicates (C_3 and K_3 are the same graph)."""
-    prefix = {"path": "P", "cycle": "C", "complete": "K", "star": "S", "wheel": "W"}
     out: list[tuple[str, Graph]] = []
     seen: set[tuple[int, frozenset]] = set()
     for fam in families:
@@ -501,7 +459,7 @@ def _named_family_graphs(
             if fp in seen:
                 continue
             seen.add(fp)
-            out.append((f"{prefix[fam]}{n}", g))
+            out.append((g.label(), g))
     return out
 
 
@@ -546,46 +504,40 @@ def _join_instances(
     return out
 
 
-def _extension_instances(random_count: int, seed: int) -> list[tuple[str, Graph]]:
-    named = _named_family_graphs(5)
+def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, RootedGraph, range]]:
+    """The instances of the three extension suites: every named base of
+    order <= 5 and ``random_count`` random connected ones, every root, and
+    pendant paths of length m = 2..6. Yields the record key, the rooted
+    graph and the cardinalities checked on G(m); cardinality 1 is left out
+    on a single-vertex base, where the recurrence is not stated for it."""
     rng = random.Random(seed)
-    named += [
-        (f"random{i + 1}", _random_connected(rng, 5, min_order=2))
-        for i in range(random_count)
+    bases = _named_family_graphs(5) + [
+        (f"random{i + 1}", _random_connected(rng, 5, min_order=2)) for i in range(random_count)
     ]
-    return named
+    for label, base in bases:
+        for root in range(1, base.order + 1):
+            for m in range(2, 7):
+                cards = range(1 if base.order >= 2 else 2, base.order + m + 1)
+                yield f"{label} root={root} m={m}", RootedGraph(base, root, m), cards
 
 
 # --- formula suites ---------------------------------------------------------
 
 
-def _suite_complete(max_n: int, cap: int) -> list[CheckRecord]:
+def _family_cells(family: str, size: str, source: str, *, max_n: int, cap: int, **_) -> list[CheckRecord]:
+    """Every cell of the count rows of ``family`` at sizes 1..``max_n``
+    against the closed form ``formulas.count_<family>(n, i)``."""
+    claim = getattr(formulas, f"count_{family}")
     records = []
     for n in range(1, max_n + 1):
-        actual = count_table(build_family("complete", n), cap)
-        for i in range(1, n + 1):
-            c = formulas.count_complete(n, i)
-            o = actual.count(i)
-            records.append(
-                CheckRecord(f"complete n={n} i={i}", "binomial closed form", c, o, c == o)
-            )
+        g = build_family(family, n)
+        actual = count_table(g, cap)
+        for i in range(1, g.order + 1):
+            records.append(_check(f"{family} {size}={n} i={i}", source, claim(n, i), actual.count(i)))
     return records
 
 
-def _suite_star(max_n: int, cap: int) -> list[CheckRecord]:
-    records = []
-    for n in range(1, max_n + 1):
-        actual = count_table(build_family("star", n), cap)
-        for i in range(1, n + 2):
-            c = formulas.count_star(n, i)
-            o = actual.count(i)
-            records.append(
-                CheckRecord(f"star leaves={n} i={i}", "center/leaves closed form", c, o, c == o)
-            )
-    return records
-
-
-def _suite_wheel(max_n: int, cap: int) -> list[CheckRecord]:
+def _suite_wheel(max_n: int, cap: int, **_) -> list[CheckRecord]:
     records = []
     for n in range(4, max_n + 1):
         rim = build_family("cycle", n - 1)
@@ -595,30 +547,17 @@ def _suite_wheel(max_n: int, cap: int) -> list[CheckRecord]:
         for i in range(1, n + 1):
             claimed = formulas.count_wheel(n, i, rim_table)
             o = actual.count(i)
-            passed = claimed == o
             detail = ""
-            if not passed:
-                if i == 1:
-                    corrected = dom_rim[0] + 1
-                else:
-                    corrected = (dom_rim[i - 1] if i <= n - 1 else 0) + _choose(n - 1, i - 1)
+            if claimed != o:
+                # the wheel is the join of its rim with K1
+                corrected = formulas.count_join_dominating(dom_rim, (1,), i)
                 note = "matches exhaustive" if corrected == o else "still off"
                 detail = (
                     "hub-free term counts weakly connected rim sets; counting "
                     f"dominating rim sets instead gives {corrected} ({note})"
                 )
-            records.append(
-                CheckRecord(f"wheel n={n} i={i}", "rim-table composition", claimed, o, passed, detail)
-            )
+            records.append(_check(f"wheel n={n} i={i}", "rim-table composition", claimed, o, detail))
     return records
-
-
-def _join_corrected(
-    dom_g: tuple[int, ...], dom_h: tuple[int, ...], n1: int, n2: int, i: int
-) -> int:
-    one_sided = (dom_g[i - 1] if 1 <= i <= n1 else 0) + (dom_h[i - 1] if 1 <= i <= n2 else 0)
-    cross = sum(_choose(n1, i1) * _choose(n2, i - i1) for i1 in range(1, i))
-    return one_sided + cross
 
 
 def _suite_join(max_n: int, random_count: int, seed: int, cap: int) -> list[CheckRecord]:
@@ -627,189 +566,130 @@ def _suite_join(max_n: int, random_count: int, seed: int, cap: int) -> list[Chec
         tg = count_table(g, cap)
         th = count_table(h, cap)
         joined = join(g, h)
-        actual = count_table(joined, cap)
+        actual_row = count_table(joined, cap).counts
         dom_g = dominating_counts(g, cap)
         dom_h = dominating_counts(h, cap)
         claimed_row = tuple(formulas.count_join(tg, th, i) for i in range(1, joined.order + 1))
-        actual_row = actual.counts
         mismatches = []
-        for i in range(1, joined.order + 1):
-            if claimed_row[i - 1] != actual_row[i - 1]:
-                corrected = _join_corrected(dom_g, dom_h, g.order, h.order, i)
-                note = "matches" if corrected == actual_row[i - 1] else "still off"
+        for i, (claimed, o) in enumerate(zip(claimed_row, actual_row), start=1):
+            if claimed != o:
+                corrected = formulas.count_join_dominating(dom_g, dom_h, i)
+                note = "matches" if corrected == o else "still off"
                 mismatches.append(
-                    f"i={i}: stated {claimed_row[i - 1]}, exhaustive {actual_row[i - 1]}, "
+                    f"i={i}: stated {claimed}, exhaustive {o}, "
                     f"dominating-set one-part terms give {corrected} ({note})"
                 )
-        records.append(
-            CheckRecord(
-                key,
-                "join composition",
-                str(claimed_row),
-                str(actual_row),
-                not mismatches,
-                "; ".join(mismatches),
-            )
+        detail = "; ".join(mismatches)
+        records.append(_check(key, "join composition", str(claimed_row), str(actual_row), detail))
+    return records
+
+
+def _suite_corona_gamma(cap: int, **_) -> list[CheckRecord]:
+    bases = [build_family(*b) for b in (("path", 2), ("path", 3), ("cycle", 3), ("cycle", 4), ("complete", 3))]
+    hats = [build_family(*h) for h in (("complete", 1), ("complete", 2), ("path", 3))]
+    return [
+        _check(
+            f"corona({bg.label()},{hg.label()})",
+            "base-order rule",
+            formulas.gamma_w_corona(bg),
+            gamma_w(corona(bg, hg), cap),
         )
-    return records
-
-
-def _suite_corona_gamma(cap: int) -> list[CheckRecord]:
-    bases = [
-        ("P2", build_family("path", 2)),
-        ("P3", build_family("path", 3)),
-        ("C3", build_family("cycle", 3)),
-        ("C4", build_family("cycle", 4)),
-        ("K3", build_family("complete", 3)),
+        for bg in bases
+        for hg in hats
     ]
-    hats = [
-        ("K1", build_family("complete", 1)),
-        ("K2", build_family("complete", 2)),
-        ("P3", build_family("path", 3)),
-    ]
-    records = []
-    for bl, bg in bases:
-        for hl, hg in hats:
-            claimed = formulas.gamma_w_corona(bg)
-            o = gamma_w(corona(bg, hg), cap)
-            records.append(
-                CheckRecord(
-                    f"corona({bl},{hl})", "base-order rule", claimed, o, claimed == o
-                )
-            )
-    return records
 
 
 def _suite_join_gamma(max_n: int, random_count: int, seed: int, cap: int) -> list[CheckRecord]:
+    return [
+        _check(
+            key,
+            "dominating-vertex rule",
+            formulas.gamma_w_join(gamma(g, cap), gamma(h, cap)),
+            gamma_w(join(g, h), cap),
+        )
+        for key, g, h in _join_instances(max_n, random_count, seed)
+    ]
+
+
+def _suite_gamma_path_cycle(max_n: int, cap: int, **_) -> list[CheckRecord]:
+    return [
+        _check(f"{fam} n={n}", f"half-order-{fam}", fn(n), gamma_w(build_family(fam, n), cap))
+        for n in range(1, max_n + 1)
+        for fam, fn in (("path", formulas.gamma_w_path), ("cycle", formulas.gamma_w_cycle))
+    ]
+
+
+def _suite_extension_recurrence(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
-    for key, g, h in _join_instances(max_n, random_count, seed):
-        claimed = formulas.gamma_w_join(gamma(g, cap), gamma(h, cap))
-        o = gamma_w(join(g, h), cap)
+    for key, rg, cards in _extension_instances(random_count, seed):
+        row = formulas.count_extension_table(rg, cap).row(rg.extension_length)
+        actual = count_table(realize_extension(rg), cap)
+        mism = [
+            f"i={i}: recurrence {row.count(i)}, exhaustive {actual.count(i)}"
+            for i in cards
+            if row.count(i) != actual.count(i)
+        ]
+        claimed, exhaustive = str(row.counts), str(actual.counts)
+        records.append(CheckRecord(key, "two-step recurrence", claimed, exhaustive, not mism, "; ".join(mism)))
+    return records
+
+
+def _suite_extension_constructive(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
+    records = []
+    for key, rg, cards in _extension_instances(random_count, seed):
+        realized = realize_extension(rg)
+        built_total = 0
+        truth_total = 0
+        mism = []
+        for i in cards:
+            truth = enumerate_wcds(realized, i, cap)
+            truth_total += len(truth)
+            try:
+                built = formulas.build_extension_wcds(rg, i, cap)
+            except formulas.RecurrenceAssumptionError as exc:
+                mism.append(f"i={i}: construction refused ({exc})")
+                continue
+            built_total += len(built)
+            if built != truth:
+                if len(built) == len(truth):
+                    extra = next(iter(set(built) - set(truth)), None)
+                    mism.append(
+                        f"i={i}: same count but different sets, "
+                        f"e.g. construction includes {extra}"
+                    )
+                else:
+                    mism.append(
+                        f"i={i}: construction yields {len(built)} sets, "
+                        f"exhaustive {len(truth)}"
+                    )
+        detail = "; ".join(mism)
+        records.append(CheckRecord(key, "pendant-path construction", built_total, truth_total, not mism, detail))
+    return records
+
+
+def _suite_extension_gamma(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
+    records = []
+    for key, rg, _cards in _extension_instances(random_count, seed):
+        gw_base = gamma_w(rg.base, cap)
+        flag_w = has_minimum_wcds_containing(rg.base, rg.root, cap)
+        flag_d = has_minimum_dominating_containing(rg.base, rg.root, cap)
+        predicted_w = formulas.gamma_w_extension(gw_base, flag_w, rg.extension_length)
+        predicted_d = formulas.gamma_w_extension(gw_base, flag_d, rg.extension_length)
         records.append(
-            CheckRecord(key, "dominating-vertex rule", claimed, o, claimed == o)
+            _check(
+                key,
+                "pendant shift formula",
+                predicted_w,
+                gamma_w(realize_extension(rg), cap),
+                f"root in a minimum weakly connected dominating set: "
+                f"{flag_w} (predicts {predicted_w}); root in a minimum "
+                f"dominating set: {flag_d} (predicts {predicted_d})",
+            )
         )
     return records
 
 
-def _suite_gamma_path_cycle(max_n: int, cap: int) -> list[CheckRecord]:
-    records = []
-    for n in range(1, max_n + 1):
-        for fam, fn in (("path", formulas.gamma_w_path), ("cycle", formulas.gamma_w_cycle)):
-            claimed = fn(n)
-            o = gamma_w(build_family(fam, n), cap)
-            records.append(
-                CheckRecord(f"{fam} n={n}", f"half-order-{fam}", claimed, o, claimed == o)
-            )
-    return records
-
-
-def _suite_extension_recurrence(random_count: int, seed: int, cap: int) -> list[CheckRecord]:
-    records = []
-    for label, base in _extension_instances(random_count, seed):
-        for root in range(1, base.order + 1):
-            tabs = formulas.count_extension_table(RootedGraph(base, root, 6), cap)
-            for k in range(2, 7):
-                realized = realize_extension(RootedGraph(base, root, k))
-                actual = count_table(realized, cap)
-                row = tabs.row(k)
-                cards = list(range(2, realized.order + 1))
-                if base.order >= 2:
-                    cards = [1] + cards
-                mism = [
-                    f"i={i}: recurrence {row.count(i)}, exhaustive {actual.count(i)}"
-                    for i in cards
-                    if row.count(i) != actual.count(i)
-                ]
-                records.append(
-                    CheckRecord(
-                        f"{label} root={root} m={k}",
-                        "two-step recurrence",
-                        str(row.counts),
-                        str(actual.counts),
-                        not mism,
-                        "; ".join(mism),
-                    )
-                )
-    return records
-
-
-def _suite_extension_constructive(random_count: int, seed: int, cap: int) -> list[CheckRecord]:
-    records = []
-    for label, base in _extension_instances(random_count, seed):
-        for root in range(1, base.order + 1):
-            for m in range(2, 7):
-                rg = RootedGraph(base, root, m)
-                realized = realize_extension(rg)
-                if realized.order > 12:
-                    continue
-                cards = list(range(2, realized.order + 1))
-                if base.order >= 2:
-                    cards = [1] + cards
-                built_total = 0
-                truth_total = 0
-                mism = []
-                for i in cards:
-                    truth = enumerate_wcds(realized, i, cap)
-                    try:
-                        built = formulas.build_extension_wcds(rg, i, cap)
-                    except formulas.RecurrenceAssumptionError as exc:
-                        mism.append(f"i={i}: construction refused ({exc})")
-                        truth_total += len(truth)
-                        continue
-                    built_total += len(built)
-                    truth_total += len(truth)
-                    if built != truth:
-                        if len(built) == len(truth):
-                            extra = next(iter(set(built) - set(truth)), None)
-                            mism.append(
-                                f"i={i}: same count but different sets, "
-                                f"e.g. construction includes {extra}"
-                            )
-                        else:
-                            mism.append(
-                                f"i={i}: construction yields {len(built)} sets, "
-                                f"exhaustive {len(truth)}"
-                            )
-                records.append(
-                    CheckRecord(
-                        f"{label} root={root} m={m}",
-                        "pendant-path construction",
-                        built_total,
-                        truth_total,
-                        not mism,
-                        "; ".join(mism),
-                    )
-                )
-    return records
-
-
-def _suite_extension_gamma(random_count: int, seed: int, cap: int) -> list[CheckRecord]:
-    records = []
-    for label, base in _extension_instances(random_count, seed):
-        gw_base = gamma_w(base, cap)
-        for root in range(1, base.order + 1):
-            flag_w = has_minimum_wcds_containing(base, root, cap)
-            flag_d = has_minimum_dominating_containing(base, root, cap)
-            for m in range(2, 7):
-                predicted_w = formulas.gamma_w_extension(gw_base, flag_w, m)
-                predicted_d = formulas.gamma_w_extension(gw_base, flag_d, m)
-                o = gamma_w(realize_extension(RootedGraph(base, root, m)), cap)
-                records.append(
-                    CheckRecord(
-                        f"{label} root={root} m={m}",
-                        "pendant shift formula",
-                        predicted_w,
-                        o,
-                        predicted_w == o,
-                        f"root in a minimum weakly connected dominating set: "
-                        f"{flag_w} (predicts {predicted_w}); root in a minimum "
-                        f"dominating set: {flag_d} (predicts {predicted_d})",
-                    )
-                )
-    return records
-
-
-def _suite_boxes(max_n: int, cap: int) -> list[CheckRecord]:
+def _suite_boxes(max_n: int, cap: int, **_) -> list[CheckRecord]:
     records = []
     for n in range(1, max_n + 1):
         path_table = count_table(build_family("path", n), cap)
@@ -831,6 +711,57 @@ def _suite_boxes(max_n: int, cap: int) -> list[CheckRecord]:
     return records
 
 
+# --- the suite registry -----------------------------------------------------
+
+
+class Suite(NamedTuple):
+    """One ``wcds verify`` suite. ``build`` takes the keyword arguments
+    ``max_n``, ``random_count``, ``seed`` and ``cap`` and returns its
+    records, or its records and a count of skipped instances. ``max_n`` is
+    the default size and ``min_n`` the least size that yields a record, both
+    None when the suite reads no size; ``random_count`` is the default size
+    of the random instance pool, None when the suite draws none."""
+
+    build: Callable[..., list[CheckRecord] | tuple[list[CheckRecord], int]]
+    max_n: int | None
+    min_n: int | None
+    random_count: int | None
+
+
+SUITES: dict[str, Suite] = {
+    "path_table": Suite(_suite_path_table, 10, 1, None),
+    "cycle_table": Suite(_suite_cycle_table, 14, 1, None),
+    "structural": Suite(_suite_structural, 7, 1, None),
+    "complete": Suite(partial(_family_cells, "complete", "n", "binomial closed form"), 10, 1, None),
+    "star": Suite(partial(_family_cells, "star", "leaves", "center/leaves closed form"), 9, 1, None),
+    "wheel": Suite(_suite_wheel, 14, 4, None),
+    "join": Suite(_suite_join, 5, 1, 20),
+    "corona_gamma": Suite(_suite_corona_gamma, None, None, None),
+    "join_gamma": Suite(_suite_join_gamma, 5, 1, 20),
+    "gamma_path_cycle": Suite(_suite_gamma_path_cycle, 20, 1, None),
+    "extension_recurrence": Suite(_suite_extension_recurrence, None, None, 10),
+    "extension_constructive": Suite(_suite_extension_constructive, None, None, 10),
+    "extension_gamma": Suite(_suite_extension_gamma, None, None, 10),
+    "boxes": Suite(_suite_boxes, 15, 1, None),
+    "edge_deletion_bounds": Suite(_suite_edge_deletion, 7, 2, None),
+}
+FORMULA_SUITES = tuple(SUITES)
+
+
+def _size(suite: str, name: str, value: int | None, default: int | None, least: int | None) -> int | None:
+    """``value`` or the suite's default for the size ``name``; refuses a size
+    the suite does not read, or one below ``least``."""
+    if default is None:
+        if value is not None:
+            raise ValueError(f"suite {suite} takes no {name}")
+        return None
+    if value is None:
+        return default
+    if value < least:
+        raise ValueError(f"{name} must be at least {least} for suite {suite}, got {value}")
+    return value
+
+
 def verify_formula_suite(
     suite: str,
     *,
@@ -839,41 +770,37 @@ def verify_formula_suite(
     seed: int = DEFAULT_SEED,
     cap: int = DEFAULT_CAP,
 ) -> VerificationReport:
-    """Run one named identity suite and return its report.
+    """Run one registered suite (see ``SUITES``) and return its report.
 
     ``max_n`` bounds the instance size (order, leaf count, or wheel order
-    depending on the suite; suite-specific default when omitted).
-    ``random_count`` and ``seed`` control the randomized instance pools.
+    depending on the suite), ``random_count`` the random instance pool drawn
+    from ``seed``; each defaults to the suite's own. A size the suite does
+    not read, or one too small to yield a record, raises ``ValueError``.
     """
+    spec = SUITES.get(suite)
+    if spec is None:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
+    max_n = _size(suite, "max_n", max_n, spec.max_n, spec.min_n)
+    random_count = _size(suite, "random_count", random_count, spec.random_count, 0)
     t0 = time.perf_counter()
-    skipped = 0
-    if suite == "complete":
-        records = _suite_complete(max_n or 10, cap)
-    elif suite == "star":
-        records = _suite_star(max_n or 9, cap)
-    elif suite == "wheel":
-        records = _suite_wheel(max_n or 14, cap)
-    elif suite == "join":
-        records = _suite_join(max_n or 5, 20 if random_count is None else random_count, seed, cap)
-    elif suite == "corona_gamma":
-        records = _suite_corona_gamma(cap)
-    elif suite == "join_gamma":
-        records = _suite_join_gamma(max_n or 5, 20 if random_count is None else random_count, seed, cap)
-    elif suite == "gamma_path_cycle":
-        records = _suite_gamma_path_cycle(max_n or 20, cap)
-    elif suite == "extension_recurrence":
-        records = _suite_extension_recurrence(10 if random_count is None else random_count, seed, cap)
-    elif suite == "extension_constructive":
-        records = _suite_extension_constructive(10 if random_count is None else random_count, seed, cap)
-    elif suite == "extension_gamma":
-        records = _suite_extension_gamma(10 if random_count is None else random_count, seed, cap)
-    elif suite == "boxes":
-        records = _suite_boxes(max_n or 15, cap)
-    elif suite == "edge_deletion_bounds":
-        records, skipped = _suite_edge_deletion(max_n or 7)
-    else:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(FORMULA_SUITES)}")
+    out = spec.build(max_n=max_n, random_count=random_count, seed=seed, cap=cap)
+    records, skipped = out if isinstance(out, tuple) else (out, 0)
     return _finish(suite, records, skipped, t0)
+
+
+def verify_path_table(max_n: int | None = None, cap: int = DEFAULT_CAP) -> VerificationReport:
+    """The ``path_table`` suite."""
+    return verify_formula_suite("path_table", max_n=max_n, cap=cap)
+
+
+def verify_cycle_table(max_n: int | None = None, cap: int = DEFAULT_CAP) -> VerificationReport:
+    """The ``cycle_table`` suite."""
+    return verify_formula_suite("cycle_table", max_n=max_n, cap=cap)
+
+
+def verify_structural(max_order: int | None = None) -> VerificationReport:
+    """The ``structural`` suite; orders above 7 raise :class:`CapacityError`."""
+    return verify_formula_suite("structural", max_n=max_order)
 
 
 def table_by_method(g: Graph, method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:

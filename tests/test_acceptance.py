@@ -20,21 +20,12 @@ from wcds import (
     count_table,
     dominating_counts,
     verify_formula_suite,
-    verify_structural,
-    verify_path_table,
-    verify_cycle_table,
 )
 from wcds.verify import _join_instances
 
 
 @lru_cache(maxsize=None)
 def _suite(name, **kwargs):
-    if name == "path_table":
-        return verify_path_table(**kwargs)
-    if name == "cycle_table":
-        return verify_cycle_table(**kwargs)
-    if name == "structural":
-        return verify_structural(**kwargs)
     return verify_formula_suite(name, **kwargs)
 
 
@@ -222,7 +213,7 @@ def test_c13_ball_arrangement_identity():
 
 
 def test_c14_upward_closure_and_domination_implication():
-    r = _suite("structural", max_order=7)
+    r = _suite("structural", max_n=7)
     assert len(r.records) == 13
     ok = r.all_passed()
     assert ok, _digest(r)

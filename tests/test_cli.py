@@ -129,6 +129,28 @@ def test_verify_json_is_machine_readable(capsys):
     assert "wall time" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    (
+        # --max-n 0 used to run the default size, and these sizes no records at all
+        (["complete", "--max-n", "0"], "max_n must be at least 1 for suite complete, got 0"),
+        (["complete", "--max-n", "-3"], "max_n must be at least 1 for suite complete, got -3"),
+        (["wheel", "--max-n", "3"], "max_n must be at least 4 for suite wheel, got 3"),
+        (["edge_deletion_bounds", "--max-n", "1"], "max_n must be at least 2 for suite edge_deletion_bounds, got 1"),
+        (["join", "--random-count", "-1"], "random_count must be at least 0 for suite join, got -1"),
+        # size flags the suite never reads
+        (["corona_gamma", "--max-n", "5"], "suite corona_gamma takes no max_n"),
+        (["extension_recurrence", "--max-n", "5"], "suite extension_recurrence takes no max_n"),
+        (["path_table", "--random-count", "3"], "suite path_table takes no random_count"),
+        (["structural", "--random-count", "0"], "suite structural takes no random_count"),
+    ),
+)
+def test_verify_refuses_sizes_that_check_nothing(capsys, argv, message):
+    assert run(["verify", "--suite", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_usage_errors_exit_with_two(capsys):
     assert run(["frobnicate"]) == 2
     assert run(["count", "--family", "dodecahedron", "--n", "3"]) == 2

@@ -1,3 +1,5 @@
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -14,11 +16,13 @@ from wcds import (
     count_cycle_top,
     count_extension_table,
     count_join,
+    count_join_dominating,
     count_path_closed,
     count_path_recurrence,
     count_star,
     count_table,
     count_wheel,
+    dominating_counts,
     gamma_w_corona,
     gamma_w_cycle,
     gamma_w_extension,
@@ -95,6 +99,58 @@ def test_join_composition_states_the_published_rule():
     assert count_join(p1, p4, 2) == 7
     realized = join(build_family("path", 1), build_family("path", 4))
     assert count_table(realized).count(2) == 8
+
+
+def _labelled_graphs(max_order):
+    for n in range(1, max_order + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            yield make_graph(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+
+
+def _join_row_by_rule(g, h):
+    dom_g, dom_h = dominating_counts(g), dominating_counts(h)
+    return tuple(count_join_dominating(dom_g, dom_h, i) for i in range(1, g.order + h.order + 1))
+
+
+def test_dominating_join_rule_on_every_pair_to_order_three():
+    # disconnected parts included: their joins are connected all the same
+    small = list(_labelled_graphs(3))
+    assert len(small) == 1 + 2 + 8
+    for g in small:
+        for h in small:
+            assert _join_row_by_rule(g, h) == count_table(join(g, h)).counts, (g, h)
+
+
+def test_dominating_join_rule_on_seeded_random_pairs():
+    rng = random.Random(2014)
+
+    def draw():
+        n = rng.randint(1, 5)
+        p = rng.choice((0.2, 0.5, 0.8))
+        return make_graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+
+    for _ in range(60):
+        g, h = draw(), draw()
+        assert _join_row_by_rule(g, h) == count_table(join(g, h)).counts, (g, h)
+
+
+def test_dominating_join_rule_with_one_vertex_gives_the_wheel():
+    # a wheel is its rim joined with K1, which has one dominating set
+    for n in range(4, 15):
+        dom_rim = dominating_counts(build_family("cycle", n - 1))
+        row = tuple(count_join_dominating(dom_rim, (1,), i) for i in range(1, n + 1))
+        assert row == count_table(build_family("wheel", n)).counts, n
+
+
+def test_dominating_join_rule_where_the_stated_rule_fails():
+    # P1 + P4 at i = 2: the 4-path has 3 weakly connected pairs but 4
+    # dominating ones, so the stated rule gives 7 and the sweep 8
+    p1, p4 = build_family("path", 1), build_family("path", 4)
+    assert count_join(count_table(p1), count_table(p4), 2) == 7
+    assert count_join_dominating(dominating_counts(p1), dominating_counts(p4), 2) == 8
+    assert count_join_dominating((1,), (1,), 0) == 0
+    assert count_join_dominating((1,), (1,), 3) == 0
 
 
 def test_wheel_composition_contract():

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from wcds.cli import run
+from wcds.verify import SUITES
 
 CORPUS = json.loads((Path(__file__).parent / "golden" / "stdout.json").read_text())
 
@@ -26,3 +27,11 @@ def test_stdout_matches_the_golden(capsys, command):
         CORPUS[command]["sha256"],
         CORPUS[command]["exit"],
     )
+
+
+def test_corpus_covers_every_registered_suite():
+    for suite, spec in SUITES.items():
+        for fmt in ("md", "csv", "json"):
+            assert f"verify --suite {suite} --format {fmt}" in CORPUS
+        if spec.random_count is not None:
+            assert f"verify --suite {suite} --seed 2 --format json" in CORPUS

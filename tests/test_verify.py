@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from wcds import (
+    DEFAULT_CAP,
+    DEFAULT_SEED,
     CapacityError,
     CheckRecord,
     UnsupportedMethodError,
@@ -186,6 +188,42 @@ def test_edge_deletion_suite_counts_skips():
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         verify_formula_suite("nonsense")
+
+
+def test_runner_resolves_defaults_and_refuses_sizes_a_suite_never_reads(monkeypatch):
+    specs = dict(verify.SUITES)
+    calls = []
+
+    def build(**kwargs):
+        calls.append(kwargs)
+        return [CheckRecord("k", "s", 0, 0, True)]
+
+    monkeypatch.setattr(verify, "SUITES", {name: spec._replace(build=build) for name, spec in specs.items()})
+    for name, spec in specs.items():
+        verify_formula_suite(name, seed=5)  # every suite takes a seed
+        assert calls.pop() == {"max_n": spec.max_n, "random_count": spec.random_count, "seed": 5, "cap": DEFAULT_CAP}
+        if spec.max_n is None:
+            with pytest.raises(ValueError, match=f"suite {name} takes no max_n"):
+                verify_formula_suite(name, max_n=5)
+        if spec.random_count is None:
+            with pytest.raises(ValueError, match=f"suite {name} takes no random_count"):
+                verify_formula_suite(name, random_count=0)
+        else:
+            verify_formula_suite(name, random_count=0)
+            assert calls.pop()["random_count"] == 0
+            with pytest.raises(ValueError, match=f"random_count must be at least 0 for suite {name}, got -1"):
+                verify_formula_suite(name, random_count=-1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("suite", [name for name, spec in verify.SUITES.items() if spec.min_n is not None])
+def test_least_size_is_the_smallest_that_yields_a_record(suite):
+    spec = verify.SUITES[suite]
+    assert verify_formula_suite(suite, max_n=spec.min_n, random_count=0 if spec.random_count else None).records
+    below = spec.build(max_n=spec.min_n - 1, random_count=0, seed=DEFAULT_SEED, cap=DEFAULT_CAP)
+    assert (below[0] if isinstance(below, tuple) else below) == []
+    with pytest.raises(ValueError, match=f"max_n must be at least {spec.min_n} for suite {suite}"):
+        verify_formula_suite(suite, max_n=spec.min_n - 1)
 
 
 def test_cross_check_path_three_ways():
