@@ -224,7 +224,7 @@ def _cmd_table(args: argparse.Namespace, cap: int) -> int:
     graphs = []
     for n in range(start, args.max_n + 1):
         g = build_family(args.family, n)
-        check_cap(g, cap)  # refuse before sweeping any row
+        check_cap(g.order, cap)  # refuse before sweeping any row
         graphs.append((n, g))
     rows = [(n, _table_row(g, cap)) for n, g in graphs]
     sys.stdout.write(_render_rows(rows, args.fmt, args.family))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import Graph
+from .graph import Graph, weak_reach
 
 
 def _member_mask(g: Graph, s: Iterable[int]) -> int:
@@ -22,27 +22,9 @@ def _member_mask(g: Graph, s: Iterable[int]) -> int:
     return mask
 
 
-def _weak_reach(adj: list[int], mask: int) -> int:
-    """Bitmask of vertices reachable from vertex 1 when only edges meeting
-    ``mask`` are kept."""
-    reach = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            v = b.bit_length() - 1
-            nxt |= adj[v] if (mask >> v) & 1 else adj[v] & mask
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach
-
-
 def mask_is_wcds(order: int, adj: list[int], mask: int) -> bool:
     """Bitmask form of :func:`is_wcds` for hot loops. ``mask`` must be non-zero."""
-    return _weak_reach(adj, mask) == (1 << order) - 1
+    return weak_reach(adj, mask) == (1 << order) - 1
 
 
 def weakly_induced(g: Graph, s: Iterable[int]) -> Graph:

@@ -13,6 +13,7 @@ Degenerate-cycle conventions C_1 = K_1 and C_2 = K_2 apply throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -309,44 +310,28 @@ def build_extension_wcds(
     if m < 2:
         raise ValueError("the construction needs extension length at least 2")
     n0 = rg.base.order
-    memo: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
+    @cache
     def fam(k: int, j: int) -> tuple[tuple[int, ...], ...]:
-        key = (k, j)
-        if key in memo:
-            return memo[key]
         if j < 0 or j > n0 + k:
-            out: tuple[tuple[int, ...], ...] = ()
-        elif j == 0:
-            out = ((),) if n0 + k == 1 else ()
-        elif k <= 1:
+            return ()
+        if j == 0:
+            return ((),) if n0 + k == 1 else ()
+        if k <= 1:
             realized = realize_extension(RootedGraph(rg.base, rg.root, k))
-            out = tuple(enumerate_wcds(realized, j, cap))
-        else:
-            f1 = fam(k - 1, j - 1)
-            f2 = fam(k - 2, j - 1)
-            y_last = n0 + k
-            y_prev = n0 + k - 1
-            if not f1 and not f2:
-                out = ()
-            elif not f1:
-                out = tuple(sorted(tuple(sorted(x + (y_prev,))) for x in f2))
-            elif not f2:
-                if j - 1 > n0 + k - 2:
-                    out = tuple(sorted(tuple(sorted(x + (y_last,))) for x in f1))
-                else:
-                    raise RecurrenceAssumptionError(
-                        f"at prefix {k}, cardinality {j}: the longer-prefix "
-                        "family is non-empty while the shorter one is empty "
-                        "within size bounds; the case analysis assumes this "
-                        "cannot happen"
-                    )
-            else:
-                lifted = [tuple(sorted(x + (y_last,))) for x in f1]
-                lifted += [tuple(sorted(x + (y_prev,))) for x in f2]
-                out = tuple(sorted(lifted))
-        memo[key] = out
-        return out
+            return tuple(enumerate_wcds(realized, j, cap))
+        f1 = fam(k - 1, j - 1)
+        f2 = fam(k - 2, j - 1)
+        if f1 and not f2 and j - 1 <= n0 + k - 2:
+            raise RecurrenceAssumptionError(
+                f"at prefix {k}, cardinality {j}: the longer-prefix "
+                "family is non-empty while the shorter one is empty "
+                "within size bounds; the case analysis assumes this "
+                "cannot happen"
+            )
+        # labels of G(k-1) stay below n0 + k and those of G(k-2) below
+        # n0 + k - 1, so each lifted tuple is already sorted
+        return tuple(sorted([x + (n0 + k,) for x in f1] + [x + (n0 + k - 1,) for x in f2]))
 
     return list(fam(m, i))
 

@@ -175,9 +175,11 @@ def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:
     return Graph(g.order, g.edges - {e})
 
 
-def is_connected(g: Graph) -> bool:
-    adj = g.neighbor_masks()
-    full = (1 << g.order) - 1
+def weak_reach(adj: list[int], mask: int) -> int:
+    """Bitmask of the vertices reachable from vertex 1 when only the edges
+    meeting ``mask`` are kept; ``adj`` holds the neighbour masks of
+    :meth:`Graph.neighbor_masks`. With ``mask`` every vertex, every edge is
+    kept."""
     reach = 1
     frontier = 1
     while frontier:
@@ -186,10 +188,16 @@ def is_connected(g: Graph) -> bool:
         while f:
             b = f & -f
             f ^= b
-            nxt |= adj[b.bit_length() - 1]
+            v = b.bit_length() - 1
+            nxt |= adj[v] if (mask >> v) & 1 else adj[v] & mask
         frontier = nxt & ~reach
         reach |= frontier
-    return reach == full
+    return reach
+
+
+def is_connected(g: Graph) -> bool:
+    full = (1 << g.order) - 1
+    return weak_reach(g.neighbor_masks(), full) == full
 
 
 def read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:

@@ -65,14 +65,14 @@ class CountTable:
         return None
 
 
-def check_cap(g: Graph, cap: int) -> None:
-    """CapacityError when g is above ``cap``; ValueError for a cap above HARD_CAP."""
+def check_cap(order: int, cap: int) -> None:
+    """CapacityError when ``order`` is above ``cap``; ValueError for a cap above HARD_CAP."""
     if cap > HARD_CAP:
         raise ValueError(f"cap {cap} exceeds the hard limit {HARD_CAP}")
-    if g.order > cap:
+    if order > cap:
         raise CapacityError(
-            f"order {g.order} exceeds the subset-sweep cap {cap} "
-            f"(2**{g.order} subsets); raise the cap up to {HARD_CAP} to proceed"
+            f"order {order} exceeds the subset-sweep cap {cap} "
+            f"(2**{order} subsets); raise the cap up to {HARD_CAP} to proceed"
         )
 
 
@@ -175,14 +175,14 @@ def count_table(g: Graph, cap: int = DEFAULT_CAP) -> CountTable:
     subset can weakly connect them), so composition code can proceed
     uniformly. Orders above ``cap`` raise :class:`CapacityError`.
     """
-    check_cap(g, cap)
+    check_cap(g.order, cap)
     return _count_table_cached(g)
 
 
 def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """All weakly connected dominating sets of cardinality i, as sorted
     tuples in lexicographic order. Empty outside 1..order."""
-    check_cap(g, cap)
+    check_cap(g.order, cap)
     if i < 1 or i > g.order:
         return []
     sets = _of_size(g, _weak_ok, i)
@@ -207,7 +207,7 @@ def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
 
 def gamma(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Minimum size of an ordinary dominating set."""
-    check_cap(g, cap)
+    check_cap(g.order, cap)
     return int(np.bitwise_count(_hits(g, _dom_ok)).min())
 
 
@@ -218,7 +218,7 @@ def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     diagnose composition formulas whose one-part terms should count
     dominating sets rather than weakly connected ones.
     """
-    check_cap(g, cap)
+    check_cap(g.order, cap)
     return tuple(_tally(g.order, _sweep(g.neighbor_masks(), _dom_ok))[1:])
 
 

@@ -21,7 +21,7 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +32,7 @@ from .graph import Graph, RootedGraph, build_family, corona, join, make_graph, r
 from .oracle import (
     DEFAULT_CAP,
     CapacityError,
+    _weak_ok,
     check_cap,
     count_table,
     dominating_counts,
@@ -115,16 +116,14 @@ class VerificationReport:
     def failing(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.passed]
 
-    def to_json(self, include_wall_time: bool = False) -> str:
-        payload: dict = {
+    def to_json(self) -> str:
+        payload = {
             "suite": self.suite,
             "passes": self.passes,
             "failures": self.failures,
             "skipped": self.skipped,
             "records": [asdict(r) for r in self.records],
         }
-        if include_wall_time:
-            payload["wall_time_s"] = round(self.wall_time, 3)
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_markdown(self) -> str:
@@ -282,27 +281,6 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def _connected(nbr: np.ndarray) -> np.ndarray:
-    """Per graph: does vertex 0 reach every vertex? ``nbr`` holds the
-    (order, graphs) neighbour masks. Reachability spreads vertex by vertex,
-    forward then backward, until a pass changes nothing, as in
-    ``oracle._weak_ok``."""
-    k = nbr.shape[0]
-    reach = np.ones(nbr.shape[1], dtype=np.uint8)
-    prev = np.empty_like(reach)
-    bit = np.empty_like(reach)
-    seq = [*range(k), *range(k - 2, -1, -1)]
-    while True:
-        np.copyto(prev, reach)
-        for v in seq:
-            np.right_shift(reach, v, out=bit)
-            np.bitwise_and(bit, 1, out=bit)
-            np.multiply(bit, nbr[v], out=bit)
-            np.bitwise_or(reach, bit, out=reach)
-        if np.array_equal(prev, reach):
-            return reach == (1 << k) - 1
-
-
 @lru_cache(maxsize=_DENSE_MAX_ORDER)
 def _dense_tables(k: int) -> _DenseTables:
     pairs = tuple(combinations(range(k), 2))
@@ -329,9 +307,10 @@ def _dense_tables(k: int) -> _DenseTables:
     idx = np.empty(step, dtype=np.intp)
     flag = np.empty(step, dtype=np.uint8)
     conn_bytes = conn.view(np.uint8)
+    everyone = np.full(step, (1 << k) - 1, dtype=np.uint8)  # S = V keeps every edge
     for lo in range(0, n_graphs, step):
         part = slice(lo, lo + step)
-        conn[part] = _connected(nbr[:, part])
+        conn[part] = _weak_ok(list(nbr[:, part]), everyone)
         # G & keep[S] <= G: every graph gathered here has its conn already
         graphs = np.arange(lo, lo + step, dtype=np.intp)
         planes.fill(0)
@@ -491,17 +470,19 @@ def _random_connected(rng: random.Random, max_order: int, min_order: int = 2) ->
     return make_graph(n, edges)
 
 
-def _join_instances(
-    max_order: int, random_count: int, seed: int
-) -> list[tuple[str, Graph, Graph]]:
+def _join_instances(max_order: int, random_count: int, seed: int) -> Iterator[tuple[str, Graph, Graph]]:
+    """Every ordered pair of named path, cycle and complete graphs of order
+    <= ``max_order``, then ``random_count`` random connected pairs drawn one
+    at a time."""
     named = _named_family_graphs(max_order, families=("path", "cycle", "complete"))
-    out = [(f"{a}+{b}", g, h) for a, g in named for b, h in named]
+    for a, g in named:
+        for b, h in named:
+            yield f"{a}+{b}", g, h
     rng = random.Random(seed)
     for idx in range(random_count):
         g = _random_connected(rng, max_order, min_order=1)
         h = _random_connected(rng, max_order, min_order=1)
-        out.append((f"random{idx + 1}", g, h))
-    return out
+        yield f"random{idx + 1}", g, h
 
 
 def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, RootedGraph, range]]:
@@ -511,10 +492,8 @@ def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, Ro
     graph and the cardinalities checked on G(m); cardinality 1 is left out
     on a single-vertex base, where the recurrence is not stated for it."""
     rng = random.Random(seed)
-    bases = _named_family_graphs(5) + [
-        (f"random{i + 1}", _random_connected(rng, 5, min_order=2)) for i in range(random_count)
-    ]
-    for label, base in bases:
+    randoms = ((f"random{i + 1}", _random_connected(rng, 5, min_order=2)) for i in range(random_count))
+    for label, base in chain(_named_family_graphs(5), randoms):
         for root in range(1, base.order + 1):
             for m in range(2, 7):
                 cards = range(1 if base.order >= 2 else 2, base.order + m + 1)
@@ -720,30 +699,35 @@ class Suite(NamedTuple):
     records, or its records and a count of skipped instances. ``max_n`` is
     the default size and ``min_n`` the least size that yields a record, both
     None when the suite reads no size; ``random_count`` is the default size
-    of the random instance pool, None when the suite draws none."""
+    of the random instance pool, None when the suite draws none.
+    ``largest_order`` maps ``max_n`` to the largest order the suite sweeps
+    subsets of, so an order above the cap is refused before any record; it
+    is None for the all-graphs suites, which the cap does not bound."""
 
     build: Callable[..., list[CheckRecord] | tuple[list[CheckRecord], int]]
     max_n: int | None
     min_n: int | None
     random_count: int | None
+    largest_order: Callable[[int | None], int] | None
 
 
 SUITES: dict[str, Suite] = {
-    "path_table": Suite(_suite_path_table, 10, 1, None),
-    "cycle_table": Suite(_suite_cycle_table, 14, 1, None),
-    "structural": Suite(_suite_structural, 7, 1, None),
-    "complete": Suite(partial(_family_cells, "complete", "n", "binomial closed form"), 10, 1, None),
-    "star": Suite(partial(_family_cells, "star", "leaves", "center/leaves closed form"), 9, 1, None),
-    "wheel": Suite(_suite_wheel, 14, 4, None),
-    "join": Suite(_suite_join, 5, 1, 20),
-    "corona_gamma": Suite(_suite_corona_gamma, None, None, None),
-    "join_gamma": Suite(_suite_join_gamma, 5, 1, 20),
-    "gamma_path_cycle": Suite(_suite_gamma_path_cycle, 20, 1, None),
-    "extension_recurrence": Suite(_suite_extension_recurrence, None, None, 10),
-    "extension_constructive": Suite(_suite_extension_constructive, None, None, 10),
-    "extension_gamma": Suite(_suite_extension_gamma, None, None, 10),
-    "boxes": Suite(_suite_boxes, 15, 1, None),
-    "edge_deletion_bounds": Suite(_suite_edge_deletion, 7, 2, None),
+    "path_table": Suite(_suite_path_table, 10, 1, None, lambda n: n),
+    "cycle_table": Suite(_suite_cycle_table, 14, 1, None, lambda n: n),
+    "structural": Suite(_suite_structural, 7, 1, None, None),
+    "complete": Suite(partial(_family_cells, "complete", "n", "binomial closed form"), 10, 1, None, lambda n: n),
+    "star": Suite(partial(_family_cells, "star", "leaves", "center/leaves closed form"), 9, 1, None, lambda n: n + 1),
+    "wheel": Suite(_suite_wheel, 14, 4, None, lambda n: n),
+    "join": Suite(_suite_join, 5, 1, 20, lambda n: 2 * n),
+    "corona_gamma": Suite(_suite_corona_gamma, None, None, None, lambda _: 16),  # corona(C4, P3)
+    "join_gamma": Suite(_suite_join_gamma, 5, 1, 20, lambda n: 2 * n),
+    "gamma_path_cycle": Suite(_suite_gamma_path_cycle, 20, 1, None, lambda n: n),
+    # a base of order 5 with a pendant path of 6
+    "extension_recurrence": Suite(_suite_extension_recurrence, None, None, 10, lambda _: 11),
+    "extension_constructive": Suite(_suite_extension_constructive, None, None, 10, lambda _: 11),
+    "extension_gamma": Suite(_suite_extension_gamma, None, None, 10, lambda _: 11),
+    "boxes": Suite(_suite_boxes, 15, 1, None, lambda n: n),
+    "edge_deletion_bounds": Suite(_suite_edge_deletion, 7, 2, None, None),
 }
 FORMULA_SUITES = tuple(SUITES)
 
@@ -775,13 +759,17 @@ def verify_formula_suite(
     ``max_n`` bounds the instance size (order, leaf count, or wheel order
     depending on the suite), ``random_count`` the random instance pool drawn
     from ``seed``; each defaults to the suite's own. A size the suite does
-    not read, or one too small to yield a record, raises ``ValueError``.
+    not read, or one too small to yield a record, raises ``ValueError``; a
+    size whose largest graph is above ``cap`` raises :class:`CapacityError`
+    before any sweep.
     """
     spec = SUITES.get(suite)
     if spec is None:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
     max_n = _size(suite, "max_n", max_n, spec.max_n, spec.min_n)
     random_count = _size(suite, "random_count", random_count, spec.random_count, 0)
+    if spec.largest_order is not None:
+        check_cap(spec.largest_order(max_n), cap)
     t0 = time.perf_counter()
     out = spec.build(max_n=max_n, random_count=random_count, seed=seed, cap=cap)
     records, skipped = out if isinstance(out, tuple) else (out, 0)
@@ -815,7 +803,7 @@ def table_by_method(g: Graph, method: str, cap: int = DEFAULT_CAP) -> tuple[int,
     if method == "oracle":
         return count_table(g, cap).counts
     if method == "frontier":
-        check_cap(g, cap)
+        check_cap(g.order, cap)
         return count_table_frontier(g).counts
     if method == "closed_form":
         if fam == "path":

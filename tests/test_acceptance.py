@@ -92,7 +92,7 @@ def test_c06_join_count_composition():
     # The stated composition takes its one-part terms from weakly connected
     # counts and is refuted by the sweep; with dominating-set counts it holds.
     r = _suite("join")
-    instances = _join_instances(5, 20, DEFAULT_SEED)
+    instances = list(_join_instances(5, 20, DEFAULT_SEED))
     assert [key for key, _, _ in instances] == [rec.key for rec in r.records]
     assert len(r.records) == 120
     predicted = set()

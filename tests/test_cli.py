@@ -89,18 +89,41 @@ def test_capacity_exit_status(capsys):
     capsys.readouterr()
 
 
-def test_table_refuses_an_over_cap_order_before_any_sweep(capsys, monkeypatch):
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """The ``sweep_counts`` calls a test makes."""
     calls = []
     real = oracle.sweep_counts
     monkeypatch.setattr(oracle, "sweep_counts", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     # an empty count cache, so rows cached by other tests would sweep too
     fresh = lru_cache(maxsize=None)(oracle._count_table_cached.__wrapped__)
     monkeypatch.setattr(oracle, "_count_table_cached", fresh)
+    return calls
+
+
+def test_table_refuses_an_over_cap_order_before_any_sweep(capsys, sweep_calls):
     assert run(["table", "--family", "star", "--max-n", "10", "--cap", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "order 11 exceeds the subset-sweep cap 10" in captured.err
-    assert calls == []
+    assert sweep_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv,order,cap",
+    (
+        (["complete", "--max-n", "25"], 25, 24),
+        (["star", "--max-n", "24"], 25, 24),  # star(n) has n + 1 vertices
+        (["join", "--max-n", "13"], 26, 24),  # the join of two order-13 graphs
+        (["corona_gamma", "--cap", "15"], 16, 15),  # corona(C4, P3)
+    ),
+)
+def test_verify_refuses_an_over_cap_order_before_any_sweep(capsys, sweep_calls, argv, order, cap):
+    assert run(["verify", "--suite", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"order {order} exceeds the subset-sweep cap {cap}" in captured.err
+    assert sweep_calls == []
 
 
 def test_env_var_cap(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
-from itertools import combinations
+import random
+import tracemalloc
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -72,11 +74,20 @@ def _flag(t, g, s):
     return word >> s & 1 == 1
 
 
+def _sample_graphs(k):
+    """Every edge mask of order k <= 5; at orders 6 and 7, where the suites
+    run, the empty and complete graphs and 300 seeded edge masks."""
+    n_graphs = 1 << k * (k - 1) // 2
+    if k <= 5:
+        return range(n_graphs)
+    return [0, n_graphs - 1, *random.Random(k).sample(range(1, n_graphs - 1), 300)]
+
+
 def test_dense_tables_match_the_scalar_predicates():
-    for k in range(1, 6):
+    for k in range(1, 8):
         t = verify._dense_tables(k)
         assert t.pairs == tuple(combinations(range(k), 2))
-        for g in range(1 << len(t.pairs)):
+        for g in _sample_graphs(k):
             graph = make_graph(k, [(u + 1, v + 1) for b, (u, v) in enumerate(t.pairs) if g >> b & 1])
             connected = is_connected(graph)
             assert t.conn[g] == connected
@@ -172,6 +183,19 @@ def test_join_suite_is_reproducible():
     assert a.records != c.records
 
 
+def test_random_pools_are_drawn_lazily():
+    tracemalloc.start()
+    try:
+        joins = list(islice(verify._join_instances(5, 10**5, 1), 125))  # 100 named pairs, 25 random
+        first_random_base = next(key for key, _, _ in verify._extension_instances(10**5, 1) if key.startswith("random"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert joins[-1][0] == "random25"
+    assert first_random_base == "random1 root=1 m=2"
+    assert peak < 2 * 2**20
+
+
 def test_boxes_suite_reports_the_lone_clash():
     r = verify_formula_suite("boxes", max_n=3)
     assert r.failures == 1
@@ -226,6 +250,16 @@ def test_least_size_is_the_smallest_that_yields_a_record(suite):
         verify_formula_suite(suite, max_n=spec.min_n - 1)
 
 
+@pytest.mark.parametrize("suite", [name for name, spec in verify.SUITES.items() if spec.largest_order is not None])
+def test_largest_order_is_the_order_the_suite_sweeps(suite):
+    spec = verify.SUITES[suite]
+    sizes = {"max_n": spec.min_n, "random_count": 0 if spec.random_count is not None else None, "seed": DEFAULT_SEED}
+    order = spec.largest_order(spec.min_n)
+    assert spec.build(**sizes, cap=order)
+    with pytest.raises(CapacityError, match=f"order {order} exceeds the subset-sweep cap {order - 1}"):
+        spec.build(**sizes, cap=order - 1)
+
+
 def test_cross_check_path_three_ways():
     r = cross_check(build_family("path", 6), ("oracle", "closed_form", "recurrence"))
     assert r.all_passed()
@@ -256,7 +290,6 @@ def test_report_serializations():
     assert payload["suite"] == "complete"
     assert payload["failures"] == 0
     assert "wall_time_s" not in payload
-    assert "wall_time_s" in json.loads(r.to_json(include_wall_time=True))
     csv_text = r.to_csv()
     assert csv_text.splitlines()[0] == "key,source,claimed,exhaustive,passed,detail"
     assert len(csv_text.splitlines()) == len(r.records) + 1
