@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .frontier import count_table_frontier, frontier_order, projected_states
@@ -29,21 +28,7 @@ from .oracle import (
     gamma,
     gamma_w,
 )
-from .verify import DEFAULT_SEED, SUITES, UnsupportedMethodError, table_by_method, verify_formula_suite
-
-CAP_ENV_VAR = "WCDS_ORACLE_CAP"
-
-# CLI spelling -> verify-layer method name
-_METHODS = {
-    "oracle": "oracle",
-    "frontier": "frontier",
-    "formula": "closed_form",
-    "recurrence": "recurrence",
-}
-
-
-class _UsageError(Exception):
-    pass
+from .verify import DEFAULT_SEED, METHODS, SUITES, UnsupportedMethodError, table_by_method, verify_formula_suite
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -53,7 +38,7 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=None, help="oracle order cap override")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle order cap override")
     p.add_argument(
         "--format",
         choices=("md", "csv", "json"),
@@ -81,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=None, help="cardinality; omit for the full table")
     p.add_argument(
         "--method",
-        choices=tuple(_METHODS),
+        choices=METHODS,
         default="oracle",
         help="counting method: oracle (subset sweep), frontier (frontier DP); "
         "formula and recurrence need a recognized family",
@@ -106,21 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cap(args: argparse.Namespace) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
-    return DEFAULT_CAP
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     if args.input is not None and args.family is not None:
-        raise _UsageError("give exactly one graph source: --family with --n, or --input")
+        raise ValueError("give exactly one graph source: --family with --n, or --input")
     if args.input is not None:
         if args.input == "-":
             text = sys.stdin.read()
@@ -129,22 +102,19 @@ def _load_graph(args: argparse.Namespace) -> Graph:
                 with open(args.input, encoding="utf-8") as fh:
                     text = fh.read()
             except OSError as exc:
-                raise _UsageError(f"cannot read {args.input}: {exc.strerror}")
+                raise ValueError(f"cannot read {args.input}: {exc.strerror}")
         try:
             g, mapping = read_edge_list(text)
         except ValueError as exc:
-            raise _UsageError(f"bad edge list: {exc}")
+            raise ValueError(f"bad edge list: {exc}")
         if any(old != new for old, new in mapping.items()):
             print(f"note: input labels renumbered to 1..{g.order}", file=sys.stderr)
         return g
     if args.family is None:
-        raise _UsageError("give exactly one graph source: --family with --n, or --input")
+        raise ValueError("give exactly one graph source: --family with --n, or --input")
     if args.n is None:
-        raise _UsageError("--family needs --n")
-    try:
-        return build_family(args.family, args.n)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError("--family needs --n")
+    return build_family(args.family, args.n)
 
 
 def _render_rows(rows: list[tuple[int, tuple[int, ...]]], fmt: str, label: str) -> str:
@@ -175,11 +145,7 @@ def _render_rows(rows: list[tuple[int, tuple[int, ...]]], fmt: str, label: str) 
 
 def _cmd_gamma(args: argparse.Namespace, cap: int) -> int:
     g = _load_graph(args)
-    try:
-        value = gamma_w(g, cap)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    print(f"gamma_w {value}")
+    print(f"gamma_w {gamma_w(g, cap)}")
     if args.with_gamma:
         print(f"gamma {gamma(g, cap)}")
     return 0
@@ -187,7 +153,7 @@ def _cmd_gamma(args: argparse.Namespace, cap: int) -> int:
 
 def _cmd_count(args: argparse.Namespace, cap: int) -> int:
     g = _load_graph(args)
-    counts = table_by_method(g, _METHODS[args.method], cap)
+    counts = table_by_method(g, args.method, cap)
     if args.method == "formula" and g.family == "wheel":
         print(
             "note: the formula method follows the stated wheel composition, which the sweep refutes; "
@@ -220,7 +186,7 @@ def _table_row(g: Graph, cap: int) -> tuple[int, ...]:
 def _cmd_table(args: argparse.Namespace, cap: int) -> int:
     start = 4 if args.family == "wheel" else 1
     if args.max_n < start:
-        raise _UsageError(f"--max-n must be at least {start} for family {args.family}")
+        raise ValueError(f"--max-n must be at least {start} for family {args.family}")
     graphs = []
     for n in range(start, args.max_n + 1):
         g = build_family(args.family, n)
@@ -259,18 +225,11 @@ def run(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        cap = _resolve_cap(args)
-        return dispatch[args.subcommand](args, cap)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedMethodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return dispatch[args.subcommand](args, args.cap)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, UnsupportedMethodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

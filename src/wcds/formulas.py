@@ -12,7 +12,6 @@ Degenerate-cycle conventions C_1 = K_1 and C_2 = K_2 apply throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -25,39 +24,6 @@ class RecurrenceAssumptionError(Exception):
     """Raised when the pendant-path construction hits the family pattern its
     case analysis declares impossible (longer-prefix family non-empty,
     shorter-prefix family empty, within size bounds)."""
-
-
-@dataclass(frozen=True)
-class ExtensionTables:
-    """Count tables for the pendant-path extensions G(0)..G(m).
-
-    ``base0`` and ``base1`` come from the exhaustive counter; every later row
-    is produced by the two-step recurrence
-    rows[k](i) = rows[k-1](i-1) + rows[k-2](i-1) for i >= 2.
-    """
-
-    base0: CountTable
-    base1: CountTable
-    rows: tuple[CountTable, ...]
-
-    def __post_init__(self) -> None:
-        if self.base1.order != self.base0.order + 1:
-            raise ValueError("base1 must extend base0 by one vertex")
-        for idx, table in enumerate(self.rows):
-            if table.order != self.base0.order + 2 + idx:
-                raise ValueError("rows must grow by one vertex each")
-
-    @property
-    def m(self) -> int:
-        return len(self.rows) + 1
-
-    def row(self, k: int) -> CountTable:
-        """Table of G(k) for 0 <= k <= m."""
-        if k == 0:
-            return self.base0
-        if k == 1:
-            return self.base1
-        return self.rows[k - 2]
 
 
 def _choose(a: int, b: int) -> int:
@@ -106,25 +72,35 @@ def count_path_closed(n: int, j: int) -> int:
     return _choose(j + 1, n - j)
 
 
-def count_path_recurrence(n: int) -> CountTable:
-    """Full path table built from the two-step recurrence
-    a[k][j] = a[k-1][j-1] + a[k-2][j-1].
+def _pendant_rows(row0: tuple[int, ...], row1: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
+    """Count rows of G(0)..G(m), where G(k) hangs one more path vertex on
+    G(k-1), from the rows of G(0) and G(1) by the two-step recurrence
+    rows[k](i) = rows[k-1](i-1) + rows[k-2](i-1).
 
-    The internal grid carries a j = 0 column seeded 1 for the single-vertex
-    row and 0 elsewhere; without it the recurrence loses the size-1 counts
-    of odd paths.
+    The recurrence is stated for i >= 2; read at i = 1 it needs the counts
+    of the empty set. That is its one boundary rule: the empty set counts
+    once on a single vertex and nowhere else, so column i = 1 is 1 exactly
+    at order 3, where G(k-2) is a single vertex and lifts to the centre of
+    the 3-path, and 0 at every other order.
     """
+    rows = [row0, row1]
+    for k in range(2, m + 1):
+        # cell i >= 2 sums cell i - 1 of the two earlier rows; the shorter
+        # one has no cell at the largest cardinality
+        prev, prev2 = rows[k - 1], rows[k - 2] + (0,)
+        first = 1 if len(prev) == 2 else 0  # the new row has order 3
+        rows.append((first,) + tuple(a + b for a, b in zip(prev, prev2)))
+    return tuple(rows[: m + 1])
+
+
+def count_path_recurrence(n: int) -> CountTable:
+    """Full path table by the two-step recurrence of :func:`_pendant_rows`:
+    a path is a pendant path on one vertex. It starts from the stated rows
+    P1 = (1,) and P2 = (2, 1), not from the exhaustive counter, so it stays
+    an independent method."""
     if n < 1:
         raise ValueError("order must be positive")
-    rows: list[list[int]] = [[], [1, 1], [0, 2, 1]]
-    for k in range(3, n + 1):
-        prev, prev2 = rows[k - 1], rows[k - 2]
-
-        def at(row: list[int], j: int) -> int:
-            return row[j] if 0 <= j < len(row) else 0
-
-        rows.append([0] + [at(prev, j - 1) + at(prev2, j - 1) for j in range(1, k + 1)])
-    return CountTable(n, tuple(rows[n][1:]), connected=True)
+    return CountTable(n, _pendant_rows((1,), (2, 1), n - 1)[n - 1], connected=True)
 
 
 def count_cycle_top(n: int, i: int) -> int:
@@ -246,43 +222,17 @@ def gamma_w_extension(gw_base: int, root_in_some_gw_set: bool, m: int) -> int:
     return gw_base + m // 2
 
 
-def count_extension_table(rg: RootedGraph, cap: int = DEFAULT_CAP) -> ExtensionTables:
-    """Tables for G(0)..G(m): the first two rows from the exhaustive counter,
-    the rest by the two-step recurrence.
-
-    The recurrence is stated for cardinalities i >= 2 only. The i = 1 column
-    is filled directly: 0 once the pendant path has length >= 2 and the base
-    has order >= 2 (no vertex is adjacent to everything), and the
-    single-vertex-base column follows the path seeds (value 1 exactly at
-    total order 3).
-    """
+def count_extension_table(rg: RootedGraph, cap: int = DEFAULT_CAP) -> tuple[CountTable, ...]:
+    """Tables for G(0)..G(m), indexed by k: the first two from the
+    exhaustive counter, the rest by the two-step recurrence of
+    :func:`_pendant_rows`."""
     m = rg.extension_length
     if m < 2:
         raise ValueError("the recurrence needs extension length at least 2")
-    n0 = rg.base.order
     base0 = count_table(rg.base, cap)
     base1 = count_table(realize_extension(RootedGraph(rg.base, rg.root, 1)), cap)
-    rows: list[CountTable] = []
-
-    def row(k: int) -> CountTable:
-        if k == 0:
-            return base0
-        if k == 1:
-            return base1
-        return rows[k - 2]
-
-    for k in range(2, m + 1):
-        order_k = n0 + k
-        if n0 >= 2:
-            first = 0
-        else:
-            first = 1 if k == 2 else 0
-        counts = [first] + [
-            row(k - 1).count(i - 1) + row(k - 2).count(i - 1)
-            for i in range(2, order_k + 1)
-        ]
-        rows.append(CountTable(order_k, tuple(counts), connected=base0.connected))
-    return ExtensionTables(base0, base1, tuple(rows))
+    rows = _pendant_rows(base0.counts, base1.counts, m)
+    return tuple(CountTable(len(row), row, connected=base0.connected) for row in rows)
 
 
 def build_extension_wcds(
@@ -297,7 +247,8 @@ def build_extension_wcds(
     and G(1). Two boundary rules keep the recursion exact:
 
     * cardinality 0 on a single vertex counts the empty set once (the
-      covering convention that also seeds the path recurrence's grid);
+      convention behind the recurrence's i = 1 boundary rule, see
+      :func:`_pendant_rows`);
     * when i - 1 exceeds the order of G(k-2) the shorter-prefix family is
       empty for size reasons alone, and every set must come from the longer
       prefix. Inside the size bound that one-sided pattern is impossible,

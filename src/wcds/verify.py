@@ -45,6 +45,9 @@ from .oracle import (
 
 DEFAULT_SEED = 1729
 
+# the counting methods of ``table_by_method``, spelled as ``wcds count --method``
+METHODS = ("oracle", "frontier", "formula", "recurrence")
+
 # Frozen reference rows. Cardinalities run 1..n; zero entries are cells the
 # source layout leaves blank. Any disagreement between these rows and the
 # exhaustive counter is a hard failure.
@@ -100,15 +103,16 @@ class CheckRecord:
 class VerificationReport:
     suite: str
     records: tuple[CheckRecord, ...]
-    passes: int
-    failures: int
     skipped: int
     wall_time: float
 
-    def __post_init__(self) -> None:
-        got = sum(1 for r in self.records if r.passed)
-        if self.passes != got or self.failures != len(self.records) - got:
-            raise ValueError("summary counts must match the record tallies")
+    @property
+    def passes(self) -> int:
+        return sum(1 for r in self.records if r.passed)
+
+    @property
+    def failures(self) -> int:
+        return len(self.records) - self.passes
 
     def all_passed(self) -> bool:
         return self.failures == 0
@@ -157,21 +161,20 @@ class VerificationReport:
 
 
 def _finish(suite: str, records: list[CheckRecord], skipped: int, t0: float) -> VerificationReport:
-    recs = tuple(records)
-    passes = sum(1 for r in recs if r.passed)
-    return VerificationReport(
-        suite=suite,
-        records=recs,
-        passes=passes,
-        failures=len(recs) - passes,
-        skipped=skipped,
-        wall_time=time.perf_counter() - t0,
-    )
+    return VerificationReport(suite, tuple(records), skipped, time.perf_counter() - t0)
 
 
 def _check(key: str, source: str, claimed: int | str, exhaustive: int | str, detail: str = "") -> CheckRecord:
     """A record whose verdict is plain equality of claim and exhaustive value."""
     return CheckRecord(key, source, claimed, exhaustive, claimed == exhaustive, detail)
+
+
+def _agree(key: str, source: str, claimed: int, exhaustive: int, values: dict[str, int]) -> CheckRecord:
+    """A record that passes when every named value is equal; when they
+    differ its detail lists them as ``name value, ...``."""
+    passed = len(set(values.values())) == 1
+    detail = "" if passed else ", ".join(f"{name} {v}" for name, v in values.items())
+    return CheckRecord(key, source, claimed, exhaustive, passed, detail)
 
 
 def _suite_path_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
@@ -184,22 +187,14 @@ def _suite_path_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
         rec = formulas.count_path_recurrence(n)
         for j in range(1, n + 1):
             o = actual.count(j)
-            r = rec.count(j)
             c = formulas.count_path_closed(n, j)
+            values = {"exhaustive": o, "closed form": c, "recurrence": rec.count(j)}
             if n <= 10:
                 ref = REFERENCE_PATH_TABLE[n][j - 1]
-                passed = o == ref == r == c
-                claimed: int | str = ref
                 source = "reference row + closed form + recurrence"
-                detail = "" if passed else f"reference {ref}, exhaustive {o}, closed form {c}, recurrence {r}"
+                records.append(_agree(f"path n={n} j={j}", source, ref, o, {"reference": ref, **values}))
             else:
-                passed = o == r == c
-                claimed = c
-                source = "closed form + recurrence"
-                detail = "" if passed else f"exhaustive {o}, closed form {c}, recurrence {r}"
-            records.append(
-                CheckRecord(f"path n={n} j={j}", source, claimed, o, passed, detail)
-            )
+                records.append(_agree(f"path n={n} j={j}", "closed form + recurrence", c, o, values))
     return records
 
 
@@ -503,10 +498,19 @@ def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, Ro
 # --- formula suites ---------------------------------------------------------
 
 
+# the closed form (size parameter, cardinality) -> count of each family whose
+# full row has one; the wheel's needs its rim table, see ``table_by_method``
+_CLOSED_FORMS: dict[str, Callable[[int, int], int]] = {
+    "path": formulas.count_path_closed,
+    "complete": formulas.count_complete,
+    "star": formulas.count_star,
+}
+
+
 def _family_cells(family: str, size: str, source: str, *, max_n: int, cap: int, **_) -> list[CheckRecord]:
     """Every cell of the count rows of ``family`` at sizes 1..``max_n``
-    against the closed form ``formulas.count_<family>(n, i)``."""
-    claim = getattr(formulas, f"count_{family}")
+    against the family's closed form in ``_CLOSED_FORMS``."""
+    claim = _CLOSED_FORMS[family]
     records = []
     for n in range(1, max_n + 1):
         g = build_family(family, n)
@@ -601,7 +605,7 @@ def _suite_gamma_path_cycle(max_n: int, cap: int, **_) -> list[CheckRecord]:
 def _suite_extension_recurrence(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
     for key, rg, cards in _extension_instances(random_count, seed):
-        row = formulas.count_extension_table(rg, cap).row(rg.extension_length)
+        row = formulas.count_extension_table(rg, cap)[-1]
         actual = count_table(realize_extension(rg), cap)
         mism = [
             f"i={i}: recurrence {row.count(i)}, exhaustive {actual.count(i)}"
@@ -673,20 +677,10 @@ def _suite_boxes(max_n: int, cap: int, **_) -> list[CheckRecord]:
     for n in range(1, max_n + 1):
         path_table = count_table(build_family("path", n), cap)
         for j in range(0, n + 1):
-            brute = formulas.boxes_brute(n, j)
             closed = formulas.boxes_count(n, j)
             dw = path_table.count(j)
-            passed = brute == closed == dw
-            detail = (
-                ""
-                if passed
-                else f"occupancy enumeration {brute}, binomial {closed}, path sets {dw}"
-            )
-            records.append(
-                CheckRecord(
-                    f"boxes n={n} j={j}", "occupancy identity", closed, dw, passed, detail
-                )
-            )
+            values = {"occupancy enumeration": formulas.boxes_brute(n, j), "binomial": closed, "path sets": dw}
+            records.append(_agree(f"boxes n={n} j={j}", "occupancy identity", closed, dw, values))
     return records
 
 
@@ -729,7 +723,6 @@ SUITES: dict[str, Suite] = {
     "boxes": Suite(_suite_boxes, 15, 1, None, lambda n: n),
     "edge_deletion_bounds": Suite(_suite_edge_deletion, 7, 2, None, None),
 }
-FORMULA_SUITES = tuple(SUITES)
 
 
 def _size(suite: str, name: str, value: int | None, default: int | None, least: int | None) -> int | None:
@@ -792,37 +785,31 @@ def verify_structural(max_order: int | None = None) -> VerificationReport:
 
 
 def table_by_method(g: Graph, method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
-    """Full count row of g by one method: ``oracle`` (any graph, the
-    subset sweep), ``frontier`` (any graph, the frontier DP, refused above
-    its width bound), ``closed_form`` (paths, complete graphs, stars,
+    """Full count row of g by one of ``METHODS``: ``oracle`` (any graph,
+    the subset sweep), ``frontier`` (any graph, the frontier DP, refused
+    above its width bound), ``formula`` (paths, complete graphs, stars,
     wheels; wheels get their rim table wired in here), ``recurrence``
     (paths). Family recognition uses construction metadata, so graphs read
     from edge lists only support ``oracle`` and ``frontier``."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     n = g.order
-    fam = g.family
     if method == "oracle":
         return count_table(g, cap).counts
     if method == "frontier":
-        check_cap(g.order, cap)
+        check_cap(n, cap)
         return count_table_frontier(g).counts
-    if method == "closed_form":
-        if fam == "path":
-            return tuple(formulas.count_path_closed(n, j) for j in range(1, n + 1))
-        if fam == "complete":
-            return tuple(formulas.count_complete(n, i) for i in range(1, n + 1))
-        if fam == "star":
-            leaves = g.family_n
-            assert leaves is not None
-            return tuple(formulas.count_star(leaves, i) for i in range(1, n + 1))
-        if fam == "wheel":
-            rim_table = count_table(build_family("cycle", n - 1), cap)
-            return tuple(formulas.count_wheel(n, i, rim_table) for i in range(1, n + 1))
-        raise UnsupportedMethodError(f"no closed form covers the full table of {g.label()}")
     if method == "recurrence":
-        if fam != "path":
+        if g.family != "path":
             raise UnsupportedMethodError(f"no recurrence covers {g.label()}")
         return formulas.count_path_recurrence(n).counts
-    raise ValueError(f"unknown method {method!r}")
+    if g.family == "wheel":
+        rim_table = count_table(build_family("cycle", n - 1), cap)
+        return tuple(formulas.count_wheel(n, i, rim_table) for i in range(1, n + 1))
+    if g.family not in _CLOSED_FORMS:
+        raise UnsupportedMethodError(f"no closed form covers the full table of {g.label()}")
+    closed = _CLOSED_FORMS[g.family]
+    return tuple(closed(g.family_n, i) for i in range(1, n + 1))
 
 
 def cross_check(
@@ -835,7 +822,7 @@ def cross_check(
     if not methods:
         raise ValueError("at least one method required")
     for m in methods:
-        if m not in ("oracle", "frontier", "closed_form", "recurrence"):
+        if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     n = g.order
     tables = {method: table_by_method(g, method, cap) for method in methods}

@@ -1,6 +1,23 @@
 import re
+from functools import lru_cache
+
+import pytest
+
+import wcds.oracle as oracle
 
 _acceptance: list[tuple[int, str, str]] = []
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """The ``sweep_counts`` calls a test makes."""
+    calls = []
+    real = oracle.sweep_counts
+    monkeypatch.setattr(oracle, "sweep_counts", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    # an empty count cache, so rows cached by other tests would sweep too
+    fresh = lru_cache(maxsize=None)(oracle._count_table_cached.__wrapped__)
+    monkeypatch.setattr(oracle, "_count_table_cached", fresh)
+    return calls
 
 
 def pytest_runtest_logreport(report):

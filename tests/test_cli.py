@@ -1,6 +1,5 @@
 import io
 import json
-from functools import lru_cache
 
 import pytest
 
@@ -89,18 +88,6 @@ def test_capacity_exit_status(capsys):
     capsys.readouterr()
 
 
-@pytest.fixture
-def sweep_calls(monkeypatch):
-    """The ``sweep_counts`` calls a test makes."""
-    calls = []
-    real = oracle.sweep_counts
-    monkeypatch.setattr(oracle, "sweep_counts", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    # an empty count cache, so rows cached by other tests would sweep too
-    fresh = lru_cache(maxsize=None)(oracle._count_table_cached.__wrapped__)
-    monkeypatch.setattr(oracle, "_count_table_cached", fresh)
-    return calls
-
-
 def test_table_refuses_an_over_cap_order_before_any_sweep(capsys, sweep_calls):
     assert run(["table", "--family", "star", "--max-n", "10", "--cap", "10"]) == 3
     captured = capsys.readouterr()
@@ -124,14 +111,6 @@ def test_verify_refuses_an_over_cap_order_before_any_sweep(capsys, sweep_calls, 
     assert captured.out == ""
     assert f"order {order} exceeds the subset-sweep cap {cap}" in captured.err
     assert sweep_calls == []
-
-
-def test_env_var_cap(capsys, monkeypatch):
-    monkeypatch.setenv("WCDS_ORACLE_CAP", "6")
-    assert run(["gamma", "--family", "path", "--n", "9"]) == 3
-    monkeypatch.setenv("WCDS_ORACLE_CAP", "not-a-number")
-    assert run(["gamma", "--family", "path", "--n", "9"]) == 2
-    capsys.readouterr()
 
 
 def test_verify_exit_reflects_suite_outcome(capsys):
@@ -179,6 +158,8 @@ def test_usage_errors_exit_with_two(capsys):
     assert run(["count", "--family", "dodecahedron", "--n", "3"]) == 2
     assert run([]) == 2
     capsys.readouterr()
+    assert run(["gamma", "--family", "path", "--n", "5", "--cap", "31"]) == 2
+    assert capsys.readouterr().err == "error: cap 31 exceeds the hard limit 30\n"
 
 
 def test_wheel_table_starts_at_four(capsys):

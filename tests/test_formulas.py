@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from wcds import (
-    ExtensionTables,
     RootedGraph,
     boxes_brute,
     boxes_count,
@@ -48,6 +47,12 @@ def test_closed_form_is_zero_outside_the_window():
     assert count_path_closed(6, 2) == 0
     assert count_path_closed(6, 0) == 0
     assert count_path_closed(6, 7) == 0
+
+
+def test_recurrence_makes_no_sweep(sweep_calls):
+    # the path recurrence starts from stated rows, not from the counter
+    assert count_path_recurrence(12).counts == tuple(count_path_closed(12, j) for j in range(1, 13))
+    assert sweep_calls == []
 
 
 @given(st.integers(1, 12), st.integers(0, 13))
@@ -196,24 +201,18 @@ def test_extension_table_rows_frozen():
     # base is the 3-path rooted at its center; rows checked against the
     # exhaustive counter once and pinned here
     tabs = count_extension_table(RootedGraph(build_family("path", 3), 2, 4))
-    assert tabs.base0.counts == (1, 3, 1)
-    assert tabs.base1.counts == (1, 3, 4, 1)
-    assert tabs.row(2).counts == (0, 2, 6, 5, 1)
-    assert tabs.row(3).counts == (0, 1, 5, 10, 6, 1)
-    assert tabs.row(4).counts == (0, 0, 3, 11, 15, 7, 1)
-    assert tabs.m == 4
+    assert [t.counts for t in tabs] == [
+        (1, 3, 1),
+        (1, 3, 4, 1),
+        (0, 2, 6, 5, 1),
+        (0, 1, 5, 10, 6, 1),
+        (0, 0, 3, 11, 15, 7, 1),
+    ]
 
 
 def test_extension_table_needs_two_steps():
     with pytest.raises(ValueError):
         count_extension_table(RootedGraph(build_family("path", 3), 2, 1))
-
-
-def test_extension_tables_validate_order_chain():
-    t3 = count_table(build_family("path", 3))
-    t4 = count_table(build_family("path", 4))
-    with pytest.raises(ValueError):
-        ExtensionTables(t3, t4, (t3,))
 
 
 def test_built_families_frozen():

@@ -13,7 +13,6 @@ from wcds import (
     CapacityError,
     CheckRecord,
     UnsupportedMethodError,
-    VerificationReport,
     build_family,
     cross_check,
     gamma_w,
@@ -261,7 +260,7 @@ def test_largest_order_is_the_order_the_suite_sweeps(suite):
 
 
 def test_cross_check_path_three_ways():
-    r = cross_check(build_family("path", 6), ("oracle", "closed_form", "recurrence"))
+    r = cross_check(build_family("path", 6), ("oracle", "formula", "recurrence"))
     assert r.all_passed()
     assert len(r.records) == 6
 
@@ -274,13 +273,13 @@ def test_cross_check_cycle_oracle_row():
 def test_cross_check_rejects_unrecognized_family():
     g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
     with pytest.raises(UnsupportedMethodError):
-        cross_check(g, ("oracle", "closed_form"))
+        cross_check(g, ("oracle", "formula"))
     with pytest.raises(UnsupportedMethodError):
         table_by_method(build_family("cycle", 5), "recurrence")
 
 
 def test_table_by_method_wheel_wires_its_own_rim():
-    row = table_by_method(build_family("wheel", 5), "closed_form")
+    row = table_by_method(build_family("wheel", 5), "formula")
     assert row == (1, 10, 10, 5, 1)
 
 
@@ -301,7 +300,7 @@ def test_markdown_shows_failing_rows():
     assert "| boxes n=1 j=0 |" in r.to_markdown()
 
 
-def test_report_tallies_are_validated():
-    rec = CheckRecord("k", "s", 1, 1, True)
-    with pytest.raises(ValueError):
-        VerificationReport("x", (rec,), passes=0, failures=1, skipped=0, wall_time=0.0)
+def test_cross_check_refuses_an_unknown_method_before_any_sweep(sweep_calls):
+    with pytest.raises(ValueError, match="unknown method 'closed_form'"):
+        cross_check(build_family("path", 6), ("oracle", "closed_form"))
+    assert sweep_calls == []
