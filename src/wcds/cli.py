@@ -23,6 +23,7 @@ from .oracle import (
     CapacityError,
     DEFAULT_CAP,
     check_cap,
+    check_hard_limit,
     count_table,
     enumerate_wcds,
     gamma,
@@ -225,6 +226,7 @@ def run(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        check_hard_limit(args.cap)  # every subcommand, whether or not it reads the cap
         return dispatch[args.subcommand](args, args.cap)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,10 +65,15 @@ class CountTable:
         return None
 
 
-def check_cap(order: int, cap: int) -> None:
-    """CapacityError when ``order`` is above ``cap``; ValueError for a cap above HARD_CAP."""
+def check_hard_limit(cap: int) -> None:
+    """ValueError for a cap above HARD_CAP."""
     if cap > HARD_CAP:
         raise ValueError(f"cap {cap} exceeds the hard limit {HARD_CAP}")
+
+
+def check_cap(order: int, cap: int) -> None:
+    """CapacityError when ``order`` is above ``cap``; ValueError for a cap above HARD_CAP."""
+    check_hard_limit(cap)
     if order > cap:
         raise CapacityError(
             f"order {order} exceeds the subset-sweep cap {cap} "

@@ -225,29 +225,29 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
 #
 # A labelled graph of order k is its edge mask G: bit b is the b-th pair of
 # combinations(range(k), 2). A vertex subset S is a mask as well (bit v is
-# vertex v), and one flag per subset packs into a 128-bit word per graph,
-# split over two uint64 arrays: bit S of ``w_lo`` for S < 64, bit S - 64 of
-# ``w_hi`` otherwise.
+# vertex v). The flags of one subset over every graph are a packed bit plane:
+# bit G & 7 of byte G >> 3 of plane S says whether S is weakly connected
+# dominating in G.
 
-# graphs per step of the table build and of the structural checks; the
-# working arrays of one step stay in cache
+# graphs per step of the connectivity build; its working arrays stay in cache
 _DENSE_CHUNK = 1 << 16
+# 64-bit plane words per step of the structural checks; larger steps raise
+# the peak of a run by several MB
+_PLANE_CHUNK = 1 << 10
 _DENSE_MAX_ORDER = 7
 
 
 @dataclass(frozen=True)
 class _DenseTables:
     """Arrays over every labelled graph of one order, indexed by edge mask:
-    each vertex's neighbour mask, connectivity, the packed flags of the
-    weakly connected dominating sets, and their minimum cardinality (0 on a
-    disconnected graph)."""
+    connectivity, the bit plane of each vertex subset, and the minimum
+    cardinality of a weakly connected dominating set (0 on a disconnected
+    graph)."""
 
     order: int
     pairs: tuple[tuple[int, int], ...]
-    nbr: np.ndarray  # uint8 (order, graphs): nbr[v, G] is v's neighbour mask
     conn: np.ndarray
-    w_lo: np.ndarray
-    w_hi: np.ndarray
+    planes: np.ndarray  # uint8 (2**order, bytes): planes[S] is S's plane, plane 0 is empty
     gw: np.ndarray
 
 
@@ -255,72 +255,90 @@ def _check_dense_order(max_order: int) -> None:
     """Refuse all-graphs tables above ``_DENSE_MAX_ORDER`` before allocating any."""
     if max_order > _DENSE_MAX_ORDER:
         graphs = 1 << (max_order * (max_order - 1) // 2)
-        # what a cached _DenseTables keeps per labelled graph: w_lo and w_hi
-        # (8 bytes each), conn and gw (1 byte each), one nbr byte per vertex
-        size = graphs * (18 + max_order)
+        # what a cached _DenseTables keeps per labelled graph: conn and gw
+        # (1 byte each) and one bit in each of the 2**order planes
+        size = graphs * (2 + (1 << max_order) // 8)
         raise CapacityError(
             f"order {max_order} needs all-graphs tables over {graphs} labelled graphs, "
             f"at least {size} bytes ({size / 2**30:.1f} GiB); the limit is order {_DENSE_MAX_ORDER}"
         )
 
 
-def _pack(flags: np.ndarray) -> np.ndarray:
-    """Rows of at most 128 subset flags as (rows, 2) uint64 words: bit S of
-    row r's 128-bit word is ``flags[r, S]``."""
-    padded = np.zeros((flags.shape[0], 128), dtype=bool)
-    padded[:, : flags.shape[1]] = flags
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
-
-
 def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
+
+
+def _bits_without(b: int, width: int) -> int:
+    """The graphs without pair b in a run of ``width`` graphs that starts at
+    a multiple of ``width`` > 2**b, as a mask: bits i with bit b of i clear."""
+    return sum(1 << i for i in range(width) if not i >> b & 1)
+
+
+def _project(plane: np.ndarray, b: int) -> None:
+    """Give, in place, every graph with pair b the flag of the same graph
+    without it."""
+    if b >= 3:  # [:, 1] are the bytes of the graphs with pair b, [:, 0] those without
+        blocks = plane.reshape(-1, 2, 1 << (b - 3))
+        blocks[:, 1] = blocks[:, 0]
+    else:
+        without = plane & _bits_without(b, 8)
+        np.left_shift(without, 1 << b, out=plane)
+        plane |= without
+
+
+def _free_words(b: int, words: np.ndarray) -> np.ndarray:
+    """The graphs without pair b, as the 64-bit plane words at indices ``words``."""
+    if b < 6:
+        return np.full(words.size, _bits_without(b, 64), dtype=np.uint64)
+    return np.where(words >> (b - 6) & 1 == 1, np.uint64(0), ~np.uint64(0))
 
 
 @lru_cache(maxsize=_DENSE_MAX_ORDER)
 def _dense_tables(k: int) -> _DenseTables:
     pairs = tuple(combinations(range(k), 2))
     n_graphs = 1 << len(pairs)
-    nbr = np.zeros((k, n_graphs), dtype=np.uint8)
-    for b, (u, v) in enumerate(pairs):  # [:, 1] are the graphs with bit b set
+    step = min(_DENSE_CHUNK, n_graphs)
+    low = step.bit_length() - 1  # the pairs that vary within one step
+    nbr = np.zeros((k, step), dtype=np.uint8)  # nbr[v, G]: v's neighbours through the low pairs
+    for b, (u, v) in enumerate(pairs[:low]):  # [:, 1] are the graphs with pair b
         nbr[u].reshape(-1, 2, 1 << b)[:, 1] |= np.uint8(1 << v)
         nbr[v].reshape(-1, 2, 1 << b)[:, 1] |= np.uint8(1 << u)
-    # S is weakly connected dominating in G iff G & keep[S], the edges of G
-    # that meet S, is connected
-    keep = [
-        sum(1 << b for b, (u, v) in enumerate(pairs) if s >> u & 1 or s >> v & 1)
-        for s in range(1 << k)
-    ]
-    subsets = np.arange(1 << k)
-    of_size = _pack(np.bitwise_count(subsets) == np.arange(k + 1)[:, None])
-
     conn = np.empty(n_graphs, dtype=bool)
-    w_lo = np.empty(n_graphs, dtype=np.uint64)
-    w_hi = np.empty(n_graphs, dtype=np.uint64)
-    gw = np.zeros(n_graphs, dtype=np.int8)
-    step = min(_DENSE_CHUNK, n_graphs)
-    planes = np.empty((16, step), dtype=np.uint8)  # byte j: the flags of S = 8j .. 8j + 7
-    idx = np.empty(step, dtype=np.intp)
-    flag = np.empty(step, dtype=np.uint8)
-    conn_bytes = conn.view(np.uint8)
     everyone = np.full(step, (1 << k) - 1, dtype=np.uint8)  # S = V keeps every edge
     for lo in range(0, n_graphs, step):
-        part = slice(lo, lo + step)
-        conn[part] = _weak_ok(list(nbr[:, part]), everyone)
-        # G & keep[S] <= G: every graph gathered here has its conn already
-        graphs = np.arange(lo, lo + step, dtype=np.intp)
-        planes.fill(0)
-        for s in range(1, 1 << k):
-            np.bitwise_and(graphs, keep[s], out=idx)
-            np.take(conn_bytes, idx, out=flag, mode="clip")
-            np.multiply(flag, 1 << (s & 7), out=flag)  # a uint8 shift runs ten times slower
-            np.bitwise_or(planes[s >> 3], flag, out=planes[s >> 3])
-        words = planes.T.copy().view("<u8")
-        w_lo[part] = words[:, 0]
-        w_hi[part] = words[:, 1]
-        for size in range(k, 0, -1):  # the smallest size with a flag is written last
-            hit = (w_lo[part] & of_size[size, 0]) | (w_hi[part] & of_size[size, 1])
-            np.copyto(gw[part], size, where=hit != 0)
-    return _DenseTables(k, pairs, nbr, conn, w_lo, w_hi, gw)
+        high = [0] * k  # neighbours through the pairs this step holds fixed
+        for b, (u, v) in enumerate(pairs[low:], start=low):
+            if lo >> b & 1:
+                high[u] |= 1 << v
+                high[v] |= 1 << u
+        conn[lo : lo + step] = _weak_ok([nbr[v] | high[v] for v in range(k)], everyone)
+
+    # S is weakly connected dominating in G iff G minus the pairs inside
+    # T = V - S is connected. With x the top vertex of T, that is the flag of
+    # S + x in G minus the pairs (y, x), y in T - x: project the plane of
+    # S + x, built first since S + x > S, along those pairs.
+    everything = (1 << k) - 1
+    packed = np.packbits(conn, bitorder="little")
+    planes = np.zeros((1 << k, max(8, n_graphs >> 3)), dtype=np.uint8)  # at least one 64-bit word
+    for s in range(everything, 0, -1):
+        t = everything ^ s
+        if t & (t - 1) == 0:  # no pair inside T
+            planes[s, : packed.size] = packed
+            continue
+        x = t.bit_length() - 1
+        planes[s] = planes[s | 1 << x]
+        for y in range(x):
+            if t >> y & 1:
+                _project(planes[s], pairs.index((y, x)))
+
+    gw = np.zeros(n_graphs, dtype=np.int8)
+    sizes = np.bitwise_count(np.arange(1 << k))
+    for size in range(k, 0, -1):  # the smallest size with a flag is written last
+        hit = np.zeros(planes.shape[1], dtype=np.uint8)
+        for s in np.flatnonzero(sizes == size):
+            hit |= planes[s]
+        np.copyto(gw, size, where=np.unpackbits(hit, count=n_graphs, bitorder="little").view(bool))
+    return _DenseTables(k, pairs, conn, planes, gw)
 
 
 def _violations(t: _DenseTables) -> tuple[int, int]:
@@ -331,30 +349,27 @@ def _violations(t: _DenseTables) -> tuple[int, int]:
     A disconnected graph has no flags (its spanning subgraphs are all
     disconnected), so every graph can be counted."""
     k = t.order
-    subsets = np.arange(1 << k)
-    holds = (subsets >> np.arange(k)[:, None]) & 1 == 1  # holds[v, S]: v is in S
-    lack = _pack(~holds)
-    meets = (subsets[:, None] & subsets) != 0  # meets[m, S]: S meets the mask m
-    # cover[v][m]: the subsets that hold v or meet v's neighbour mask m
-    cover = [_pack(holds[v] | meets).T.copy() for v in range(k)]
+    words = t.planes.view("<u8")  # the bits past the last graph are 0
     closure = domination = 0
-    for lo in range(0, t.conn.size, _DENSE_CHUNK):
-        part = slice(lo, lo + _DENSE_CHUNK)
-        w_lo = t.w_lo[part]
-        w_hi = t.w_hi[part]
+    for lo in range(0, words.shape[1], _PLANE_CHUNK):
+        flags = words[:, lo : lo + _PLANE_CHUNK]
+        span = np.arange(lo, lo + flags.shape[1], dtype=np.uint64)
+        free = {p: _free_words(b, span) for b, p in enumerate(t.pairs)}
+        # lonely[S]: the graphs where some vertex outside S has no neighbour in S
+        lonely = np.zeros_like(flags)
+        apart = np.empty_like(flags[: 1 << (k - 1)])
         for v in range(k):
-            if v < 6:  # S + v is bit S + 2**v of the word that holds S
-                closure += _popcount(w_lo & lack[v, 0] & ~(w_lo >> (1 << v)))
-                closure += _popcount(w_hi & lack[v, 1] & ~(w_hi >> (1 << v)))
-            else:  # every S < 64 lacks vertex 6, and S + 6 is bit S of w_hi
-                closure += _popcount(w_lo & ~w_hi)
-        d_lo = np.full(w_lo.size, ~np.uint64(0))
-        d_hi = d_lo.copy()
-        for v in range(k):
-            m = t.nbr[v, part].astype(np.intp)  # take is slow on uint8 indices
-            d_lo &= np.take(cover[v][0], m)
-            d_hi &= np.take(cover[v][1], m)
-        domination += _popcount(w_lo & ~d_lo) + _popcount(w_hi & ~d_hi)
+            # [:, 0] are the subsets without v, [:, 1] the same subsets with v
+            by_v = flags.reshape(-1, 2, 1 << v, flags.shape[1])
+            closure += _popcount(by_v[:, 0] & ~by_v[:, 1])
+            # apart[S]: the graphs where v has no neighbour in S, S a subset
+            # of the other vertices in order; the i-th of them, u, fills
+            # rows 2**i .. 2**(i+1) - 1 from rows 0 .. 2**i - 1
+            apart[0] = ~np.uint64(0)
+            for i, u in enumerate(u for u in range(k) if u != v):
+                np.bitwise_and(apart[: 1 << i], free[min(u, v), max(u, v)], out=apart[1 << i : 2 << i])
+            lonely.reshape(by_v.shape)[:, 0] |= apart.reshape(by_v[:, 0].shape)
+        domination += _popcount(flags & lonely)
     return closure, domination
 
 

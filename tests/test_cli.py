@@ -158,8 +158,16 @@ def test_usage_errors_exit_with_two(capsys):
     assert run(["count", "--family", "dodecahedron", "--n", "3"]) == 2
     assert run([]) == 2
     capsys.readouterr()
-    assert run(["gamma", "--family", "path", "--n", "5", "--cap", "31"]) == 2
-    assert capsys.readouterr().err == "error: cap 31 exceeds the hard limit 30\n"
+    # the hard limit holds for every subcommand, also where the cap bounds nothing
+    for argv in (
+        ["gamma", "--family", "path", "--n", "5"],
+        ["verify", "--suite", "structural"],
+        ["verify", "--suite", "edge_deletion_bounds"],
+        ["count", "--family", "path", "--n", "5", "--method", "formula"],
+        ["count", "--family", "path", "--n", "5", "--method", "recurrence"],
+    ):
+        assert run([*argv, "--cap", "31"]) == 2
+        assert capsys.readouterr() == ("", "error: cap 31 exceeds the hard limit 30\n")
 
 
 def test_wheel_table_starts_at_four(capsys):

@@ -58,9 +58,10 @@ def test_all_graphs_suites_refuse_order_eight_before_building(monkeypatch, capsy
         return real(k)
 
     monkeypatch.setattr(verify, "_dense_tables", guarded)
-    with pytest.raises(CapacityError, match=r"order 8 .* 6979321856 bytes"):
+    # 2**28 graphs of 34 bytes: conn, gw and a bit in each of 256 planes
+    with pytest.raises(CapacityError, match=r"order 8 .* 9126805504 bytes"):
         verify_structural(8)
-    with pytest.raises(CapacityError, match=r"order 8 .* 6979321856 bytes"):
+    with pytest.raises(CapacityError, match=r"order 8 .* 9126805504 bytes"):
         verify_formula_suite("edge_deletion_bounds", max_n=8)
     for suite in ("structural", "edge_deletion_bounds"):
         assert run(["verify", "--suite", suite, "--max-n", "8"]) == 3
@@ -68,9 +69,8 @@ def test_all_graphs_suites_refuse_order_eight_before_building(monkeypatch, capsy
 
 
 def _flag(t, g, s):
-    """Bit s of graph g's packed flags."""
-    word = int(t.w_lo[g]) | int(t.w_hi[g]) << 64
-    return word >> s & 1 == 1
+    """Bit g of subset s's plane."""
+    return t.planes[s, g >> 3] >> (g & 7) & 1 == 1
 
 
 def _sample_graphs(k):
@@ -90,7 +90,6 @@ def test_dense_tables_match_the_scalar_predicates():
             graph = make_graph(k, [(u + 1, v + 1) for b, (u, v) in enumerate(t.pairs) if g >> b & 1])
             connected = is_connected(graph)
             assert t.conn[g] == connected
-            assert t.nbr[:, g].tolist() == graph.neighbor_masks()
             assert not _flag(t, g, 0)
             for s in range(1, 1 << k):
                 members = [v + 1 for v in range(k) if s >> v & 1]
@@ -100,7 +99,7 @@ def test_dense_tables_match_the_scalar_predicates():
 
 def _scalar_violations(t, graphs):
     """Per-(S, v) recount of the closure and domination violations on the
-    given graphs, reading neighbours from the pairs, not from ``t.nbr``."""
+    given graphs, reading neighbours from the pairs."""
     closure = domination = 0
     for g in graphs:
         if not t.conn[g]:
@@ -120,14 +119,14 @@ def _scalar_violations(t, graphs):
 
 
 def _plant(t, clear, plant):
-    """A copy of t with flag bit S of graph G cleared for each (G, S) in
+    """A copy of t with the flag of S in graph G cleared for each (G, S) in
     ``clear`` and set for each in ``plant``."""
-    words = (t.w_lo.copy(), t.w_hi.copy())
+    planes = t.planes.copy()
     for g, s in clear:
-        words[s >> 6][g] &= ~np.uint64(1 << (s & 63))
+        planes[s, g >> 3] &= ~np.uint8(1 << (g & 7))
     for g, s in plant:
-        words[s >> 6][g] |= np.uint64(1 << (s & 63))
-    return dataclasses.replace(t, w_lo=words[0], w_hi=words[1])
+        planes[s, g >> 3] |= np.uint8(1 << (g & 7))
+    return dataclasses.replace(t, planes=planes)
 
 
 def _edge_mask(t, edges):
@@ -146,19 +145,37 @@ def test_packed_checks_count_planted_violations():
     assert counts[0] > 0 and counts[1] > 0
 
 
-def test_packed_checks_reach_the_high_word():
-    # at order 7, subsets 64..127 (those holding vertex 6) live in w_hi
+def test_packed_checks_count_violations_on_projected_planes():
+    # the planes of {2, 3, 4} (outside it (0, 1), pair 0, and (5, 6), pair 20)
+    # and of {1, 3, 4} (outside it (0, 2), pair 1, and (2, 5), pair 13) are
+    # projected along pairs below 3, inside each byte, and 3 or above, by
+    # whole byte blocks
     t = verify._dense_tables(7)
     assert verify._violations(t) == (0, 0)
     complete = _edge_mask(t, t.pairs)
     path = _edge_mask(t, [(v, v + 1) for v in range(6)])
-    # {0, 1, 6} leaves K7's family, whose subsets {0, 1}, {0, 6}, {1, 6} all
-    # stay; {0, 6}, which misses vertices 2..4, joins the family of P7
-    planted = _plant(t, clear=[(complete, 0b1000011)], plant=[(path, 0b1000001)])
+    k7, p7 = make_graph(7, [(u + 1, v + 1) for u, v in t.pairs]), build_family("path", 7)
+    assert _flag(t, complete, 0b0011100) and is_wcds(k7, [3, 4, 5])
+    assert not _flag(t, path, 0b0011010) and not is_wcds(p7, [2, 4, 5])
+    # {2, 3, 4} leaves K7's family while its supersets stay; {1, 3, 4}, which
+    # misses the top vertex 6 alone, joins the family of P7
+    planted = _plant(t, clear=[(complete, 0b0011100)], plant=[(path, 0b0011010)])
     # all violations sit in the two planted graphs
     counts = verify._violations(planted)
     assert counts == _scalar_violations(planted, [complete, path])
     assert counts[0] > 0 and counts[1] > 0
+
+
+def test_dense_tables_and_checks_peak_under_48_mb():
+    # 32 MiB of order-7 planes and 4 MiB of conn and gw are kept; the build
+    # and the checks add their working arrays on top
+    tracemalloc.start()
+    try:
+        verify._violations(verify._dense_tables.__wrapped__(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 10**6
 
 
 def test_complete_suite_small():
