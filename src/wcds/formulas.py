@@ -12,12 +12,13 @@ Degenerate-cycle conventions C_1 = K_1 and C_2 = K_2 apply throughout.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .graph import Graph, RootedGraph, is_connected, realize_extension
-from .oracle import DEFAULT_CAP, CountTable, count_table, enumerate_wcds
+from .oracle import DEFAULT_CAP, CountTable, _as_tuples, count_table, sweep_stack
 
 
 class RecurrenceAssumptionError(Exception):
@@ -235,56 +236,80 @@ def count_extension_table(rg: RootedGraph, cap: int = DEFAULT_CAP) -> tuple[Coun
     return tuple(CountTable(len(row), row, connected=base0.connected) for row in rows)
 
 
-def build_extension_wcds(
-    rg: RootedGraph, i: int, cap: int = DEFAULT_CAP
-) -> list[tuple[int, ...]]:
-    """Constructs the full family of weakly connected dominating sets of
-    G(m) of cardinality i by recursion on the pendant path.
+def _pendant_families(
+    rg: RootedGraph, hits0: np.ndarray, hits1: np.ndarray
+) -> list[np.ndarray | RecurrenceAssumptionError]:
+    """The families of weakly connected dominating sets of G(m) by
+    cardinality 0..order, as ascending masks (bit l - 1 is vertex l), built
+    in one bottom-up pass over k from ``hits0`` and ``hits1``, the ascending
+    hit masks of G(0) and G(1).
 
-    Each set of G(k) either ends in the last path vertex (lifted from
-    G(k-1)) or in the one before it (lifted from G(k-2)); the two branches
-    are disjoint. Recursion bottoms out at exhaustive enumeration on G(0)
-    and G(1). Two boundary rules keep the recursion exact:
+    Each set of G(k) of size j either ends in the last path vertex, lifted
+    from a set of G(k-1) of size j - 1, or in the one before it, lifted from
+    a set of G(k-2); the two branches are disjoint. Two boundary rules keep
+    the recursion exact:
 
     * cardinality 0 on a single vertex counts the empty set once (the
       convention behind the recurrence's i = 1 boundary rule, see
       :func:`_pendant_rows`);
-    * when i - 1 exceeds the order of G(k-2) the shorter-prefix family is
+    * when j - 1 exceeds the order of G(k-2) the shorter-prefix family is
       empty for size reasons alone, and every set must come from the longer
-      prefix. Inside the size bound that one-sided pattern is impossible,
-      and hitting it raises :class:`RecurrenceAssumptionError`.
+      prefix. Inside the size bound that one-sided pattern is impossible.
+
+    Where it happens anyway, (k, j) holds a :class:`RecurrenceAssumptionError`
+    instead of a family, and so does every family whose recursion reaches it:
+    each takes the error of its longer prefix first, as a depth-first
+    recursion from it would meet them.
+    """
+    n0, m = rg.base.order, rg.extension_length
+    empty = np.zeros(0, dtype=np.uint32)
+    fams = [[hits[np.bitwise_count(hits) == j] for j in range(n0 + k + 1)] for k, hits in enumerate((hits0, hits1))]
+    if n0 == 1:
+        fams[0][0] = np.zeros(1, dtype=np.uint32)  # the empty set
+    for k in range(2, m + 1):
+        order = n0 + k  # of G(k), and the label of its last path vertex
+        row: list[np.ndarray | RecurrenceAssumptionError] = [empty]
+        for j in range(1, order + 1):
+            in_bounds = j - 1 <= order - 2  # G(k-2) has sets of size j - 1
+            f1 = fams[k - 1][j - 1]
+            f2 = fams[k - 2][j - 1] if in_bounds else empty
+            refused = next((f for f in (f1, f2) if isinstance(f, RecurrenceAssumptionError)), None)
+            if refused is None and f1.size and not f2.size and in_bounds:
+                refused = RecurrenceAssumptionError(
+                    f"at prefix {k}, cardinality {j}: the longer-prefix "
+                    "family is non-empty while the shorter one is empty "
+                    "within size bounds; the case analysis assumes this "
+                    "cannot happen"
+                )
+            # lifted G(k-2) sets stay below 2**(order - 1) and lifted G(k-1)
+            # sets hold that bit, so the result stays ascending
+            row.append(refused or np.concatenate((f2 | 1 << (order - 2), f1 | 1 << (order - 1))))
+        fams.append(row)
+    return fams[m]
+
+
+def build_extension_wcds(
+    rg: RootedGraph, i: int, cap: int = DEFAULT_CAP
+) -> list[tuple[int, ...]]:
+    """The family of weakly connected dominating sets of G(m) of
+    cardinality i, constructed by recursion on the pendant path (see
+    :func:`_pendant_families`) from the swept sets of G(0) and G(1). Raises
+    :class:`RecurrenceAssumptionError` when the recursion meets a pattern
+    its case analysis declares impossible.
 
     Returns sorted tuples in lexicographic order, same canonical form as
     the exhaustive enumerator, so families compare with plain equality.
     """
-    m = rg.extension_length
-    if m < 2:
+    if rg.extension_length < 2:
         raise ValueError("the construction needs extension length at least 2")
-    n0 = rg.base.order
-
-    @cache
-    def fam(k: int, j: int) -> tuple[tuple[int, ...], ...]:
-        if j < 0 or j > n0 + k:
-            return ()
-        if j == 0:
-            return ((),) if n0 + k == 1 else ()
-        if k <= 1:
-            realized = realize_extension(RootedGraph(rg.base, rg.root, k))
-            return tuple(enumerate_wcds(realized, j, cap))
-        f1 = fam(k - 1, j - 1)
-        f2 = fam(k - 2, j - 1)
-        if f1 and not f2 and j - 1 <= n0 + k - 2:
-            raise RecurrenceAssumptionError(
-                f"at prefix {k}, cardinality {j}: the longer-prefix "
-                "family is non-empty while the shorter one is empty "
-                "within size bounds; the case analysis assumes this "
-                "cannot happen"
-            )
-        # labels of G(k-1) stay below n0 + k and those of G(k-2) below
-        # n0 + k - 1, so each lifted tuple is already sorted
-        return tuple(sorted([x + (n0 + k,) for x in f1] + [x + (n0 + k - 1,) for x in f2]))
-
-    return list(fam(m, i))
+    g0, g1 = (realize_extension(RootedGraph(rg.base, rg.root, k)) for k in (0, 1))
+    hits = sweep_stack((g0, g1), cap=cap)
+    fams = _pendant_families(rg, hits[g0], hits[g1])
+    if not 0 <= i < len(fams):
+        return []
+    if isinstance(fams[i], RecurrenceAssumptionError):
+        raise fams[i]
+    return _as_tuples(fams[i], i)
 
 
 def boxes_count(n: int, j: int) -> int:

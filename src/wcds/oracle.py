@@ -8,13 +8,23 @@ tests a whole chunk at once with in-place numpy passes over the vertices.
 Counting queries tally each chunk's hits by popcount as Python ints, so
 counts are independent of the partitioning and cannot overflow. Listing and
 minimum queries filter one cached array of a graph's hit masks.
+
+A query on one graph sweeps that graph alone. :func:`sweep_stack` sweeps
+many small graphs at once instead: graphs of one order n form a stack, each
+vertex's neighbour masks become a (graphs, 1) column, and the same kernel
+tests a (graphs, 2**n) mask array, 2**16 (graph, mask) pairs a call. The
+extension suites of the verify module use it: a pendant-path instance has
+order 11 at most, so one call covers dozens of graphs where a lone sweep
+would pay the per-call overhead for 2**11 masks. The count rows it makes go
+through the same popcount tally into the cache that :func:`count_table`
+reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -66,14 +76,18 @@ class CountTable:
 
 
 def check_hard_limit(cap: int) -> None:
-    """ValueError for a cap above HARD_CAP."""
+    """ValueError for a cap outside 1..HARD_CAP."""
+    if cap < 1:
+        raise ValueError(f"cap {cap} must be at least 1")
     if cap > HARD_CAP:
         raise ValueError(f"cap {cap} exceeds the hard limit {HARD_CAP}")
 
 
 def check_cap(order: int, cap: int) -> None:
-    """CapacityError when ``order`` is above ``cap``; ValueError for a cap above HARD_CAP."""
-    check_hard_limit(cap)
+    """CapacityError when ``order`` is above ``cap``, so for every order when
+    the cap is below 1; ValueError for a cap above HARD_CAP."""
+    if cap > HARD_CAP:
+        check_hard_limit(cap)
     if order > cap:
         raise CapacityError(
             f"order {order} exceeds the subset-sweep cap {cap} "
@@ -132,6 +146,26 @@ def _sweep(adj: list[int], pred: Callable, chunk_bits: int = _CHUNK_BITS) -> Ite
         yield masks[pred(adj, masks)]
 
 
+def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:
+    """The non-empty subsets passing ``pred``, ascending, of each graph of one
+    order n, given by its neighbour masks. A kernel call takes at most
+    2**_CHUNK_BITS (graph, mask) pairs: 2**(_CHUNK_BITS - n) whole graphs at
+    once, each vertex's masks a (graphs, 1) column. Above order _CHUNK_BITS
+    each graph is swept alone."""
+    n = len(adjs[0])
+    if n > _CHUNK_BITS:
+        return [np.concatenate(list(_sweep(adj, pred))) for adj in adjs]
+    masks = np.arange(1 << n, dtype=np.uint32)
+    per_call = 1 << (_CHUNK_BITS - n)
+    out = []
+    for lo in range(0, len(adjs), per_call):
+        cols = np.array(adjs[lo : lo + per_call], dtype=np.uint32).T[:, :, None].copy()
+        ok = pred(list(cols), np.tile(masks, (cols.shape[1], 1)))
+        ok[:, 0] = False  # the empty set
+        out.extend(masks[row] for row in ok)
+    return out
+
+
 def _tally(n: int, chunks: Iterator[np.ndarray]) -> list[int]:
     """counts[k] = number of hits of popcount k, over every chunk."""
     counts = [0] * (n + 1)
@@ -157,16 +191,22 @@ def _hits(g: Graph, pred: Callable) -> np.ndarray:
     return hits
 
 
-def _of_size(g: Graph, pred: Callable, k: int) -> np.ndarray:
-    """The k-subsets of g passing ``pred``, ascending, as a new array."""
-    hits = _hits(g, pred)
-    return hits[np.bitwise_count(hits) == k]
+def _in_a_minimum(sets: np.ndarray, v: int) -> bool:
+    """Whether some smallest of the (non-empty) masks ``sets`` holds vertex v."""
+    sizes = np.bitwise_count(sets)
+    return bool(np.any(sets[sizes == sizes.min()] & 1 << (v - 1)))
+
+
+# count tables that sweep_stack has just made, on their way into the cache below
+_arriving: dict[Graph, CountTable] = {}
 
 
 # far above the 1138 distinct graphs that all fifteen verify suites sweep
 # together at their default sizes, so no run loses a hit to eviction
 @lru_cache(maxsize=4096)
 def _count_table_cached(g: Graph) -> CountTable:
+    if g in _arriving:
+        return _arriving.pop(g)
     if not is_connected(g):
         return CountTable(g.order, (0,) * g.order, connected=False)
     counts = sweep_counts(g.order, g.edges)
@@ -184,19 +224,49 @@ def count_table(g: Graph, cap: int = DEFAULT_CAP) -> CountTable:
     return _count_table_cached(g)
 
 
-def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """All weakly connected dominating sets of cardinality i, as sorted
-    tuples in lexicographic order. Empty outside 1..order."""
-    check_cap(g.order, cap)
-    if i < 1 or i > g.order:
-        return []
-    sets = _of_size(g, _weak_ok, i)
+def sweep_stack(graphs: Iterable[Graph], pred: Callable = _weak_ok, cap: int = DEFAULT_CAP) -> dict[Graph, np.ndarray]:
+    """The non-empty subsets passing ``pred`` (:func:`_weak_ok` or
+    :func:`_dom_ok`), ascending, of each distinct graph, swept in stacks of
+    one order. With :func:`_weak_ok` each graph's count table enters the
+    cache of :func:`count_table` as well. An order above ``cap`` raises
+    :class:`CapacityError`, naming the largest, before any sweep."""
+    by_order: dict[int, list[Graph]] = {}
+    for g in dict.fromkeys(graphs):
+        by_order.setdefault(g.order, []).append(g)
+    if by_order:
+        check_cap(max(by_order), cap)
+    out = {}
+    for n, group in sorted(by_order.items()):
+        for g, hits in zip(group, _stack_hits([g.neighbor_masks() for g in group], pred)):
+            out[g] = hits
+            if pred is _weak_ok:
+                # S = V keeps every edge, so it is a hit exactly when g is connected
+                connected = hits.size > 0 and int(hits[-1]) == (1 << n) - 1
+                _arriving[g] = CountTable(n, tuple(_tally(n, [hits])[1:]), connected)
+                _count_table_cached(g)
+                _arriving.pop(g, None)  # left over when g was cached already
+    return out
+
+
+def _as_tuples(sets: np.ndarray, i: int) -> list[tuple[int, ...]]:
+    """Masks of cardinality i as sorted tuples of vertex labels, in
+    lexicographic order. Empties ``sets``; callers pass a fresh array."""
     labels = np.empty((len(sets), i), dtype=np.uint8)
     for j in range(i):  # peel off the lowest member, ascending
         low = sets & -sets
         labels[:, j] = np.bitwise_count(low - 1) + 1
         sets ^= low
     return sorted(map(tuple, labels.tolist()))
+
+
+def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """All weakly connected dominating sets of cardinality i, as sorted
+    tuples in lexicographic order. Empty outside 1..order."""
+    check_cap(g.order, cap)
+    if i < 1 or i > g.order:
+        return []
+    hits = _hits(g, _weak_ok)
+    return _as_tuples(hits[np.bitwise_count(hits) == i], i)
 
 
 def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
@@ -229,9 +299,11 @@ def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
 
 def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether some minimum-size weakly connected dominating set contains v."""
-    return bool(np.any(_of_size(g, _weak_ok, gamma_w(g, cap)) & (1 << (v - 1))))
+    gamma_w(g, cap)  # ValueError for a disconnected graph
+    return _in_a_minimum(_hits(g, _weak_ok), v)
 
 
 def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether some minimum-size ordinary dominating set contains v."""
-    return bool(np.any(_of_size(g, _dom_ok, gamma(g, cap)) & (1 << (v - 1))))
+    check_cap(g.order, cap)
+    return _in_a_minimum(_hits(g, _dom_ok), v)

@@ -21,7 +21,7 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -32,15 +32,16 @@ from .graph import Graph, RootedGraph, build_family, corona, join, make_graph, r
 from .oracle import (
     DEFAULT_CAP,
     CapacityError,
+    _as_tuples,
+    _dom_ok,
+    _in_a_minimum,
     _weak_ok,
     check_cap,
     count_table,
     dominating_counts,
-    enumerate_wcds,
     gamma,
     gamma_w,
-    has_minimum_dominating_containing,
-    has_minimum_wcds_containing,
+    sweep_stack,
 )
 
 DEFAULT_SEED = 1729
@@ -510,6 +511,25 @@ def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, Ro
                 yield f"{label} root={root} m={m}", RootedGraph(base, root, m), cards
 
 
+# extension instances per stacked sweep, so that the suites' memory follows
+# the window, not the random pool
+_WINDOW = 256
+
+
+def _extension_windows(random_count: int, seed: int, cap: int) -> Iterator[tuple[list[tuple], dict[Graph, np.ndarray]]]:
+    """``_extension_instances`` ``_WINDOW`` at a time, each instance with its
+    G(0), G(1) and G(m) appended, and the weakly connected dominating sets
+    of every graph in the window from one stacked sweep per order. Their
+    count tables enter the cache of ``count_table`` on the way."""
+    instances = _extension_instances(random_count, seed)
+    while window := list(islice(instances, _WINDOW)):
+        window = [
+            (key, rg, cards, tuple(realize_extension(RootedGraph(rg.base, rg.root, k)) for k in (0, 1, rg.extension_length)))
+            for key, rg, cards in window
+        ]
+        yield window, sweep_stack(chain.from_iterable(graphs for *_, graphs in window), cap=cap)
+
+
 # --- formula suites ---------------------------------------------------------
 
 
@@ -619,71 +639,75 @@ def _suite_gamma_path_cycle(max_n: int, cap: int, **_) -> list[CheckRecord]:
 
 def _suite_extension_recurrence(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
-    for key, rg, cards in _extension_instances(random_count, seed):
-        row = formulas.count_extension_table(rg, cap)[-1]
-        actual = count_table(realize_extension(rg), cap)
-        mism = [
-            f"i={i}: recurrence {row.count(i)}, exhaustive {actual.count(i)}"
-            for i in cards
-            if row.count(i) != actual.count(i)
-        ]
-        claimed, exhaustive = str(row.counts), str(actual.counts)
-        records.append(CheckRecord(key, "two-step recurrence", claimed, exhaustive, not mism, "; ".join(mism)))
+    for window, _ in _extension_windows(random_count, seed, cap):
+        for key, rg, cards, (_, _, gm) in window:
+            row = formulas.count_extension_table(rg, cap)[-1]
+            actual = count_table(gm, cap)
+            mism = [
+                f"i={i}: recurrence {row.count(i)}, exhaustive {actual.count(i)}"
+                for i in cards
+                if row.count(i) != actual.count(i)
+            ]
+            claimed, exhaustive = str(row.counts), str(actual.counts)
+            records.append(CheckRecord(key, "two-step recurrence", claimed, exhaustive, not mism, "; ".join(mism)))
     return records
 
 
 def _suite_extension_constructive(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
-    for key, rg, cards in _extension_instances(random_count, seed):
-        realized = realize_extension(rg)
-        built_total = 0
-        truth_total = 0
-        mism = []
-        for i in cards:
-            truth = enumerate_wcds(realized, i, cap)
-            truth_total += len(truth)
-            try:
-                built = formulas.build_extension_wcds(rg, i, cap)
-            except formulas.RecurrenceAssumptionError as exc:
-                mism.append(f"i={i}: construction refused ({exc})")
-                continue
-            built_total += len(built)
-            if built != truth:
-                if len(built) == len(truth):
-                    extra = next(iter(set(built) - set(truth)), None)
-                    mism.append(
-                        f"i={i}: same count but different sets, "
-                        f"e.g. construction includes {extra}"
-                    )
-                else:
-                    mism.append(
-                        f"i={i}: construction yields {len(built)} sets, "
-                        f"exhaustive {len(truth)}"
-                    )
-        detail = "; ".join(mism)
-        records.append(CheckRecord(key, "pendant-path construction", built_total, truth_total, not mism, detail))
+    for window, hits in _extension_windows(random_count, seed, cap):
+        for key, rg, cards, (g0, g1, gm) in window:
+            families = formulas._pendant_families(rg, hits[g0], hits[g1])
+            sizes = np.bitwise_count(hits[gm])
+            built_total = 0
+            truth_total = 0
+            mism = []
+            for i in cards:
+                truth = hits[gm][sizes == i]
+                truth_total += truth.size
+                built = families[i]
+                if isinstance(built, formulas.RecurrenceAssumptionError):
+                    mism.append(f"i={i}: construction refused ({built})")
+                    continue
+                built_total += built.size
+                if not np.array_equal(built, truth):
+                    if built.size == truth.size:
+                        extra = next(iter(_as_tuples(np.setdiff1d(built, truth), i)), None)
+                        mism.append(
+                            f"i={i}: same count but different sets, "
+                            f"e.g. construction includes {extra}"
+                        )
+                    else:
+                        mism.append(
+                            f"i={i}: construction yields {built.size} sets, "
+                            f"exhaustive {truth.size}"
+                        )
+            detail = "; ".join(mism)
+            records.append(CheckRecord(key, "pendant-path construction", built_total, truth_total, not mism, detail))
     return records
 
 
 def _suite_extension_gamma(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
-    for key, rg, _cards in _extension_instances(random_count, seed):
-        gw_base = gamma_w(rg.base, cap)
-        flag_w = has_minimum_wcds_containing(rg.base, rg.root, cap)
-        flag_d = has_minimum_dominating_containing(rg.base, rg.root, cap)
-        predicted_w = formulas.gamma_w_extension(gw_base, flag_w, rg.extension_length)
-        predicted_d = formulas.gamma_w_extension(gw_base, flag_d, rg.extension_length)
-        records.append(
-            _check(
-                key,
-                "pendant shift formula",
-                predicted_w,
-                gamma_w(realize_extension(rg), cap),
-                f"root in a minimum weakly connected dominating set: "
-                f"{flag_w} (predicts {predicted_w}); root in a minimum "
-                f"dominating set: {flag_d} (predicts {predicted_d})",
+    for window, hits in _extension_windows(random_count, seed, cap):
+        dominating = sweep_stack((g0 for *_, (g0, _, _) in window), _dom_ok, cap)
+        for key, rg, _cards, (g0, _, gm) in window:
+            gw_base = gamma_w(g0, cap)
+            flag_w = _in_a_minimum(hits[g0], rg.root)
+            flag_d = _in_a_minimum(dominating[g0], rg.root)
+            predicted_w = formulas.gamma_w_extension(gw_base, flag_w, rg.extension_length)
+            predicted_d = formulas.gamma_w_extension(gw_base, flag_d, rg.extension_length)
+            records.append(
+                _check(
+                    key,
+                    "pendant shift formula",
+                    predicted_w,
+                    gamma_w(gm, cap),
+                    f"root in a minimum weakly connected dominating set: "
+                    f"{flag_w} (predicts {predicted_w}); root in a minimum "
+                    f"dominating set: {flag_d} (predicts {predicted_d})",
+                )
             )
-        )
     return records
 
 

@@ -168,6 +168,15 @@ def test_usage_errors_exit_with_two(capsys):
     ):
         assert run([*argv, "--cap", "31"]) == 2
         assert capsys.readouterr() == ("", "error: cap 31 exceeds the hard limit 30\n")
+    # and so does the floor: a cap below 1 is a usage error, not an order above the cap
+    for argv, cap in (
+        (["gamma", "--family", "path", "--n", "5"], "-1"),
+        (["gamma", "--family", "path", "--n", "5"], "0"),
+        (["verify", "--suite", "structural", "--max-n", "3"], "0"),
+        (["count", "--family", "path", "--n", "5", "--method", "formula"], "0"),
+    ):
+        assert run([*argv, "--cap", cap]) == 2
+        assert capsys.readouterr() == ("", f"error: cap {cap} must be at least 1\n")
 
 
 def test_wheel_table_starts_at_four(capsys):

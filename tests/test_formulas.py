@@ -1,11 +1,14 @@
 import random
+from functools import cache
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from wcds import (
+    RecurrenceAssumptionError,
     RootedGraph,
     boxes_brute,
     boxes_count,
@@ -29,7 +32,9 @@ from wcds import (
     gamma_w_path,
     join,
     make_graph,
+    realize_extension,
 )
+from wcds import formulas, oracle
 from wcds.verify import REFERENCE_PATH_TABLE
 
 
@@ -233,6 +238,57 @@ def test_built_family_from_a_single_vertex_base():
     assert build_extension_wcds(rg, 2) == [(1, 2), (1, 3), (2, 3)]
     # only one branch of the recurrence exists at the top cardinality
     assert build_extension_wcds(rg, 3) == [(1, 2, 3)]
+
+
+def _depth_first_families(rg, hits0, hits1):
+    """The construction as a depth-first recursion on sets of masks, one
+    cardinality at a time: G(m)'s family of size i, or the message of the
+    RecurrenceAssumptionError the recursion meets first."""
+    n0 = rg.base.order
+
+    @cache
+    def fam(k, j):
+        if j < 0 or j > n0 + k:
+            return frozenset()
+        if j == 0:
+            return frozenset({0} if n0 + k == 1 else ())
+        if k <= 1:
+            return frozenset(int(h) for h in (hits0, hits1)[k] if bin(int(h)).count("1") == j)
+        f1, f2 = fam(k - 1, j - 1), fam(k - 2, j - 1)
+        if f1 and not f2 and j - 1 <= n0 + k - 2:
+            raise RecurrenceAssumptionError(f"at prefix {k}, cardinality {j}")
+        return frozenset({s | 1 << (n0 + k - 1) for s in f1} | {s | 1 << (n0 + k - 2) for s in f2})
+
+    def outcome(i):
+        try:
+            return sorted(fam(rg.extension_length, i))
+        except RecurrenceAssumptionError as exc:
+            return str(exc)
+
+    return [outcome(i) for i in range(n0 + rg.extension_length + 1)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pendant_families_match_a_depth_first_recursion(seed):
+    # dropping random sets of G(0) and G(1) plants refusals at several steps
+    # at once, so the first one a depth-first recursion meets must be kept
+    rng = random.Random(seed)
+    bases = [build_family("complete", 1), build_family("path", 3), build_family("star", 3), build_family("wheel", 5)]
+    refused = 0
+    for base in bases:
+        for root in base.vertices():
+            hits = oracle.sweep_stack(realize_extension(RootedGraph(base, root, k)) for k in (0, 1))
+            for m in range(2, 7):
+                rg = RootedGraph(base, root, m)
+                keep = rng.random()
+                hits0, hits1 = (h[np.array([rng.random() < keep for _ in h], dtype=bool)] for h in hits.values())
+                built = [
+                    str(f).split(":")[0] if isinstance(f, RecurrenceAssumptionError) else f.tolist()
+                    for f in formulas._pendant_families(rg, hits0, hits1)
+                ]
+                assert built == _depth_first_families(rg, hits0, hits1), rg
+                refused += sum(isinstance(f, str) for f in built)
+    assert refused > 0
 
 
 def test_boxes_small_cases():

@@ -1,7 +1,9 @@
+import random
 import re
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from wcds import (
     gamma_w,
     has_minimum_dominating_containing,
     has_minimum_wcds_containing,
+    is_connected,
     is_dominating,
     is_wcds,
     make_graph,
@@ -190,3 +193,56 @@ def test_top_cardinalities_on_cycles(n):
     t = count_table(build_family("cycle", n))
     assert t.count(n) == 1
     assert t.count(n - 1) == n if n >= 3 else t.count(n - 1) == 2
+
+
+def _assert_stack_matches_lone_sweeps(graphs, pred):
+    # the stacked hits against an uncached lone sweep of each graph; with
+    # _weak_ok the row the stack left in the emptied cache against a lone count
+    oracle._count_table_cached.cache_clear()
+    hits = oracle.sweep_stack(graphs, pred)
+    assert set(hits) == set(graphs)
+    for g in graphs:
+        assert np.array_equal(hits[g], oracle._hits.__wrapped__(g, pred)), g
+        if pred is oracle._weak_ok:
+            assert count_table(g) == oracle._count_table_cached.__wrapped__(g), g
+        else:
+            assert tuple(oracle._tally(g.order, [hits[g]])[1:]) == dominating_counts(g), g
+
+
+def _labelled_graphs(n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    return [make_graph(n, [p for b, p in enumerate(pairs) if edges >> b & 1]) for edges in range(1 << len(pairs))]
+
+
+@pytest.mark.parametrize("pred", [oracle._weak_ok, oracle._dom_ok], ids=["weak", "dom"])
+def test_stacked_sweep_matches_on_every_labelled_graph_to_order_five(pred):
+    _assert_stack_matches_lone_sweeps([g for n in range(1, 6) for g in _labelled_graphs(n)], pred)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_graphs(), min_size=1, max_size=12), st.sampled_from([oracle._weak_ok, oracle._dom_ok]))
+def test_stacked_sweep_matches_on_mixed_orders(graphs, pred):
+    _assert_stack_matches_lone_sweeps(graphs, pred)
+
+
+@pytest.mark.parametrize("pred", [oracle._weak_ok, oracle._dom_ok], ids=["weak", "dom"])
+def test_stacked_sweep_splits_an_order_across_kernel_calls(pred):
+    # 2**(16 - 10) = 64 graphs of order 10 fill one call, so 150 take three
+    rng = random.Random(10)
+    pairs = list(combinations(range(1, 11), 2))
+    graphs = [make_graph(10, [p for p in pairs if rng.random() < 0.3]) for _ in range(150)]
+    assert len(set(graphs)) > 2 * 64 and not all(map(is_connected, graphs))
+    _assert_stack_matches_lone_sweeps(graphs, pred)
+
+
+def test_stacked_rows_are_count_table_cache_hits(sweep_calls):
+    graphs = [build_family("path", 6), build_family("wheel", 7), make_graph(4, [(1, 2), (3, 4)])]
+    oracle.sweep_stack(graphs)
+    assert [count_table(g).counts for g in graphs] == [(0, 0, 4, 10, 6, 1), (1, 9, 29, 35, 21, 7, 1), (0, 0, 0, 0)]
+    assert not count_table(graphs[2]).connected
+    assert sweep_calls == []
+
+
+def test_stacked_sweep_refuses_the_largest_order_above_the_cap_first():
+    with pytest.raises(CapacityError, match=r"order 7 exceeds the subset-sweep cap 5"):
+        oracle.sweep_stack([build_family("path", 6), build_family("path", 7), build_family("path", 3)], cap=5)

@@ -12,8 +12,10 @@ from wcds import (
     DEFAULT_SEED,
     CapacityError,
     CheckRecord,
+    RootedGraph,
     UnsupportedMethodError,
     build_family,
+    count_table,
     cross_check,
     gamma_w,
     is_connected,
@@ -25,7 +27,7 @@ from wcds import (
     verify_path_table,
     verify_cycle_table,
 )
-from wcds import verify
+from wcds import formulas, verify
 from wcds.cli import run
 
 
@@ -210,6 +212,107 @@ def test_random_pools_are_drawn_lazily():
     assert joins[-1][0] == "random25"
     assert first_random_base == "random1 root=1 m=2"
     assert peak < 2 * 2**20
+
+
+def test_extension_suites_sweep_a_window_before_drawing_more(monkeypatch):
+    drawn = []
+    real = verify._extension_instances
+
+    def spy(random_count, seed):
+        for instance in real(random_count, seed):
+            drawn.append(instance)
+            yield instance
+
+    class FirstSweep(Exception):
+        pass
+
+    def first_sweep(*args, **kwargs):
+        raise FirstSweep(len(drawn))
+
+    monkeypatch.setattr(verify, "_extension_instances", spy)
+    monkeypatch.setattr(verify, "sweep_stack", first_sweep)
+    for suite in ("extension_recurrence", "extension_constructive", "extension_gamma"):
+        drawn.clear()
+        with pytest.raises(FirstSweep) as first:
+            verify_formula_suite(suite, random_count=10**4)
+        assert 0 < first.value.args[0] <= verify._WINDOW
+
+
+# G(m) of the 3-path rooted at an end is a path; its 3-sets at m = 2, with
+# the path 3-2-1-4-5, are these six
+_P3_END = RootedGraph(build_family("path", 3), 1, 2)
+_P5_TRIPLES = [(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 4, 5)]
+
+
+def _masks(sets):
+    return np.array(sorted(sum(1 << (v - 1) for v in s) for s in sets), dtype=np.uint32)
+
+
+def _constructive_records(monkeypatch, plant):
+    """The constructive suite's records for the 3-path rooted at vertex 1,
+    with ``plant(rg, hits0, hits1, real)`` in place of the construction
+    ``real`` there."""
+    real = formulas._pendant_families
+
+    def planted(rg, hits0, hits1):
+        return plant(rg, hits0, hits1, real) if rg.base == _P3_END.base and rg.root == 1 else real(rg, hits0, hits1)
+
+    monkeypatch.setattr(formulas, "_pendant_families", planted)
+    records = verify._suite_extension_constructive(random_count=0, seed=DEFAULT_SEED, cap=DEFAULT_CAP)
+    return {r.key: r for r in records if r.key.startswith("P3 root=1 ")}
+
+
+def test_constructive_suite_details_a_dropped_and_a_swapped_set(monkeypatch):
+    assert formulas.build_extension_wcds(_P3_END, 3) == _P5_TRIPLES
+
+    def dropped(rg, hits0, hits1, real):
+        families = real(rg, hits0, hits1)
+        if rg == _P3_END:
+            families[3] = _masks(_P5_TRIPLES[1:])
+        return families
+
+    records = _constructive_records(monkeypatch, dropped)
+    bad = records.pop("P3 root=1 m=2")
+    assert (bad.passed, bad.claimed_value, bad.oracle_value) == (False, 12, 13)
+    assert bad.detail == "i=3: construction yields 5 sets, exhaustive 6"
+    assert all(r.passed for r in records.values())
+
+    def swapped(rg, hits0, hits1, real):
+        families = real(rg, hits0, hits1)
+        if rg == _P3_END:
+            # (1, 4, 5) is the smaller tuple, (2, 3, 5) the smaller mask
+            families[3] = _masks(_P5_TRIPLES[:4] + [(1, 4, 5), (2, 3, 5)])
+        return families
+
+    bad = _constructive_records(monkeypatch, swapped)["P3 root=1 m=2"]
+    assert (bad.passed, bad.claimed_value, bad.oracle_value) == (False, 13, 13)
+    assert bad.detail == "i=3: same count but different sets, e.g. construction includes (1, 4, 5)"
+
+
+def test_constructive_suite_refuses_every_cardinality_that_reaches_a_failed_step(monkeypatch):
+    # without the 2-sets of G(0) = P3, step (k, j) = (2, 3) lifts the three
+    # 2-sets of G(1) but finds no shorter-prefix family inside the size bound
+    def without_pairs(rg, hits0, hits1, real):
+        return real(rg, hits0[np.bitwise_count(hits0) != 2], hits1)
+
+    records = _constructive_records(monkeypatch, without_pairs)
+    reason = (
+        "construction refused (at prefix 2, cardinality 3: the longer-prefix family is non-empty "
+        "while the shorter one is empty within size bounds; the case analysis assumes this cannot happen)"
+    )
+
+    def reaches(k, j):  # the recursion from (k, j) meets (2, 3)
+        if k < 2 or not 1 <= j <= 3 + k:
+            return False
+        return (k, j) == (2, 3) or reaches(k - 1, j - 1) or reaches(k - 2, j - 1)
+
+    for m in range(2, 7):
+        r = records[f"P3 root=1 m={m}"]
+        refused = [i for i in range(1, 4 + m) if reaches(m, i)]
+        assert refused and not r.passed
+        assert r.detail == "; ".join(f"i={i}: {reason}" for i in refused)
+        row = count_table(build_family("path", 3 + m)).counts  # G(m) is a path
+        assert (r.claimed_value, r.oracle_value) == (sum(row) - sum(row[i - 1] for i in refused), sum(row))
 
 
 def test_boxes_suite_reports_the_lone_clash():
