@@ -7,7 +7,12 @@ one kernel, :func:`_weak_ok` or its dominating-set twin :func:`_dom_ok`,
 tests a whole chunk at once with in-place numpy passes over the vertices.
 Counting queries tally each chunk's hits by popcount as Python ints, so
 counts are independent of the partitioning and cannot overflow. Listing and
-minimum queries filter one cached array of a graph's hit masks.
+membership queries filter one cached array of a graph's hit masks.
+
+Minimum queries sweep cardinality layers instead: :func:`_layer` makes the
+masks of one popcount, and :func:`_least_layer` tests layer after layer,
+upward from a degree bound below which no subset can pass, and stops at the
+first layer with a hit. gamma_w of K_n tests n masks, not 2**n.
 
 A query on one graph sweeps that graph alone. :func:`sweep_stack` sweeps
 many small graphs at once instead: graphs of one order n form a stack, each
@@ -146,6 +151,64 @@ def _sweep(adj: list[int], pred: Callable, chunk_bits: int = _CHUNK_BITS) -> Ite
         yield masks[pred(adj, masks)]
 
 
+@lru_cache(maxsize=_CHUNK_BITS + 1)
+def _by_popcount(bits: int) -> tuple[np.ndarray, ...]:
+    """The masks below 2**bits grouped by popcount, each group ascending and
+    read-only. Built on first use, so importing builds nothing."""
+    masks = np.arange(1 << bits, dtype=np.uint32)
+    sizes = np.bitwise_count(masks)
+    groups = tuple(masks[sizes == j] for j in range(bits + 1))
+    for group in groups:
+        group.flags.writeable = False
+    return groups
+
+
+def _layer(n: int, k: int) -> Iterator[np.ndarray]:
+    """The n-bit masks of popcount k, each once, in chunks of about
+    2**_CHUNK_BITS (in no particular order). A mask is a high part of
+    popcount k - j above a low part of popcount j in the low _CHUNK_BITS
+    bits; each chunk crosses a batch of high parts with every low part."""
+    low_bits = min(n, _CHUNK_BITS)
+    lows, highs = _by_popcount(low_bits), _by_popcount(n - low_bits)
+    for j in range(max(0, k - (n - low_bits)), min(k, low_bits) + 1):
+        low, high = lows[j], highs[k - j][:, None]
+        batch = max(1, (1 << _CHUNK_BITS) // low.size)
+        for lo in range(0, len(high), batch):
+            yield ((high[lo : lo + batch] << low_bits) | low).ravel()
+
+
+def _layer_floor(adj: list[int], need: int, reach: int) -> int:
+    """The least k >= 1 whose k largest values of degree + ``reach`` sum to
+    at least ``need``: when each member of S accounts for at most its
+    degree + ``reach`` of ``need`` things, no smaller S accounts for all."""
+    room = sorted((nbrs.bit_count() + reach for nbrs in adj), reverse=True)
+    k = 1
+    while k < len(adj) and sum(room[:k]) < need:
+        k += 1
+    return k
+
+
+def _least_layer(adj: list[int], pred: Callable, need: int, reach: int) -> int:
+    """The least k such that some k-subset passes ``pred``, found by testing
+    the layers of :func:`_layer` upward from :func:`_layer_floor`. The
+    callers' graphs always pass with S = V, so some layer up to n hits.
+
+    The two floors are one-line lemmas:
+
+    - gamma_w: ``need`` n - 1, ``reach`` 0. The weakly induced subgraph of
+      a hit S is connected and spans all n vertices, so it has at least
+      n - 1 edges; every kept edge meets S, so the degrees over S sum to at
+      least n - 1.
+    - gamma: ``need`` n, ``reach`` 1. The closed neighbourhood of v covers
+      at most deg v + 1 vertices, and S must cover all n.
+    """
+    n = len(adj)
+    for k in range(_layer_floor(adj, need, reach), n + 1):
+        if any(pred(adj, masks).any() for masks in _layer(n, k)):
+            return k
+    raise ValueError("no subset passes")
+
+
 def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:
     """The non-empty subsets passing ``pred``, ascending, of each graph of one
     order n, given by its neighbour masks. A kernel call takes at most
@@ -201,8 +264,9 @@ def _in_a_minimum(sets: np.ndarray, v: int) -> bool:
 _arriving: dict[Graph, CountTable] = {}
 
 
-# far above the 1138 distinct graphs that all fifteen verify suites sweep
-# together at their default sizes, so no run loses a hit to eviction
+# far above the 592 distinct graphs that all fifteen verify suites, run in
+# one process at their default sizes and seed, put in it (an extension suite
+# alone puts 464), so no run loses a hit to eviction
 @lru_cache(maxsize=4096)
 def _count_table_cached(g: Graph) -> CountTable:
     if g in _arriving:
@@ -269,21 +333,27 @@ def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, 
     return _as_tuples(hits[np.bitwise_count(hits) == i], i)
 
 
+def _check_connected(g: Graph, cap: int) -> None:
+    """The cap check, then ValueError when g is disconnected, where no set
+    weakly connects it."""
+    check_cap(g.order, cap)
+    if not is_connected(g):
+        raise ValueError("gamma_w undefined: graph is disconnected")
+
+
 def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Minimum size of a weakly connected dominating set.
 
     Undefined (ValueError) for disconnected graphs.
     """
-    k = count_table(g, cap).min_size()
-    if k is None:
-        raise ValueError("gamma_w undefined: graph is disconnected")
-    return k
+    _check_connected(g, cap)
+    return _least_layer(g.neighbor_masks(), _weak_ok, g.order - 1, 0)
 
 
 def gamma(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Minimum size of an ordinary dominating set."""
     check_cap(g.order, cap)
-    return int(np.bitwise_count(_hits(g, _dom_ok)).min())
+    return _least_layer(g.neighbor_masks(), _dom_ok, g.order, 1)
 
 
 def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
@@ -299,7 +369,7 @@ def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
 
 def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether some minimum-size weakly connected dominating set contains v."""
-    gamma_w(g, cap)  # ValueError for a disconnected graph
+    _check_connected(g, cap)
     return _in_a_minimum(_hits(g, _weak_ok), v)
 
 

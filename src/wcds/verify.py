@@ -692,7 +692,9 @@ def _suite_extension_gamma(random_count: int, seed: int, cap: int, **_) -> list[
     for window, hits in _extension_windows(random_count, seed, cap):
         dominating = sweep_stack((g0 for *_, (g0, _, _) in window), _dom_ok, cap)
         for key, rg, _cards, (g0, _, gm) in window:
-            gw_base = gamma_w(g0, cap)
+            # the window's hits hold every weakly connected dominating set of
+            # G(0) and G(m), so gamma_w is their least popcount
+            gw_base, gw_m = (int(np.bitwise_count(hits[g]).min()) for g in (g0, gm))
             flag_w = _in_a_minimum(hits[g0], rg.root)
             flag_d = _in_a_minimum(dominating[g0], rg.root)
             predicted_w = formulas.gamma_w_extension(gw_base, flag_w, rg.extension_length)
@@ -702,7 +704,7 @@ def _suite_extension_gamma(random_count: int, seed: int, cap: int, **_) -> list[
                     key,
                     "pendant shift formula",
                     predicted_w,
-                    gamma_w(gm, cap),
+                    gw_m,
                     f"root in a minimum weakly connected dominating set: "
                     f"{flag_w} (predicts {predicted_w}); root in a minimum "
                     f"dominating set: {flag_d} (predicts {predicted_d})",

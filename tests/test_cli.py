@@ -62,6 +62,12 @@ def test_gamma_with_both_numbers(capsys):
     assert capsys.readouterr().out == "gamma_w 1\ngamma 1\n"
 
 
+def test_gamma_of_the_order_thirty_complete_graph_sweeps_one_layer(capsys):
+    # 2**30 subsets under the hard cap; the layered minimum stops at size 1
+    assert run(["gamma", "--family", "complete", "--n", "30", "--cap", "30", "--with-gamma"]) == 0
+    assert capsys.readouterr().out == "gamma_w 1\ngamma 1\n"
+
+
 def test_gamma_disconnected_input_fails_with_usage_status(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n3 4\n"))
     assert run(["gamma", "--input", "-"]) == 2

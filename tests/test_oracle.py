@@ -1,6 +1,7 @@
 import random
 import re
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -246,3 +247,42 @@ def test_stacked_rows_are_count_table_cache_hits(sweep_calls):
 def test_stacked_sweep_refuses_the_largest_order_above_the_cap_first():
     with pytest.raises(CapacityError, match=r"order 7 exceeds the subset-sweep cap 5"):
         oracle.sweep_stack([build_family("path", 6), build_family("path", 7), build_family("path", 3)], cap=5)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_layer_yields_every_k_subset_once(n):
+    # from order 17 up a mask is a high part above the low 16 bits
+    everything = np.arange(1 << n, dtype=np.uint32)
+    sizes = np.bitwise_count(everything)
+    for k in range(n + 1):
+        masks = np.concatenate([*oracle._layer(n, k), np.empty(0, np.uint32)])
+        assert np.array_equal(np.sort(masks), everything[sizes == k]), k
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 28, 29, 30])
+def test_layer_at_order_thirty(k):
+    masks = np.concatenate(list(oracle._layer(30, k)))
+    assert masks.size == np.unique(masks).size == comb(30, k)
+    assert np.all(np.bitwise_count(masks) == k) and int(masks.max()) < 1 << 30
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_layer_floors_never_pass_the_exhaustive_minimum(n):
+    # the two lemmas of _least_layer, on every labelled graph of order n
+    graphs = _labelled_graphs(n)
+    adjs = [g.neighbor_masks() for g in graphs]
+    weak = oracle._stack_hits(adjs, oracle._weak_ok)
+    dom = oracle._stack_hits(adjs, oracle._dom_ok)
+    for adj, w, d in zip(adjs, weak, dom):
+        assert oracle._layer_floor(adj, n, 1) <= np.bitwise_count(d).min(), adj
+        if w.size:  # connected
+            assert oracle._layer_floor(adj, n - 1, 0) <= np.bitwise_count(w).min(), adj
+
+
+@pytest.mark.parametrize("query, kernel", [(gamma_w, "_weak_ok"), (gamma, "_dom_ok")])
+def test_minimum_of_k30_tests_at_most_30_masks(query, kernel, monkeypatch):
+    seen = []
+    real = getattr(oracle, kernel)
+    monkeypatch.setattr(oracle, kernel, lambda adj, masks: seen.append(masks.size) or real(adj, masks))
+    assert query(build_family("complete", 30), cap=30) == 1
+    assert 0 < sum(seen) <= 30
