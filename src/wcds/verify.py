@@ -19,7 +19,7 @@ import json
 import random
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice
 from typing import NamedTuple
@@ -35,7 +35,6 @@ from .oracle import (
     _as_tuples,
     _dom_ok,
     _in_a_minimum,
-    _weak_ok,
     check_cap,
     count_table,
     dominating_counts,
@@ -127,7 +126,7 @@ class VerificationReport:
             "passes": self.passes,
             "failures": self.failures,
             "skipped": self.skipped,
-            "records": [asdict(r) for r in self.records],
+            "records": [vars(r) for r in self.records],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -227,11 +226,9 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
 # A labelled graph of order k is its edge mask G: bit b is the b-th pair of
 # combinations(range(k), 2). A vertex subset S is a mask as well (bit v is
 # vertex v). The flags of one subset over every graph are a packed bit plane:
-# bit G & 7 of byte G >> 3 of plane S says whether S is weakly connected
-# dominating in G.
+# bit G & 7 of byte G >> 3 of plane S, which is bit G & 63 of its 64-bit word
+# G >> 6, says whether S is weakly connected dominating in G.
 
-# graphs per step of the connectivity build; its working arrays stay in cache
-_DENSE_CHUNK = 1 << 16
 # 64-bit plane words per step of the structural checks; larger steps raise
 # the peak of a run by several MB
 _PLANE_CHUNK = 1 << 10
@@ -241,24 +238,23 @@ _DENSE_MAX_ORDER = 7
 @dataclass(frozen=True)
 class _DenseTables:
     """Arrays over every labelled graph of one order, indexed by edge mask:
-    connectivity, the bit plane of each vertex subset, and the minimum
-    cardinality of a weakly connected dominating set (0 on a disconnected
-    graph)."""
+    connectivity and the bit plane of each vertex subset. A disconnected
+    graph has no flag in any plane, and the least size of a subset with a
+    flag in a connected graph is its gamma_w."""
 
     order: int
     pairs: tuple[tuple[int, int], ...]
     conn: np.ndarray
     planes: np.ndarray  # uint8 (2**order, bytes): planes[S] is S's plane, plane 0 is empty
-    gw: np.ndarray
 
 
 def _check_dense_order(max_order: int) -> None:
     """Refuse all-graphs tables above ``_DENSE_MAX_ORDER`` before allocating any."""
     if max_order > _DENSE_MAX_ORDER:
         graphs = 1 << (max_order * (max_order - 1) // 2)
-        # what a cached _DenseTables keeps per labelled graph: conn and gw
-        # (1 byte each) and one bit in each of the 2**order planes
-        size = graphs * (2 + (1 << max_order) // 8)
+        # what a cached _DenseTables keeps per labelled graph: conn (1 byte)
+        # and one bit in each of the 2**order planes
+        size = graphs * (1 + (1 << max_order) // 8)
         raise CapacityError(
             f"order {max_order} needs all-graphs tables over {graphs} labelled graphs, "
             f"at least {size} bytes ({size / 2**30:.1f} GiB); the limit is order {_DENSE_MAX_ORDER}"
@@ -269,28 +265,38 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def _bits_without(b: int, width: int) -> int:
-    """The graphs without pair b in a run of ``width`` graphs that starts at
-    a multiple of ``width`` > 2**b, as a mask: bits i with bit b of i clear."""
-    return sum(1 << i for i in range(width) if not i >> b & 1)
+# _WITHOUT[b], b < 6: the graphs without pair b in a 64-bit plane word, as
+# a mask: bits i with bit b of i clear
+_WITHOUT = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(6))
 
 
-def _project(plane: np.ndarray, b: int) -> None:
+def _project(words: np.ndarray, b: int) -> None:
     """Give, in place, every graph with pair b the flag of the same graph
-    without it."""
-    if b >= 3:  # [:, 1] are the bytes of the graphs with pair b, [:, 0] those without
-        blocks = plane.reshape(-1, 2, 1 << (b - 3))
+    without it, in one plane's 64-bit words."""
+    if b >= 6:  # [:, 1] are the words of the graphs with pair b, [:, 0] those without
+        blocks = words.reshape(-1, 2, 1 << (b - 6))
         blocks[:, 1] = blocks[:, 0]
     else:
-        without = plane & _bits_without(b, 8)
-        np.left_shift(without, 1 << b, out=plane)
-        plane |= without
+        without = words & _WITHOUT[b]
+        np.left_shift(without, np.uint64(1 << b), out=words)
+        words |= without
+
+
+def _halves(words: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flags in one plane's 64-bit words of the graphs without pair b
+    and of the same graphs with it, aligned: for b < 6 at the bits of the
+    graphs without it, the other bits 0; for b >= 6 as the two halves of
+    each block of words."""
+    if b >= 6:
+        blocks = words.reshape(-1, 2, 1 << (b - 6))
+        return blocks[:, 0], blocks[:, 1]
+    return words & _WITHOUT[b], words >> np.uint64(1 << b) & _WITHOUT[b]
 
 
 def _free_words(b: int, words: np.ndarray) -> np.ndarray:
     """The graphs without pair b, as the 64-bit plane words at indices ``words``."""
     if b < 6:
-        return np.full(words.size, _bits_without(b, 64), dtype=np.uint64)
+        return np.full(words.size, _WITHOUT[b])
     return np.where(words >> (b - 6) & 1 == 1, np.uint64(0), ~np.uint64(0))
 
 
@@ -298,21 +304,21 @@ def _free_words(b: int, words: np.ndarray) -> np.ndarray:
 def _dense_tables(k: int) -> _DenseTables:
     pairs = tuple(combinations(range(k), 2))
     n_graphs = 1 << len(pairs)
-    step = min(_DENSE_CHUNK, n_graphs)
-    low = step.bit_length() - 1  # the pairs that vary within one step
-    nbr = np.zeros((k, step), dtype=np.uint8)  # nbr[v, G]: v's neighbours through the low pairs
-    for b, (u, v) in enumerate(pairs[:low]):  # [:, 1] are the graphs with pair b
-        nbr[u].reshape(-1, 2, 1 << b)[:, 1] |= np.uint8(1 << v)
-        nbr[v].reshape(-1, 2, 1 << b)[:, 1] |= np.uint8(1 << u)
-    conn = np.empty(n_graphs, dtype=bool)
-    everyone = np.full(step, (1 << k) - 1, dtype=np.uint8)  # S = V keeps every edge
-    for lo in range(0, n_graphs, step):
-        high = [0] * k  # neighbours through the pairs this step holds fixed
-        for b, (u, v) in enumerate(pairs[low:], start=low):
-            if lo >> b & 1:
-                high[u] |= 1 << v
-                high[v] |= 1 << u
-        conn[lo : lo + step] = _weak_ok([nbr[v] | high[v] for v in range(k)], everyone)
+    if k <= 2:  # the complete graph is the one connected graph
+        conn = np.arange(n_graphs) == n_graphs - 1
+    else:
+        # Vertex 0's pairs are the low k - 1 bits of G: its neighbours N,
+        # bit v - 1 for vertex v. The rest, G >> (k - 1), is a graph of
+        # order k - 1 on vertices 1..k-1 with its pairs in the same order.
+        # G is connected iff N is not empty and the rest, with N made a
+        # clique, is connected.
+        prev = _dense_tables(k - 1)
+        rest = np.arange(prev.conn.size)
+        by_n = np.zeros((1 << (k - 1), prev.conn.size), dtype=bool)  # by_n[N, rest]
+        for n in range(1, 1 << (k - 1)):
+            clique = sum(1 << b for b, (u, v) in enumerate(prev.pairs) if n >> u & n >> v & 1)
+            by_n[n] = prev.conn[rest | clique]
+        conn = by_n.T.reshape(-1)  # conn[rest << (k - 1) | N]
 
     # S is weakly connected dominating in G iff G minus the pairs inside
     # T = V - S is connected. With x the top vertex of T, that is the flag of
@@ -321,25 +327,18 @@ def _dense_tables(k: int) -> _DenseTables:
     everything = (1 << k) - 1
     packed = np.packbits(conn, bitorder="little")
     planes = np.zeros((1 << k, max(8, n_graphs >> 3)), dtype=np.uint8)  # at least one 64-bit word
+    words = planes.view("<u8")
     for s in range(everything, 0, -1):
         t = everything ^ s
         if t & (t - 1) == 0:  # no pair inside T
             planes[s, : packed.size] = packed
             continue
         x = t.bit_length() - 1
-        planes[s] = planes[s | 1 << x]
+        words[s] = words[s | 1 << x]
         for y in range(x):
             if t >> y & 1:
-                _project(planes[s], pairs.index((y, x)))
-
-    gw = np.zeros(n_graphs, dtype=np.int8)
-    sizes = np.bitwise_count(np.arange(1 << k))
-    for size in range(k, 0, -1):  # the smallest size with a flag is written last
-        hit = np.zeros(planes.shape[1], dtype=np.uint8)
-        for s in np.flatnonzero(sizes == size):
-            hit |= planes[s]
-        np.copyto(gw, size, where=np.unpackbits(hit, count=n_graphs, bitorder="little").view(bool))
-    return _DenseTables(k, pairs, conn, planes, gw)
+                _project(words[s], pairs.index((y, x)))
+    return _DenseTables(k, pairs, conn, planes)
 
 
 def _violations(t: _DenseTables) -> tuple[int, int]:
@@ -374,6 +373,38 @@ def _violations(t: _DenseTables) -> tuple[int, int]:
     return closure, domination
 
 
+def _deletion_counts(t: _DenseTables) -> tuple[int, int, int]:
+    """Single-edge deletions over the graphs of ``t``: G has pair b and
+    G - e is the same graph without it. Returns the deletions with G and
+    G - e connected where gamma_w(G - e) is neither gamma_w(G) nor
+    gamma_w(G) + 1, the deletions with both connected, and those with G
+    connected and G - e not."""
+    k = t.order
+    words = t.planes.view("<u8")
+    # within[g]: the graphs with gamma_w <= g, the OR of the planes of size
+    # <= g; within[k] is the connected graphs
+    within = np.zeros((k + 1, words.shape[1]), dtype=np.uint64)
+    for s in range(1, 1 << k):
+        within[s.bit_count()] |= words[s]
+    for g in range(1, k + 1):
+        within[g] |= within[g - 1]
+    bad = checked = skipped = 0
+    for b in range(len(t.pairs)):
+        # a deletion breaks the window where, at some g, G - e is within g
+        # and G is not, or G is within g and G - e is not within g + 1
+        broken = below = 0  # below: G within g - 1
+        for g in range(1, k + 1):
+            without, with_ = _halves(within[g], b)
+            broken |= below & ~without
+            broken |= without & ~with_
+            below = with_
+        valid = without & with_  # within[k]: G and G - e connected
+        bad += _popcount(broken & valid)
+        checked += _popcount(valid)
+        skipped += _popcount(with_ & ~without)
+    return bad, checked, skipped
+
+
 def _suite_structural(max_n: int, **_) -> list[CheckRecord]:
     """Two definitional consequences swept over every connected labeled graph
     up to order ``max_n``: supersets of a weakly connected dominating set
@@ -401,19 +432,7 @@ def _suite_edge_deletion(max_n: int, **_) -> tuple[list[CheckRecord], int]:
     records: list[CheckRecord] = []
     total_skipped = 0
     for k in range(2, max_n + 1):
-        eng = _dense_tables(k)
-        checked = 0
-        skipped = 0
-        bad = 0
-        for b in range(len(eng.pairs)):
-            # [:, 1] are the graphs with pair b, [:, 0] the same graphs without it
-            conn = eng.conn.reshape(-1, 2, 1 << b)
-            gw = eng.gw.reshape(-1, 2, 1 << b)
-            valid = conn[:, 1] & conn[:, 0]
-            ok = (gw[:, 0] - 1 <= gw[:, 1]) & (gw[:, 1] <= gw[:, 0])
-            bad += int(np.count_nonzero(valid & ~ok))
-            checked += int(np.count_nonzero(valid))
-            skipped += int(np.count_nonzero(conn[:, 1] & ~conn[:, 0]))
+        bad, checked, skipped = _deletion_counts(_dense_tables(k))
         total_skipped += skipped
         records.append(
             _check(

@@ -60,10 +60,10 @@ def test_all_graphs_suites_refuse_order_eight_before_building(monkeypatch, capsy
         return real(k)
 
     monkeypatch.setattr(verify, "_dense_tables", guarded)
-    # 2**28 graphs of 34 bytes: conn, gw and a bit in each of 256 planes
-    with pytest.raises(CapacityError, match=r"order 8 .* 9126805504 bytes"):
+    # 2**28 graphs of 33 bytes: conn and a bit in each of 256 planes
+    with pytest.raises(CapacityError, match=r"order 8 .* 8858370048 bytes"):
         verify_structural(8)
-    with pytest.raises(CapacityError, match=r"order 8 .* 9126805504 bytes"):
+    with pytest.raises(CapacityError, match=r"order 8 .* 8858370048 bytes"):
         verify_formula_suite("edge_deletion_bounds", max_n=8)
     for suite in ("structural", "edge_deletion_bounds"):
         assert run(["verify", "--suite", suite, "--max-n", "8"]) == 3
@@ -84,6 +84,12 @@ def _sample_graphs(k):
     return [0, n_graphs - 1, *random.Random(k).sample(range(1, n_graphs - 1), 300)]
 
 
+def test_connected_graph_counts_match_oeis_a001187():
+    # connected labelled graphs on k nodes (Harary & Palmer, Graphical Enumeration)
+    for k, connected in enumerate((1, 1, 4, 38, 728, 26704, 1866256), start=1):
+        assert int(verify._dense_tables(k).conn.sum()) == connected
+
+
 def test_dense_tables_match_the_scalar_predicates():
     for k in range(1, 8):
         t = verify._dense_tables(k)
@@ -93,10 +99,14 @@ def test_dense_tables_match_the_scalar_predicates():
             connected = is_connected(graph)
             assert t.conn[g] == connected
             assert not _flag(t, g, 0)
+            flagged = []
             for s in range(1, 1 << k):
                 members = [v + 1 for v in range(k) if s >> v & 1]
                 assert _flag(t, g, s) == is_wcds(graph, members), (k, g, s)
-            assert t.gw[g] == (gamma_w(graph) if connected else 0)
+                if _flag(t, g, s):
+                    flagged.append(len(members))
+            # the least flagged size is gamma_w; a disconnected graph has no flag
+            assert min(flagged, default=None) == (gamma_w(graph) if connected else None)
 
 
 def _scalar_violations(t, graphs):
@@ -150,8 +160,8 @@ def test_packed_checks_count_planted_violations():
 def test_packed_checks_count_violations_on_projected_planes():
     # the planes of {2, 3, 4} (outside it (0, 1), pair 0, and (5, 6), pair 20)
     # and of {1, 3, 4} (outside it (0, 2), pair 1, and (2, 5), pair 13) are
-    # projected along pairs below 3, inside each byte, and 3 or above, by
-    # whole byte blocks
+    # projected along pairs below 6, inside each 64-bit word, and 6 or above,
+    # by whole word blocks
     t = verify._dense_tables(7)
     assert verify._violations(t) == (0, 0)
     complete = _edge_mask(t, t.pairs)
@@ -168,12 +178,59 @@ def test_packed_checks_count_violations_on_projected_planes():
     assert counts[0] > 0 and counts[1] > 0
 
 
+def _scalar_deletion_counts(t):
+    """Per-pair recount of the deletion window from the least flagged size
+    of each graph (no flag: disconnected)."""
+    flags = np.unpackbits(t.planes, axis=1, count=t.conn.size, bitorder="little").astype(bool)
+    sizes = np.bitwise_count(np.arange(1 << t.order))[:, None]
+    least = np.where(flags, sizes, t.order + 1).min(axis=0).tolist()
+    bad = checked = skipped = 0
+    for b in range(len(t.pairs)):
+        for g in range(t.conn.size):
+            if not g >> b & 1 or least[g] > t.order:
+                continue
+            deleted = least[g ^ 1 << b]
+            if deleted > t.order:
+                skipped += 1
+                continue
+            checked += 1
+            bad += not least[g] <= deleted <= least[g] + 1
+    return bad, checked, skipped
+
+
+def test_deletion_counts_match_a_scalar_recount_on_planted_flags():
+    t = verify._dense_tables(6)
+    counts = verify._deletion_counts(t)
+    assert counts == _scalar_deletion_counts(t)
+    assert counts[0] == 0 and counts[1] > 0 and counts[2] > 0
+    cycle = _edge_mask(t, [(v, v + 1) for v in range(5)] + [(0, 5)])
+    chorded_star = _edge_mask(t, [(0, v) for v in range(1, 6)] + [(1, 3)])
+    pendant_square = _edge_mask(t, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 5), (2, 4)])
+    assert gamma_w(build_family("cycle", 6)) == 3
+    # {0} becomes a WCDS of C6, whose edge deletions (pairs 0, 4 and 5 below
+    # 6, pairs 9, 12 and 14 above) leave paths of gamma_w 3: a rise of 2
+    rise = _plant(t, clear=[], plant=[(cycle, 0b000001)])
+    counts = verify._deletion_counts(rise)
+    assert counts == _scalar_deletion_counts(rise)
+    assert counts[0] > 0
+    # {0}, the one minimum of the star plus (1, 3), and {0, 2}, the one
+    # minimum of the square 0123 with pendants 5 on 0 and 4 on 2, leave
+    # their families: deleting (1, 3) (pair 6) drops gamma_w from 2 to 1,
+    # deleting (0, 1) (pair 0) from 3 to 2
+    drop = _plant(t, clear=[(chorded_star, 0b000001), (pendant_square, 0b000101)], plant=[])
+    counts = verify._deletion_counts(drop)
+    assert counts == _scalar_deletion_counts(drop)
+    assert counts[0] > 0
+
+
 def test_dense_tables_and_checks_peak_under_48_mb():
-    # 32 MiB of order-7 planes and 4 MiB of conn and gw are kept; the build
-    # and the checks add their working arrays on top
+    # 32 MiB of order-7 planes and 2 MiB of conn are kept; the build and the
+    # checks add their working arrays on top
     tracemalloc.start()
     try:
-        verify._violations(verify._dense_tables.__wrapped__(7))
+        t = verify._dense_tables.__wrapped__(7)
+        verify._violations(t)
+        verify._deletion_counts(t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
