@@ -18,7 +18,7 @@ import io
 import json
 import random
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice
@@ -226,38 +226,41 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
 # A labelled graph of order k is its edge mask G: bit b is the b-th pair of
 # combinations(range(k), 2). A vertex subset S is a mask as well (bit v is
 # vertex v). The flags of one subset over every graph are a packed bit plane:
-# bit G & 7 of byte G >> 3 of plane S, which is bit G & 63 of its 64-bit word
-# G >> 6, says whether S is weakly connected dominating in G.
+# bit G & 63 of its 64-bit word G >> 6 says whether S is weakly connected
+# dominating in G. The planes are built and checked one block of words at a
+# time: a pair b < 6 is a bit inside each word, a pair b below
+# 6 + log2(block) a bit of the word's offset in its block, and a higher pair
+# a bit of the block's index.
 
-# 64-bit plane words per step of the structural checks; larger steps raise
-# the peak of a run by several MB
-_PLANE_CHUNK = 1 << 10
+# 64-bit plane words per block; one block's planes take 2**order * _BLOCK
+# words (1 MiB at order 7), and the checks hold about two such arrays
+_BLOCK = 1 << 10
 _DENSE_MAX_ORDER = 7
 
 
 @dataclass(frozen=True)
 class _DenseTables:
-    """Arrays over every labelled graph of one order, indexed by edge mask:
-    connectivity and the bit plane of each vertex subset. A disconnected
-    graph has no flag in any plane, and the least size of a subset with a
-    flag in a connected graph is its gamma_w."""
+    """Connectivity of every labelled graph of one order, as a bit plane
+    indexed by edge mask, and the pairs in bit order. The subsets' planes
+    come from it one block of graphs at a time (``_plane_blocks``): a
+    disconnected graph has no flag in any plane, and the least size of a
+    subset with a flag in a connected graph is its gamma_w."""
 
     order: int
     pairs: tuple[tuple[int, int], ...]
-    conn: np.ndarray
-    planes: np.ndarray  # uint8 (2**order, bytes): planes[S] is S's plane, plane 0 is empty
+    conn: np.ndarray  # packed 64-bit words, at least one; the bits past the last graph are 0
 
 
 def _check_dense_order(max_order: int) -> None:
     """Refuse all-graphs tables above ``_DENSE_MAX_ORDER`` before allocating any."""
     if max_order > _DENSE_MAX_ORDER:
         graphs = 1 << (max_order * (max_order - 1) // 2)
-        # what a cached _DenseTables keeps per labelled graph: conn (1 byte)
-        # and one bit in each of the 2**order planes
-        size = graphs * (1 + (1 << max_order) // 8)
+        # the planes are streamed, but every graph still has one bit in each
+        # of the 2**order planes, and packed connectivity is kept whole
         raise CapacityError(
-            f"order {max_order} needs all-graphs tables over {graphs} labelled graphs, "
-            f"at least {size} bytes ({size / 2**30:.1f} GiB); the limit is order {_DENSE_MAX_ORDER}"
+            f"order {max_order} needs all-graphs tables over {graphs} labelled graphs: "
+            f"{graphs << max_order} plane bits projected from {graphs // 8} bytes of packed "
+            f"connectivity; the limit is order {_DENSE_MAX_ORDER}"
         )
 
 
@@ -270,27 +273,108 @@ def _popcount(words: np.ndarray) -> int:
 _WITHOUT = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(6))
 
 
-def _project(words: np.ndarray, b: int) -> None:
-    """Give, in place, every graph with pair b the flag of the same graph
-    without it, in one plane's 64-bit words."""
-    if b >= 6:  # [:, 1] are the words of the graphs with pair b, [:, 0] those without
-        blocks = words.reshape(-1, 2, 1 << (b - 6))
-        blocks[:, 1] = blocks[:, 0]
-    else:
-        without = words & _WITHOUT[b]
-        np.left_shift(without, np.uint64(1 << b), out=words)
-        words |= without
+def _rows(planes: np.ndarray, fixed: dict[int, int], b: int = 0) -> np.ndarray:
+    """The view of the rows of one block's ``planes`` whose subset has bit v
+    equal to ``fixed[v]``, an axis of length 2 for each other vertex, highest
+    first. For 6 <= b the words are read as runs of 2**(b - 6), split by
+    pair b: [..., 0] are the runs of the graphs without it, [..., 1] those
+    with it (one element a run, so that a copy moves whole runs)."""
+    k = planes.shape[0].bit_length() - 1
+    if b > 6:
+        planes = planes.view(np.dtype((np.void, 8 << (b - 6))))
+    tail = (planes.shape[1] // 2, 2) if b >= 6 else planes.shape[1:]
+    index = tuple(fixed.get(v, slice(None)) for v in reversed(range(k)))
+    return planes.reshape((2,) * k + tail)[index]
 
 
-def _halves(words: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flags in one plane's 64-bit words of the graphs without pair b
-    and of the same graphs with it, aligned: for b < 6 at the bits of the
-    graphs without it, the other bits 0; for b >= 6 as the two halves of
-    each block of words."""
+def _projection(view: np.ndarray, b: int) -> Callable[[], None]:
+    """The step that gives every graph with pair b, in the plane words of
+    ``view`` (split at b as by ``_rows``), the flag of the same graph
+    without it."""
     if b >= 6:
-        blocks = words.reshape(-1, 2, 1 << (b - 6))
-        return blocks[:, 0], blocks[:, 1]
-    return words & _WITHOUT[b], words >> np.uint64(1 << b) & _WITHOUT[b]
+        return partial(np.copyto, view[..., 1], view[..., 0])
+
+    def step() -> None:
+        # keep the bits of the graphs without pair b, and add them shifted
+        # by 2**b onto those with it: the two sets of bits do not overlap
+        np.bitwise_and(view, _WITHOUT[b], out=view)
+        np.multiply(view, np.uint64(1 + (1 << (1 << b))), out=view)
+
+    return step
+
+
+def _plane_blocks(t: _DenseTables, block: int = _BLOCK) -> Iterator[tuple[int, np.ndarray]]:
+    """The bit planes of every vertex subset, ``block`` words at a time
+    (fewer if the planes are shorter): yields each block's index j and an
+    array whose row S holds the words j * block .. (j + 1) * block - 1 of
+    S's plane. The array is overwritten by the next block."""
+    k, pairs, conn = t.order, t.pairs, t.conn
+    block = min(block, conn.size)
+    low = 5 + block.bit_length()  # the pairs below it lie inside a block
+    # S is weakly connected dominating in G iff G minus the pairs inside
+    # T = V - S is connected: S's plane is conn projected along them. Within
+    # a block, a high pair inside T picks the source block, the block index
+    # with that pair's bit cleared; a low pair is projected in place. The
+    # high pairs join the vertices of ``hub``: every T's high pairs lie in
+    # T & hub, so the rows with every other vertex in S are gathered from
+    # their source blocks, and each other vertex x then enters T in turn,
+    # copying the rows without it and projecting along its pairs.
+    high = [(b - low, u, v) for b, (u, v) in enumerate(pairs) if b >= low]
+    hub = {w for _, u, v in high for w in (u, v)}
+    rest = [v for v in range(k) if v not in hub]
+    rest_bits = sum(1 << v for v in rest)
+    base = [s for s in range(1 << k) if s & rest_bits == rest_bits]
+    # the block index bits each base row clears: those of its high pairs inside T
+    cleared = np.array([sum(1 << i for i, u, v in high if not (s >> u | s >> v) & 1) for s in base])
+    planes = np.empty((1 << k, block), dtype=np.uint64)
+    steps = []
+    for b, (u, v) in enumerate(pairs[:low]):
+        if u in hub and v in hub:
+            steps.append(_projection(_rows(planes, {**dict.fromkeys(rest, 1), u: 0, v: 0}, b), b))
+    for i, x in enumerate(rest):
+        later = dict.fromkeys(rest[i + 1 :], 1)
+        steps.append(partial(np.copyto, _rows(planes, {**later, x: 0}), _rows(planes, {**later, x: 1})))
+        for y in sorted(hub.union(rest[:i])):
+            b = pairs.index((min(x, y), max(x, y)))
+            steps.append(_projection(_rows(planes, {**later, x: 0, y: 0}, b), b))
+    blocks = conn.reshape(-1, block)
+    for j in range(blocks.shape[0]):
+        planes[base] = blocks[j & ~cleared]
+        for step in steps:
+            step()
+        planes[0] = 0  # the empty set dominates no graph
+        yield j, planes
+
+
+@lru_cache(maxsize=_DENSE_MAX_ORDER)
+def _dense_tables(k: int) -> _DenseTables:
+    pairs = tuple(combinations(range(k), 2))
+    n_graphs = 1 << len(pairs)
+    conn = np.zeros(max(1, n_graphs >> 6), dtype="<u8")
+    if k <= 2:  # the complete graph is the one connected graph
+        conn.view(np.uint8)[:1] = np.packbits(np.arange(n_graphs) == n_graphs - 1, bitorder="little")
+    else:
+        # Vertex 0's pairs are the low k - 1 bits of G: its neighbours N,
+        # bit v - 1 for vertex v. The rest, G >> (k - 1), is a graph of
+        # order k - 1 on vertices 1..k-1 with its pairs in the same order.
+        # G is connected iff N is not empty and the rest, with N made a
+        # clique, is connected.
+        prev = _dense_tables(k - 1)
+        rests = 1 << len(prev.pairs)
+        prev_conn = np.unpackbits(prev.conn.view(np.uint8), count=rests, bitorder="little").view(bool)
+        rest = np.arange(rests)
+        # by_n[N >> 3, rest]: bit N & 7 is the flag of rest << (k - 1) | N
+        by_n = np.zeros((-(-(1 << (k - 1)) // 8), rests), dtype=np.uint8)
+        for n in range(1, 1 << (k - 1)):
+            clique = sum(1 << b for b, (u, v) in enumerate(prev.pairs) if n >> u & n >> v & 1)
+            by_n[n >> 3] |= prev_conn[rest | clique].view(np.uint8) << (n & 7)
+        if k < 4:  # fewer than eight values of N: drop each byte's unused bits
+            bits = np.unpackbits(by_n[0], bitorder="little").reshape(rests, 8)[:, : 1 << (k - 1)]
+            packed = np.packbits(bits, bitorder="little")
+        else:  # from order 4 on, the bytes of one rest are consecutive
+            packed = by_n.T.reshape(-1)
+        conn.view(np.uint8)[: packed.size] = packed
+    return _DenseTables(k, pairs, conn)
 
 
 def _free_words(b: int, words: np.ndarray) -> np.ndarray:
@@ -300,108 +384,151 @@ def _free_words(b: int, words: np.ndarray) -> np.ndarray:
     return np.where(words >> (b - 6) & 1 == 1, np.uint64(0), ~np.uint64(0))
 
 
-@lru_cache(maxsize=_DENSE_MAX_ORDER)
-def _dense_tables(k: int) -> _DenseTables:
-    pairs = tuple(combinations(range(k), 2))
-    n_graphs = 1 << len(pairs)
-    if k <= 2:  # the complete graph is the one connected graph
-        conn = np.arange(n_graphs) == n_graphs - 1
-    else:
-        # Vertex 0's pairs are the low k - 1 bits of G: its neighbours N,
-        # bit v - 1 for vertex v. The rest, G >> (k - 1), is a graph of
-        # order k - 1 on vertices 1..k-1 with its pairs in the same order.
-        # G is connected iff N is not empty and the rest, with N made a
-        # clique, is connected.
-        prev = _dense_tables(k - 1)
-        rest = np.arange(prev.conn.size)
-        by_n = np.zeros((1 << (k - 1), prev.conn.size), dtype=bool)  # by_n[N, rest]
-        for n in range(1, 1 << (k - 1)):
-            clique = sum(1 << b for b, (u, v) in enumerate(prev.pairs) if n >> u & n >> v & 1)
-            by_n[n] = prev.conn[rest | clique]
-        conn = by_n.T.reshape(-1)  # conn[rest << (k - 1) | N]
-
-    # S is weakly connected dominating in G iff G minus the pairs inside
-    # T = V - S is connected. With x the top vertex of T, that is the flag of
-    # S + x in G minus the pairs (y, x), y in T - x: project the plane of
-    # S + x, built first since S + x > S, along those pairs.
-    everything = (1 << k) - 1
-    packed = np.packbits(conn, bitorder="little")
-    planes = np.zeros((1 << k, max(8, n_graphs >> 3)), dtype=np.uint8)  # at least one 64-bit word
-    words = planes.view("<u8")
-    for s in range(everything, 0, -1):
-        t = everything ^ s
-        if t & (t - 1) == 0:  # no pair inside T
-            planes[s, : packed.size] = packed
-            continue
-        x = t.bit_length() - 1
-        words[s] = words[s | 1 << x]
-        for y in range(x):
-            if t >> y & 1:
-                _project(words[s], pairs.index((y, x)))
-    return _DenseTables(k, pairs, conn, planes)
-
-
-def _violations(t: _DenseTables) -> tuple[int, int]:
-    """Upward-closure and domination violations over the connected graphs of
-    ``t``. Closure counts the (S, v, G) with S weakly connected dominating
-    in G, v outside S and S + v not; domination counts the (S, G) with S
-    weakly connected dominating in G and some vertex outside S undominated.
-    A disconnected graph has no flags (its spanning subgraphs are all
-    disconnected), so every graph can be counted."""
+def _count_violations(t: _DenseTables, j: int, flags: np.ndarray) -> tuple[int, int]:
+    """The closure and domination violations (see ``_violations``) in block
+    j of the planes, ``flags``, counted one by one."""
     k = t.order
-    words = t.planes.view("<u8")  # the bits past the last graph are 0
+    span = np.arange(j * flags.shape[1], (j + 1) * flags.shape[1], dtype=np.uint64)
+    free = {p: _free_words(b, span) for b, p in enumerate(t.pairs)}
+    closure = 0
+    # lonely[S]: the graphs where some vertex outside S has no neighbour in S
+    lonely = np.zeros_like(flags)
+    apart = np.empty_like(flags[: 1 << (k - 1)])
+    for v in range(k):
+        # [:, 0] are the subsets without v, [:, 1] the same subsets with v
+        by_v = flags.reshape(-1, 2, 1 << v, flags.shape[1])
+        closure += _popcount(by_v[:, 0] & ~by_v[:, 1])
+        # apart[S]: the graphs where v has no neighbour in S, S a subset
+        # of the other vertices in order; the i-th of them, u, fills
+        # rows 2**i .. 2**(i+1) - 1 from rows 0 .. 2**i - 1
+        apart[0] = ~np.uint64(0)
+        for i, u in enumerate(u for u in range(k) if u != v):
+            np.bitwise_and(apart[: 1 << i], free[min(u, v), max(u, v)], out=apart[1 << i : 2 << i])
+        lonely.reshape(by_v.shape)[:, 0] |= apart.reshape(by_v[:, 0].shape)
+    return closure, _popcount(flags & lonely)
+
+
+def _upward_closed(flags: np.ndarray) -> bool:
+    """Whether, in every graph of one block's planes ``flags``, each superset
+    of a flagged subset is flagged."""
+    k, words = flags.shape[0].bit_length() - 1, flags.shape[1]
+    # up[A]: the OR of the planes of the subsets of A
+    up = flags.copy()
+    for v in range(k):
+        by_v = up.reshape(-1, 2, 1 << v, words)
+        by_v[:, 1] |= by_v[:, 0]
+    return np.array_equal(up, flags)
+
+
+def _dominating(t: _DenseTables, j: int, flags: np.ndarray) -> bool:
+    """Whether every flagged subset dominates its graph in block j of the
+    planes, ``flags``, which must be upward closed."""
+    words = flags.shape[1]
+    low = 5 + words.bit_length()
+    # Some flagged S in G leaves v undominated iff the largest such S,
+    # V - N[v], has a flag. Pick that row for every graph, one other vertex
+    # u at a time: u is in V - N[v] iff (u, v) is not in G. A high pair
+    # (u, v) is in every graph of the block or in none, so the row view
+    # fixes u; a low pair halves the rows, highest u first, keeping for each
+    # graph the half it picks.
+    for v in range(t.order):
+        fixed, split = {v: 0}, []
+        for u in reversed(range(t.order)):
+            if u != v:
+                b = t.pairs.index((min(u, v), max(u, v)))
+                if b >= low:
+                    fixed[u] = 0 if j >> (b - low) & 1 else 1
+                else:
+                    split.append(b)
+        rows = np.array(_rows(flags, fixed)).reshape(-1, words)  # a copy
+        for b in split:
+            half = rows.shape[0] // 2
+            with_, without = rows[:half], rows[half:]  # u adjacent to v, and not
+            if b >= 6:
+                shape = (half, words >> (b - 5), 2, 1 << (b - 6))
+                with_.reshape(shape)[:, :, 0] = without.reshape(shape)[:, :, 0]
+            else:  # the closure puts the flags of with_ within those of without
+                with_ |= without & _WITHOUT[b]
+            rows = with_
+        if rows.any():
+            return False
+    return True
+
+
+def _violations(t: _DenseTables, blocks: Iterable[tuple[int, np.ndarray]]) -> tuple[int, int]:
+    """Upward-closure and domination violations over the connected graphs of
+    ``t``, in the plane ``blocks`` of ``_plane_blocks``. Closure counts the
+    (S, v, G) with S weakly connected dominating in G, v outside S and S + v
+    not; domination counts the (S, G) with S weakly connected dominating in G
+    and some vertex outside S undominated. A disconnected graph has no flags
+    (its spanning subgraphs are all disconnected), so every graph can be
+    counted. Each block is first tested whole, and counted one violation at
+    a time only if the test finds one."""
     closure = domination = 0
-    for lo in range(0, words.shape[1], _PLANE_CHUNK):
-        flags = words[:, lo : lo + _PLANE_CHUNK]
-        span = np.arange(lo, lo + flags.shape[1], dtype=np.uint64)
-        free = {p: _free_words(b, span) for b, p in enumerate(t.pairs)}
-        # lonely[S]: the graphs where some vertex outside S has no neighbour in S
-        lonely = np.zeros_like(flags)
-        apart = np.empty_like(flags[: 1 << (k - 1)])
-        for v in range(k):
-            # [:, 0] are the subsets without v, [:, 1] the same subsets with v
-            by_v = flags.reshape(-1, 2, 1 << v, flags.shape[1])
-            closure += _popcount(by_v[:, 0] & ~by_v[:, 1])
-            # apart[S]: the graphs where v has no neighbour in S, S a subset
-            # of the other vertices in order; the i-th of them, u, fills
-            # rows 2**i .. 2**(i+1) - 1 from rows 0 .. 2**i - 1
-            apart[0] = ~np.uint64(0)
-            for i, u in enumerate(u for u in range(k) if u != v):
-                np.bitwise_and(apart[: 1 << i], free[min(u, v), max(u, v)], out=apart[1 << i : 2 << i])
-            lonely.reshape(by_v.shape)[:, 0] |= apart.reshape(by_v[:, 0].shape)
-        domination += _popcount(flags & lonely)
+    for j, flags in blocks:
+        if not (_upward_closed(flags) and _dominating(t, j, flags)):
+            c, d = _count_violations(t, j, flags)
+            closure += c
+            domination += d
     return closure, domination
 
 
-def _deletion_counts(t: _DenseTables) -> tuple[int, int, int]:
-    """Single-edge deletions over the graphs of ``t``: G has pair b and
-    G - e is the same graph without it. Returns the deletions with G and
-    G - e connected where gamma_w(G - e) is neither gamma_w(G) nor
-    gamma_w(G) + 1, the deletions with both connected, and those with G
-    connected and G - e not."""
+def _within(t: _DenseTables, blocks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The cumulative planes of the plane ``blocks``: within[g] holds the
+    graphs with gamma_w <= g, the OR of the planes of size <= g; within[k]
+    is the connected graphs."""
     k = t.order
-    words = t.planes.view("<u8")
-    # within[g]: the graphs with gamma_w <= g, the OR of the planes of size
-    # <= g; within[k] is the connected graphs
-    within = np.zeros((k + 1, words.shape[1]), dtype=np.uint64)
-    for s in range(1, 1 << k):
-        within[s.bit_count()] |= words[s]
+    sizes = [[s for s in range(1 << k) if s.bit_count() == g] for g in range(k + 1)]
+    within = np.zeros((k + 1, t.conn.size), dtype=np.uint64)
+    for j, planes in blocks:
+        words = planes.shape[1]
+        for g, rows in enumerate(sizes):
+            np.bitwise_or.reduce(planes[rows], axis=0, out=within[g, j * words : (j + 1) * words])
     for g in range(1, k + 1):
         within[g] |= within[g - 1]
+    return within
+
+
+def _halves(words: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flags in one plane's 64-bit words of the graphs without pair b
+    and of the same graphs with it, aligned: for b < 6 at the bits of the
+    graphs without it, ``_WITHOUT[b]`` (the other bits pair nothing), for
+    b >= 6 as the two halves of each block of words."""
+    if b >= 6:
+        blocks = words.reshape(-1, 2, 1 << (b - 6))
+        return blocks[:, 0], blocks[:, 1]
+    return words, words >> np.uint64(1 << b)
+
+
+def _deletion_counts(t: _DenseTables, blocks: Iterable[tuple[int, np.ndarray]]) -> tuple[int, int, int]:
+    """Single-edge deletions over the graphs of ``t``, in the plane
+    ``blocks`` of ``_plane_blocks``: G has pair b and G - e is the same
+    graph without it. Returns the deletions with G and G - e connected where
+    gamma_w(G - e) is neither gamma_w(G) nor gamma_w(G) + 1, the deletions
+    with both connected, and those with G connected and G - e not."""
+    k = t.order
+    within = _within(t, blocks)
+    # where within[g - 2..g] are equal, level g repeats the test of level
+    # g - 1 (at order 7, gamma_w is at most 3: levels 5..7 repeat level 4)
+    same = [g > 0 and np.array_equal(within[g], within[g - 1]) for g in range(k + 1)]
+    levels = [g for g in range(1, k + 1) if not (same[g] and same[g - 1])]
     bad = checked = skipped = 0
     for b in range(len(t.pairs)):
         # a deletion breaks the window where, at some g, G - e is within g
-        # and G is not, or G is within g and G - e is not within g + 1
+        # and G is not, or G is within g - 1 and G - e is not within g. As
+        # G within g - 1 implies G within g, that is where (G - e within g
+        # or G within g - 1) differs from (G - e and G within g).
         broken = below = 0  # below: G within g - 1
-        for g in range(1, k + 1):
+        for g in levels:
             without, with_ = _halves(within[g], b)
-            broken |= below & ~without
-            broken |= without & ~with_
+            broken |= (without | below) ^ (without & with_)
             below = with_
-        valid = without & with_  # within[k]: G and G - e connected
+        without, with_ = _halves(within[k], b)
+        aligned = _WITHOUT[b] if b < 6 else ~np.uint64(0)  # the bits of (G - e, G) pairs
+        valid = without & with_ & aligned  # G and G - e connected
         bad += _popcount(broken & valid)
         checked += _popcount(valid)
-        skipped += _popcount(with_ & ~without)
+        skipped += _popcount(with_ & ~without & aligned)
     return bad, checked, skipped
 
 
@@ -414,8 +541,8 @@ def _suite_structural(max_n: int, **_) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     for k in range(1, max_n + 1):
         eng = _dense_tables(k)
-        swept = f"{int(np.count_nonzero(eng.conn))} connected graphs swept"
-        closure_bad, dom_bad = _violations(eng)
+        swept = f"{_popcount(eng.conn)} connected graphs swept"
+        closure_bad, dom_bad = _violations(eng, _plane_blocks(eng))
         records.append(_check(f"order {k} upward closure", "superset preservation", 0, closure_bad, swept))
         if k >= 2:
             records.append(
@@ -432,7 +559,8 @@ def _suite_edge_deletion(max_n: int, **_) -> tuple[list[CheckRecord], int]:
     records: list[CheckRecord] = []
     total_skipped = 0
     for k in range(2, max_n + 1):
-        bad, checked, skipped = _deletion_counts(_dense_tables(k))
+        eng = _dense_tables(k)
+        bad, checked, skipped = _deletion_counts(eng, _plane_blocks(eng))
         total_skipped += skipped
         records.append(
             _check(
@@ -756,13 +884,16 @@ class Suite(NamedTuple):
     of the random instance pool, None when the suite draws none.
     ``largest_order`` maps ``max_n`` to the largest order the suite sweeps
     subsets of, so an order above the cap is refused before any record; it
-    is None for the all-graphs suites, which the cap does not bound."""
+    is None for the all-graphs suites, which the cap does not bound.
+    ``random_max`` is the largest pool the suite accepts, so that a run
+    stays within seconds and a few tens of MB."""
 
     build: Callable[..., list[CheckRecord] | tuple[list[CheckRecord], int]]
     max_n: int | None
     min_n: int | None
     random_count: int | None
     largest_order: Callable[[int | None], int] | None
+    random_max: int | None = None
 
 
 SUITES: dict[str, Suite] = {
@@ -772,22 +903,25 @@ SUITES: dict[str, Suite] = {
     "complete": Suite(partial(_family_cells, "complete", "n", "binomial closed form"), 10, 1, None, lambda n: n),
     "star": Suite(partial(_family_cells, "star", "leaves", "center/leaves closed form"), 9, 1, None, lambda n: n + 1),
     "wheel": Suite(_suite_wheel, 14, 4, None, lambda n: n),
-    "join": Suite(_suite_join, 5, 1, 20, lambda n: 2 * n),
+    "join": Suite(_suite_join, 5, 1, 20, lambda n: 2 * n, 10_000),
     "corona_gamma": Suite(_suite_corona_gamma, None, None, None, lambda _: 16),  # corona(C4, P3)
-    "join_gamma": Suite(_suite_join_gamma, 5, 1, 20, lambda n: 2 * n),
+    "join_gamma": Suite(_suite_join_gamma, 5, 1, 20, lambda n: 2 * n, 10_000),
     "gamma_path_cycle": Suite(_suite_gamma_path_cycle, 20, 1, None, lambda n: n),
-    # a base of order 5 with a pendant path of 6
-    "extension_recurrence": Suite(_suite_extension_recurrence, None, None, 10, lambda _: 11),
-    "extension_constructive": Suite(_suite_extension_constructive, None, None, 10, lambda _: 11),
-    "extension_gamma": Suite(_suite_extension_gamma, None, None, 10, lambda _: 11),
+    # a base of order 5 with a pendant path of 6; each random base is
+    # checked at every root and five path lengths
+    "extension_recurrence": Suite(_suite_extension_recurrence, None, None, 10, lambda _: 11, 1_000),
+    "extension_constructive": Suite(_suite_extension_constructive, None, None, 10, lambda _: 11, 1_000),
+    "extension_gamma": Suite(_suite_extension_gamma, None, None, 10, lambda _: 11, 1_000),
     "boxes": Suite(_suite_boxes, 15, 1, None, lambda n: n),
     "edge_deletion_bounds": Suite(_suite_edge_deletion, 7, 2, None, None),
 }
 
 
-def _size(suite: str, name: str, value: int | None, default: int | None, least: int | None) -> int | None:
+def _size(
+    suite: str, name: str, value: int | None, default: int | None, least: int | None, most: int | None = None
+) -> int | None:
     """``value`` or the suite's default for the size ``name``; refuses a size
-    the suite does not read, or one below ``least``."""
+    the suite does not read, one below ``least`` or one above ``most``."""
     if default is None:
         if value is not None:
             raise ValueError(f"suite {suite} takes no {name}")
@@ -796,6 +930,8 @@ def _size(suite: str, name: str, value: int | None, default: int | None, least: 
         return default
     if value < least:
         raise ValueError(f"{name} must be at least {least} for suite {suite}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most} for suite {suite}, got {value}")
     return value
 
 
@@ -812,7 +948,8 @@ def verify_formula_suite(
     ``max_n`` bounds the instance size (order, leaf count, or wheel order
     depending on the suite), ``random_count`` the random instance pool drawn
     from ``seed``; each defaults to the suite's own. A size the suite does
-    not read, or one too small to yield a record, raises ``ValueError``; a
+    not read, one too small to yield a record, or a pool above the suite's
+    ``random_max`` raises ``ValueError`` before any instance is drawn; a
     size whose largest graph is above ``cap`` raises :class:`CapacityError`
     before any sweep.
     """
@@ -820,7 +957,7 @@ def verify_formula_suite(
     if spec is None:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
     max_n = _size(suite, "max_n", max_n, spec.max_n, spec.min_n)
-    random_count = _size(suite, "random_count", random_count, spec.random_count, 0)
+    random_count = _size(suite, "random_count", random_count, spec.random_count, 0, spec.random_max)
     if spec.largest_order is not None:
         check_cap(spec.largest_order(max_n), cap)
     t0 = time.perf_counter()

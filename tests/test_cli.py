@@ -5,8 +5,10 @@ import pytest
 
 import wcds.cli as cli
 import wcds.oracle as oracle
+import wcds.verify as verify
 from wcds.cli import run
 from wcds.graph import FAMILIES, build_family
+from wcds.verify import SUITES
 
 
 def test_count_single_cell(capsys):
@@ -156,6 +158,19 @@ def test_verify_json_is_machine_readable(capsys):
 def test_verify_refuses_sizes_that_check_nothing(capsys, argv, message):
     assert run(["verify", "--suite", *argv]) == 2
     captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite", [name for name, spec in SUITES.items() if spec.random_count is not None])
+def test_verify_refuses_a_random_pool_above_its_bound(monkeypatch, capsys, suite):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random instance was drawn")
+
+    monkeypatch.setattr(verify, "_random_connected", no_draws)
+    most = SUITES[suite].random_max
+    assert run(["verify", "--suite", suite, "--random-count", str(most + 1)]) == 2
+    captured = capsys.readouterr()
+    message = f"random_count must be at most {most} for suite {suite}, got {most + 1}"
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 

@@ -1,8 +1,12 @@
-import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from functools import partial
 from itertools import combinations, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,24 +59,57 @@ def test_all_graphs_suites_refuse_order_eight_before_building(monkeypatch, capsy
     real = verify._dense_tables
 
     def guarded(k):
-        # the order-8 tables hold 2**28 entries per array, several GiB in all
+        # order 8 has 2**28 graphs, 2**36 plane bits to stream
         assert k < 8, f"_dense_tables({k}) reached"
         return real(k)
 
     monkeypatch.setattr(verify, "_dense_tables", guarded)
-    # 2**28 graphs of 33 bytes: conn and a bit in each of 256 planes
-    with pytest.raises(CapacityError, match=r"order 8 .* 8858370048 bytes"):
+    # 2**28 graphs, a bit in each of 256 planes, 32 MiB of packed connectivity
+    refusal = r"order 8 .* 268435456 labelled graphs: 68719476736 plane bits .* 33554432 bytes"
+    with pytest.raises(CapacityError, match=refusal):
         verify_structural(8)
-    with pytest.raises(CapacityError, match=r"order 8 .* 8858370048 bytes"):
+    with pytest.raises(CapacityError, match=refusal):
         verify_formula_suite("edge_deletion_bounds", max_n=8)
     for suite in ("structural", "edge_deletion_bounds"):
         assert run(["verify", "--suite", suite, "--max-n", "8"]) == 3
         assert capsys.readouterr().out == ""
 
 
-def _flag(t, g, s):
+def _bit(words, g):
+    """Bit g of a packed plane."""
+    return words[g >> 6] >> np.uint64(g & 63) & np.uint64(1) == 1
+
+
+def _flag(planes, g, s):
     """Bit g of subset s's plane."""
-    return t.planes[s, g >> 3] >> (g & 7) & 1 == 1
+    return _bit(planes[s], g)
+
+
+def _planes(blocks):
+    """Every subset's whole plane, from a stream of plane blocks."""
+    return np.concatenate([flags.copy() for _, flags in blocks], axis=1)
+
+
+def _planted(t, block, clear=(), plant=()):
+    """The plane blocks of t with the flag of S in graph G cleared for each
+    (G, S) in ``clear`` and set for each in ``plant``."""
+    for j, flags in verify._plane_blocks(t, block):
+        words = flags.shape[1]
+        for pairs, value in ((clear, 0), (plant, 1)):
+            for g, s in pairs:
+                if (g >> 6) // words == j:
+                    bit = np.uint64(1 << (g & 63))
+                    w = (g >> 6) % words
+                    flags[s, w] = flags[s, w] | bit if value else flags[s, w] & ~bit
+        yield j, flags
+
+
+def _blocks(t):
+    """The block sizes a stream of t's planes is checked at: the whole
+    planes as one block, and blocks small enough that the pairs from
+    6 + log2(block) up select the block of a graph (at least one such pair
+    from order 5 on)."""
+    return len(t.conn), max(1, len(t.conn) >> 6)
 
 
 def _sample_graphs(k):
@@ -87,34 +124,69 @@ def _sample_graphs(k):
 def test_connected_graph_counts_match_oeis_a001187():
     # connected labelled graphs on k nodes (Harary & Palmer, Graphical Enumeration)
     for k, connected in enumerate((1, 1, 4, 38, 728, 26704, 1866256), start=1):
-        assert int(verify._dense_tables(k).conn.sum()) == connected
+        assert verify._popcount(verify._dense_tables(k).conn) == connected
 
 
 def test_dense_tables_match_the_scalar_predicates():
     for k in range(1, 8):
         t = verify._dense_tables(k)
         assert t.pairs == tuple(combinations(range(k), 2))
+        planes = _planes(verify._plane_blocks(t, _blocks(t)[1]))
         for g in _sample_graphs(k):
             graph = make_graph(k, [(u + 1, v + 1) for b, (u, v) in enumerate(t.pairs) if g >> b & 1])
             connected = is_connected(graph)
-            assert t.conn[g] == connected
-            assert not _flag(t, g, 0)
+            assert _bit(t.conn, g) == connected
+            assert not _flag(planes, g, 0)
             flagged = []
             for s in range(1, 1 << k):
                 members = [v + 1 for v in range(k) if s >> v & 1]
-                assert _flag(t, g, s) == is_wcds(graph, members), (k, g, s)
-                if _flag(t, g, s):
+                assert _flag(planes, g, s) == is_wcds(graph, members), (k, g, s)
+                if _flag(planes, g, s):
                     flagged.append(len(members))
             # the least flagged size is gamma_w; a disconnected graph has no flag
             assert min(flagged, default=None) == (gamma_w(graph) if connected else None)
 
 
-def _scalar_violations(t, graphs):
+def test_checks_do_not_depend_on_the_block_size():
+    for k in range(1, 8):
+        t = verify._dense_tables(k)
+        one, small = _blocks(t)
+        # pairs from 6 + log2(small) up pick a block
+        assert k < 5 or small.bit_length() + 5 < len(t.pairs)
+        assert np.array_equal(_planes(verify._plane_blocks(t, one)), _planes(verify._plane_blocks(t, small)))
+        assert verify._violations(t, verify._plane_blocks(t, one)) == verify._violations(
+            t, verify._plane_blocks(t, small)
+        )
+        within = verify._within(t, verify._plane_blocks(t, one))
+        assert np.array_equal(within, verify._within(t, verify._plane_blocks(t, small)))
+        # within[g]: the graphs with gamma_w <= g
+        assert verify._popcount(within[k]) == verify._popcount(t.conn)
+        assert verify._popcount(within[0]) == 0
+        if k >= 2:
+            assert verify._deletion_counts(t, verify._plane_blocks(t, one)) == verify._deletion_counts(
+                t, verify._plane_blocks(t, small)
+            )
+
+
+def test_blocks_without_violations_are_not_counted_one_by_one(monkeypatch):
+    # the whole-block test must pass every block of the real planes, or
+    # the one-by-one count would run on all of them
+    def refuse(t, j, flags):
+        raise AssertionError(f"block {j} of order {t.order} counted one by one")
+
+    monkeypatch.setattr(verify, "_count_violations", refuse)
+    for k in range(1, 8):
+        t = verify._dense_tables(k)
+        for block in _blocks(t):
+            assert verify._violations(t, verify._plane_blocks(t, block)) == (0, 0)
+
+
+def _scalar_violations(t, planes, graphs):
     """Per-(S, v) recount of the closure and domination violations on the
     given graphs, reading neighbours from the pairs."""
     closure = domination = 0
     for g in graphs:
-        if not t.conn[g]:
+        if not _bit(t.conn, g):
             continue
         adj = [0] * t.order
         for b, (u, v) in enumerate(t.pairs):
@@ -122,23 +194,12 @@ def _scalar_violations(t, graphs):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
         for s in range(1, 1 << t.order):
-            if not _flag(t, g, s):
+            if not _flag(planes, g, s):
                 continue
             outside = [v for v in range(t.order) if not s >> v & 1]
-            closure += sum(not _flag(t, g, s | 1 << v) for v in outside)
+            closure += sum(not _flag(planes, g, s | 1 << v) for v in outside)
             domination += any(not adj[v] & s for v in outside)
     return closure, domination
-
-
-def _plant(t, clear, plant):
-    """A copy of t with the flag of S in graph G cleared for each (G, S) in
-    ``clear`` and set for each in ``plant``."""
-    planes = t.planes.copy()
-    for g, s in clear:
-        planes[s, g >> 3] &= ~np.uint8(1 << (g & 7))
-    for g, s in plant:
-        planes[s, g >> 3] |= np.uint8(1 << (g & 7))
-    return dataclasses.replace(t, planes=planes)
 
 
 def _edge_mask(t, edges):
@@ -147,13 +208,13 @@ def _edge_mask(t, edges):
 
 def test_packed_checks_count_planted_violations():
     t = verify._dense_tables(4)
-    assert verify._violations(t) == (0, 0)
+    assert verify._violations(t, verify._plane_blocks(t)) == (0, 0)
     complete = _edge_mask(t, t.pairs)
     path = _edge_mask(t, [(0, 1), (1, 2), (2, 3)])
     # {0, 1} stops being a WCDS of K4; {0}, which misses vertex 3, becomes one of P4
-    planted = _plant(t, clear=[(complete, 0b0011)], plant=[(path, 0b0001)])
-    counts = verify._violations(planted)
-    assert counts == _scalar_violations(planted, range(planted.conn.size))
+    planted = partial(_planted, t, 1, clear=[(complete, 0b0011)], plant=[(path, 0b0001)])
+    counts = verify._violations(t, planted())
+    assert counts == _scalar_violations(t, _planes(planted()), range(1 << len(t.pairs)))
     assert counts[0] > 0 and counts[1] > 0
 
 
@@ -161,32 +222,55 @@ def test_packed_checks_count_violations_on_projected_planes():
     # the planes of {2, 3, 4} (outside it (0, 1), pair 0, and (5, 6), pair 20)
     # and of {1, 3, 4} (outside it (0, 2), pair 1, and (2, 5), pair 13) are
     # projected along pairs below 6, inside each 64-bit word, and 6 or above,
-    # by whole word blocks
+    # by whole words or, at the small block size, by picking a block
     t = verify._dense_tables(7)
-    assert verify._violations(t) == (0, 0)
     complete = _edge_mask(t, t.pairs)
     path = _edge_mask(t, [(v, v + 1) for v in range(6)])
     k7, p7 = make_graph(7, [(u + 1, v + 1) for u, v in t.pairs]), build_family("path", 7)
-    assert _flag(t, complete, 0b0011100) and is_wcds(k7, [3, 4, 5])
-    assert not _flag(t, path, 0b0011010) and not is_wcds(p7, [2, 4, 5])
-    # {2, 3, 4} leaves K7's family while its supersets stay; {1, 3, 4}, which
-    # misses the top vertex 6 alone, joins the family of P7
-    planted = _plant(t, clear=[(complete, 0b0011100)], plant=[(path, 0b0011010)])
-    # all violations sit in the two planted graphs
-    counts = verify._violations(planted)
-    assert counts == _scalar_violations(planted, [complete, path])
-    assert counts[0] > 0 and counts[1] > 0
+    for block in (verify._BLOCK, *_blocks(t)):
+        assert verify._violations(t, verify._plane_blocks(t, block)) == (0, 0)
+        # both graphs lie past the first block, if there are several
+        assert block == len(t.conn) or min(complete, path) >> 6 >= block
+        planes = _planes(verify._plane_blocks(t, block))
+        assert _flag(planes, complete, 0b0011100) and is_wcds(k7, [3, 4, 5])
+        assert not _flag(planes, path, 0b0011010) and not is_wcds(p7, [2, 4, 5])
+        # {2, 3, 4} leaves K7's family while its supersets stay; {1, 3, 4},
+        # which misses the top vertex 6 alone, joins the family of P7
+        planted = partial(_planted, t, block, clear=[(complete, 0b0011100)], plant=[(path, 0b0011010)])
+        # all violations sit in the two planted graphs
+        counts = verify._violations(t, planted())
+        assert counts == _scalar_violations(t, _planes(planted()), [complete, path])
+        assert counts[0] > 0 and counts[1] > 0
 
 
-def _scalar_deletion_counts(t):
+def test_domination_check_finds_violations_that_keep_the_closure():
+    # every superset of {0, ..., k - 4} joins the family of P_k: the family
+    # stays upward closed, so only the domination test can see the sets
+    # that leave k - 2 or k - 1 undominated. Each of those two has a high
+    # pair to a vertex of V - N[v] at the small block size.
+    for k in (6, 7):
+        t = verify._dense_tables(k)
+        path = _edge_mask(t, [(v, v + 1) for v in range(k - 1)])
+        head = (1 << (k - 3)) - 1
+        supersets = [(path, s) for s in range(1 << k) if s & head == head]
+        for block in _blocks(t):
+            assert block == len(t.conn) or path >> 6 >= block
+            planted = partial(_planted, t, block, plant=supersets)
+            counts = verify._violations(t, planted())
+            assert counts == _scalar_violations(t, _planes(planted()), [path])
+            assert counts[0] == 0 and counts[1] > 0
+
+
+def _scalar_deletion_counts(t, planes):
     """Per-pair recount of the deletion window from the least flagged size
     of each graph (no flag: disconnected)."""
-    flags = np.unpackbits(t.planes, axis=1, count=t.conn.size, bitorder="little").astype(bool)
+    n_graphs = 1 << len(t.pairs)
+    flags = np.unpackbits(planes.view(np.uint8), axis=1, count=n_graphs, bitorder="little").astype(bool)
     sizes = np.bitwise_count(np.arange(1 << t.order))[:, None]
     least = np.where(flags, sizes, t.order + 1).min(axis=0).tolist()
     bad = checked = skipped = 0
     for b in range(len(t.pairs)):
-        for g in range(t.conn.size):
+        for g in range(n_graphs):
             if not g >> b & 1 or least[g] > t.order:
                 continue
             deleted = least[g ^ 1 << b]
@@ -200,41 +284,67 @@ def _scalar_deletion_counts(t):
 
 def test_deletion_counts_match_a_scalar_recount_on_planted_flags():
     t = verify._dense_tables(6)
-    counts = verify._deletion_counts(t)
-    assert counts == _scalar_deletion_counts(t)
-    assert counts[0] == 0 and counts[1] > 0 and counts[2] > 0
     cycle = _edge_mask(t, [(v, v + 1) for v in range(5)] + [(0, 5)])
     chorded_star = _edge_mask(t, [(0, v) for v in range(1, 6)] + [(1, 3)])
     pendant_square = _edge_mask(t, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 5), (2, 4)])
     assert gamma_w(build_family("cycle", 6)) == 3
-    # {0} becomes a WCDS of C6, whose edge deletions (pairs 0, 4 and 5 below
-    # 6, pairs 9, 12 and 14 above) leave paths of gamma_w 3: a rise of 2
-    rise = _plant(t, clear=[], plant=[(cycle, 0b000001)])
-    counts = verify._deletion_counts(rise)
-    assert counts == _scalar_deletion_counts(rise)
-    assert counts[0] > 0
-    # {0}, the one minimum of the star plus (1, 3), and {0, 2}, the one
-    # minimum of the square 0123 with pendants 5 on 0 and 4 on 2, leave
-    # their families: deleting (1, 3) (pair 6) drops gamma_w from 2 to 1,
-    # deleting (0, 1) (pair 0) from 3 to 2
-    drop = _plant(t, clear=[(chorded_star, 0b000001), (pendant_square, 0b000101)], plant=[])
-    counts = verify._deletion_counts(drop)
-    assert counts == _scalar_deletion_counts(drop)
-    assert counts[0] > 0
+    for block in _blocks(t):
+        counts = verify._deletion_counts(t, verify._plane_blocks(t, block))
+        assert counts == _scalar_deletion_counts(t, _planes(verify._plane_blocks(t, block)))
+        assert counts[0] == 0 and counts[1] > 0 and counts[2] > 0
+        # {0} becomes a WCDS of C6, whose edge deletions (pairs 0, 4 and 5
+        # below 6, pairs 9, 12 and 14 above, which at the small block size
+        # select C6's block) leave paths of gamma_w 3: a rise of 2
+        assert block == len(t.conn) or cycle >> 6 >= block and 5 + block.bit_length() <= 9
+        rise = partial(_planted, t, block, plant=[(cycle, 0b000001)])
+        counts = verify._deletion_counts(t, rise())
+        assert counts == _scalar_deletion_counts(t, _planes(rise()))
+        assert counts[0] > 0
+        # {0}, the one minimum of the star plus (1, 3), and {0, 2}, the one
+        # minimum of the square 0123 with pendants 5 on 0 and 4 on 2, leave
+        # their families: deleting (1, 3) (pair 6) drops gamma_w from 2 to 1,
+        # deleting (0, 1) (pair 0) from 3 to 2
+        drop = partial(_planted, t, block, clear=[(chorded_star, 0b000001), (pendant_square, 0b000101)])
+        counts = verify._deletion_counts(t, drop())
+        assert counts == _scalar_deletion_counts(t, _planes(drop()))
+        assert counts[0] > 0
 
 
-def test_dense_tables_and_checks_peak_under_48_mb():
-    # 32 MiB of order-7 planes and 2 MiB of conn are kept; the build and the
-    # checks add their working arrays on top
+def test_dense_tables_and_checks_peak_under_5_mb():
+    # 256 KiB of packed order-7 connectivity are kept; a block's planes
+    # (1 MiB), the closure test's copy of them and the 2 MiB of cumulative
+    # planes of the deletion check are the working arrays
     tracemalloc.start()
     try:
         t = verify._dense_tables.__wrapped__(7)
-        verify._violations(t)
-        verify._deletion_counts(t)
+        verify._violations(t, verify._plane_blocks(t))
+        verify._deletion_counts(t, verify._plane_blocks(t))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 10**6
+    assert peak < 5 * 10**6
+
+
+# runs one wcds command in this interpreter, then prints its peak RSS in kB
+_PEAK = (
+    "import sys; from wcds.cli import run; run(sys.argv[1:]); "
+    "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_all_graphs_suites_peak_within_10_mib_of_a_small_suite():
+    src = str(Path(verify.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def peak_kib(suite):
+        argv = [sys.executable, "-c", _PEAK, "verify", "--suite", suite]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        return int(proc.stdout.splitlines()[-1])
+
+    small = peak_kib("path_table")
+    for suite in ("structural", "edge_deletion_bounds"):
+        assert peak_kib(suite) - small < 10 * 1024, suite
 
 
 def test_complete_suite_small():
@@ -290,8 +400,9 @@ def test_extension_suites_sweep_a_window_before_drawing_more(monkeypatch):
     monkeypatch.setattr(verify, "sweep_stack", first_sweep)
     for suite in ("extension_recurrence", "extension_constructive", "extension_gamma"):
         drawn.clear()
+        # the largest pool, 1000 random bases, holds over 10**4 instances
         with pytest.raises(FirstSweep) as first:
-            verify_formula_suite(suite, random_count=10**4)
+            verify_formula_suite(suite, random_count=verify.SUITES[suite].random_max)
         assert 0 < first.value.args[0] <= verify._WINDOW
 
 
