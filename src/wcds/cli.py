@@ -17,7 +17,7 @@ import io
 import json
 import sys
 
-from .frontier import count_table_frontier, frontier_order, projected_states
+from .frontier import _frontier_table, frontier_order, projected_states
 from .graph import FAMILIES, Graph, build_family, read_edge_list
 from .oracle import (
     CapacityError,
@@ -178,9 +178,9 @@ def _cmd_enumerate(args: argparse.Namespace, cap: int) -> int:
 def _table_row(g: Graph, cap: int) -> tuple[int, ...]:
     """g's count row by the frontier DP when its projected work, order *
     2^w * Bell(w) states, is below the sweep's 2^order masks; else by the sweep."""
-    _, width = frontier_order(g)
-    if g.order * projected_states(width) < 1 << g.order:
-        return count_table_frontier(g).counts
+    plan = frontier_order(g)
+    if g.order * projected_states(plan[1]) < 1 << g.order:
+        return _frontier_table(g, plan).counts
     return count_table(g, cap).counts
 
 

@@ -121,9 +121,15 @@ def count_table_frontier(g: Graph) -> CountTable:
     width whose projected states exceed :data:`MAX_FRONTIER_STATES` raises
     :class:`CapacityError` before any state is built. There is no order cap.
     """
+    return _frontier_table(g, frontier_order(g))
+
+
+def _frontier_table(g: Graph, plan: tuple[tuple[int, ...], int]) -> CountTable:
+    """:func:`count_table_frontier` along ``plan``, the vertex order and width
+    that :func:`frontier_order` gives for g."""
     if not is_connected(g):
         return CountTable(g.order, (0,) * g.order, connected=False)
-    order, width = frontier_order(g)
+    order, width = plan
     if projected_states(width) > MAX_FRONTIER_STATES:
         raise CapacityError(
             f"frontier width {width} allows up to 2**{width} * Bell({width}) = "

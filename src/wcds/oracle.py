@@ -1,18 +1,24 @@
 """Exact counting by exhaustive subset sweep.
 
 This is the referee every closed form and recurrence is checked against, so
-it stays deliberately dumb: enumerate subsets, test the definition. Subsets
-are ``uint32`` bitmasks (bit k is vertex k + 1) swept in fixed-size chunks;
-one kernel, :func:`_weak_ok` or its dominating-set twin :func:`_dom_ok`,
-tests a whole chunk at once with in-place numpy passes over the vertices.
-Counting queries tally each chunk's hits by popcount as Python ints, so
-counts are independent of the partitioning and cannot overflow. Listing and
-membership queries filter one cached array of a graph's hit masks.
+it stays deliberately dumb: enumerate subsets, test each one. Subsets are
+``uint32`` bitmasks (bit k is vertex k + 1) swept in fixed-size chunks; one
+kernel, :func:`_weak_ok` or its dominating-set twin :func:`_dom_ok`, tests a
+whole chunk at once with in-place numpy passes over the vertices.
+:func:`_weak_ok` rests on a lemma: for non-empty S the weakly induced
+subgraph is connected iff S dominates and S is connected through links
+between members at distance at most 2. So it keeps the dominating masks
+first and connects only those; :func:`graph.weak_reach` stays the literal
+definition the tests compare it with. Counting queries tally each chunk's
+hits by popcount as Python ints, so counts are independent of the
+partitioning and cannot overflow. Listing filters one cached array of a
+graph's hit masks.
 
 Minimum queries sweep cardinality layers instead: :func:`_layer` makes the
 masks of one popcount, and :func:`_least_layer` tests layer after layer,
 upward from a degree bound below which no subset can pass, and stops at the
-first layer with a hit. gamma_w of K_n tests n masks, not 2**n.
+first layer with a hit. gamma_w of K_n tests n masks, not 2**n. Membership
+in a minimum set reads the hits of that least layer alone.
 
 A query on one graph sweeps that graph alone. :func:`sweep_stack` sweeps
 many small graphs at once instead: graphs of one order n form a stack, each
@@ -33,6 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .core import _member_mask
 from .graph import Graph, is_connected
 
 DEFAULT_CAP = 24
@@ -101,45 +108,75 @@ def check_cap(order: int, cap: int) -> None:
 
 
 def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
-    """Per mask S: does keeping the edges that meet S connect every vertex
-    to vertex 1?
+    """Per non-empty mask S: is the weakly induced subgraph of S connected?
 
-    Reachability spreads from vertex 1 vertex by vertex, forward then
-    backward, until a pass changes nothing. A reached vertex v reaches its
-    kept neighbours: ``adj[v]`` when v is in S, otherwise ``adj[v] & S``.
+    It is exactly when S dominates and S is connected in the graph on S that
+    joins two members at distance at most 2 (the lemma in the README). So
+    one pass of :func:`_dom_ok` keeps the dominating masks, and on those
+    alone reach spreads from each mask's lowest member through ``N2[v] & S``
+    (:func:`_near`), vertex by vertex, forward then backward. After each
+    half pass a mask retires: a hit when its reach is S, a miss when its
+    reach did not grow. A half pass that adds nothing has visited every
+    reached member (the backward half skips only the last vertex, which the
+    forward half before it visited last), so the reach is closed. Later
+    passes touch only the masks still growing.
+
+    ``adj`` holds int neighbour masks, or (graphs, 1) columns for a
+    (graphs, masks) array (:func:`_stack_hits`); then each surviving mask
+    gathers its own graph's N2 values, and keeps them through retirements.
     """
     n = len(adj)
-    reach = np.ones_like(masks)
-    prev = np.empty_like(masks)
-    kept = np.empty_like(masks)
-    bit = np.empty_like(masks)
-    seq = [*range(n), *range(n - 2, -1, -1)]
-    while True:
-        np.copyto(prev, reach)
-        for v in seq:
-            np.bitwise_and(masks, adj[v], out=kept)
-            np.right_shift(masks, v, out=bit)
-            np.bitwise_and(bit, 1, out=bit)
-            np.multiply(bit, adj[v], out=bit)
-            np.bitwise_or(kept, bit, out=kept)
+    ok = _dom_ok(adj, masks).reshape(-1)
+    live = np.flatnonzero(ok)
+    s = masks.reshape(-1)[live]
+    near = _near(adj)
+    if masks.ndim > 1:  # one row of N2 values per surviving mask
+        near = np.stack(near).reshape(n, -1)[:, live // masks.shape[1]]
+    reach = s & -s
+    half, other = range(n), range(n - 2, -1, -1)
+    while live.size:
+        prev = reach.copy()
+        bit = np.empty_like(reach)
+        for v in half:
             np.right_shift(reach, v, out=bit)
             np.bitwise_and(bit, 1, out=bit)
-            np.multiply(kept, bit, out=kept)
-            np.bitwise_or(reach, kept, out=reach)
-        if np.array_equal(prev, reach):
-            return reach == (1 << n) - 1
+            np.multiply(bit, near[v], out=bit)
+            np.bitwise_and(bit, s, out=bit)
+            np.bitwise_or(reach, bit, out=reach)
+        spans = reach == s
+        grew = reach != prev
+        ok[live[~(spans | grew)]] = False
+        busy = grew & ~spans
+        live, s, reach = live[busy], s[busy], reach[busy]
+        if masks.ndim > 1:
+            near = near[:, busy]
+        half, other = other, half
+    return ok.reshape(masks.shape)
+
+
+def _near(adj: list) -> list:
+    """Per vertex v, the mask of N2[v], the vertices at distance at most 2
+    from v, v included. Ints from int neighbour masks, columns from
+    columns."""
+    out = []
+    for v, nbrs in enumerate(adj):
+        near = nbrs | 1 << v
+        for u, other in enumerate(adj):
+            near = near | (nbrs >> u & 1) * other
+        out.append(near)
+    return out
 
 
 def _dom_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
-    """Per mask S: do the closed neighbourhoods of S cover every vertex?"""
-    covered = np.zeros_like(masks)
-    bit = np.empty_like(masks)
+    """Per mask S: does S meet the closed neighbourhood of every vertex?
+    The least of the intersections is 0 exactly when some vertex is not
+    dominated."""
+    least = np.full_like(masks, np.iinfo(masks.dtype).max)
+    meet = np.empty_like(masks)
     for v, nbrs in enumerate(adj):
-        np.right_shift(masks, v, out=bit)
-        np.bitwise_and(bit, 1, out=bit)
-        np.multiply(bit, nbrs | 1 << v, out=bit)
-        np.bitwise_or(covered, bit, out=covered)
-    return covered == (1 << len(adj)) - 1
+        np.bitwise_and(masks, nbrs | 1 << v, out=meet)
+        np.minimum(least, meet, out=least)
+    return least != 0
 
 
 def _sweep(adj: list[int], pred: Callable, chunk_bits: int = _CHUNK_BITS) -> Iterator[np.ndarray]:
@@ -209,6 +246,13 @@ def _least_layer(adj: list[int], pred: Callable, need: int, reach: int) -> int:
     raise ValueError("no subset passes")
 
 
+def _least_hits(adj: list[int], pred: Callable, need: int, reach: int) -> np.ndarray:
+    """Every subset passing ``pred`` in the least layer that
+    :func:`_least_layer` finds."""
+    k = _least_layer(adj, pred, need, reach)
+    return np.concatenate([masks[pred(adj, masks)] for masks in _layer(len(adj), k)])
+
+
 def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:
     """The non-empty subsets passing ``pred``, ascending, of each graph of one
     order n, given by its neighbour masks. A kernel call takes at most
@@ -247,9 +291,10 @@ def sweep_counts(order: int, edges: frozenset[tuple[int, int]], chunk_bits: int 
 
 
 @lru_cache(maxsize=4)
-def _hits(g: Graph, pred: Callable) -> np.ndarray:
-    """Every non-empty subset of g passing ``pred``, ascending, read-only."""
-    hits = np.concatenate(list(_sweep(g.neighbor_masks(), pred)))
+def _hits(g: Graph) -> np.ndarray:
+    """Every weakly connected dominating set of g as a mask, ascending,
+    read-only."""
+    hits = np.concatenate(list(_sweep(g.neighbor_masks(), _weak_ok)))
     hits.flags.writeable = False
     return hits
 
@@ -329,7 +374,7 @@ def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, 
     check_cap(g.order, cap)
     if i < 1 or i > g.order:
         return []
-    hits = _hits(g, _weak_ok)
+    hits = _hits(g)
     return _as_tuples(hits[np.bitwise_count(hits) == i], i)
 
 
@@ -368,12 +413,16 @@ def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
 
 
 def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
-    """Whether some minimum-size weakly connected dominating set contains v."""
+    """Whether some minimum-size weakly connected dominating set contains v.
+    ValueError for v outside 1..order."""
     _check_connected(g, cap)
-    return _in_a_minimum(_hits(g, _weak_ok), v)
+    _member_mask(g, (v,))
+    return _in_a_minimum(_least_hits(g.neighbor_masks(), _weak_ok, g.order - 1, 0), v)
 
 
 def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
-    """Whether some minimum-size ordinary dominating set contains v."""
+    """Whether some minimum-size ordinary dominating set contains v.
+    ValueError for v outside 1..order."""
     check_cap(g.order, cap)
-    return _in_a_minimum(_hits(g, _dom_ok), v)
+    _member_mask(g, (v,))
+    return _in_a_minimum(_least_hits(g.neighbor_masks(), _dom_ok, g.order, 1), v)

@@ -230,8 +230,8 @@ def test_wheel_formula_row_is_stated_with_a_note(capsys):
 @pytest.mark.parametrize("fmt", ("md", "csv", "json"))
 def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
     dp_rows = []
-    real = cli.count_table_frontier
-    monkeypatch.setattr(cli, "count_table_frontier", lambda g: dp_rows.append(g.family) or real(g))
+    real = cli._frontier_table
+    monkeypatch.setattr(cli, "_frontier_table", lambda g, plan: dp_rows.append(g.family) or real(g, plan))
     for family in FAMILIES:
         assert run(["table", "--family", family, "--max-n", "12", "--format", fmt]) == 0
         start = 4 if family == "wheel" else 1

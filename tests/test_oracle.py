@@ -24,6 +24,7 @@ from wcds import (
     make_graph,
 )
 from wcds import oracle
+from wcds.core import mask_is_wcds
 from wcds.oracle import sweep_counts
 
 
@@ -203,7 +204,7 @@ def _assert_stack_matches_lone_sweeps(graphs, pred):
     hits = oracle.sweep_stack(graphs, pred)
     assert set(hits) == set(graphs)
     for g in graphs:
-        assert np.array_equal(hits[g], oracle._hits.__wrapped__(g, pred)), g
+        assert np.array_equal(hits[g], np.concatenate(list(oracle._sweep(g.neighbor_masks(), pred)))), g
         if pred is oracle._weak_ok:
             assert count_table(g) == oracle._count_table_cached.__wrapped__(g), g
         else:
@@ -286,3 +287,104 @@ def test_minimum_of_k30_tests_at_most_30_masks(query, kernel, monkeypatch):
     monkeypatch.setattr(oracle, kernel, lambda adj, masks: seen.append(masks.size) or real(adj, masks))
     assert query(build_family("complete", 30), cap=30) == 1
     assert 0 < sum(seen) <= 30
+
+
+def _scalar_weak(adj):
+    # the scalar definition on every non-empty mask
+    n = len(adj)
+    return np.array([mask_is_wcds(n, adj, m) for m in range(1, 1 << n)])
+
+
+def test_weak_kernel_matches_the_definition_on_every_labelled_graph_to_order_five():
+    for n in range(1, 6):
+        adjs = [g.neighbor_masks() for g in _labelled_graphs(n)]
+        masks = np.arange(1, 1 << n, dtype=np.uint32)
+        stacked = oracle._stack_hits(adjs, oracle._weak_ok)
+        for adj, hits in zip(adjs, stacked):
+            expected = _scalar_weak(adj)
+            assert np.array_equal(oracle._weak_ok(adj, masks), expected), adj
+            assert np.array_equal(hits, masks[expected]), adj
+
+
+def _seeded_graphs():
+    # two graphs of each order 6..14: a random one at one of three densities,
+    # and a graph with an isolated vertex or a path with shuffled labels
+    rng = random.Random(17)
+    graphs = []
+    for n in range(6, 15):
+        pairs = list(combinations(range(1, n + 1), 2))
+        p = (0.15, 0.3, 0.6)[n % 3]
+        graphs.append(make_graph(n, [e for e in pairs if rng.random() < p]))
+        if n % 2:
+            isolated = rng.randint(1, n)
+            graphs.append(make_graph(n, [e for e in pairs if isolated not in e and rng.random() < 0.4]))
+        else:
+            labels = rng.sample(range(1, n + 1), n)
+            graphs.append(make_graph(n, list(zip(labels, labels[1:]))))
+    return graphs
+
+
+def test_seeded_graphs_include_the_awkward_cases():
+    graphs = _seeded_graphs()
+    assert not all(map(is_connected, graphs))
+    assert any(any(nbrs == 0 for nbrs in g.neighbor_masks()) for g in graphs)
+
+
+@pytest.mark.parametrize("g", _seeded_graphs(), ids=lambda g: f"n{g.order}e{len(g.edges)}")
+def test_weak_kernel_matches_the_definition_at_every_chunk_size(g):
+    # masks that settle in different passes share a chunk, or do not
+    adj = g.neighbor_masks()
+    expected = np.arange(1, 1 << g.order, dtype=np.uint32)[_scalar_weak(adj)]
+    for bits in range(3, 17):
+        hits = list(oracle._sweep(adj, oracle._weak_ok, bits))
+        assert np.array_equal(np.concatenate(hits), expected), bits
+
+
+def test_one_stack_mixes_graphs_that_settle_at_once_and_late():
+    # vertex 1 of the star reaches every member in one step; a path whose
+    # labels run back and forth takes many half passes
+    rng = random.Random(3)
+    for n in (9, 12):
+        labels = rng.sample(range(1, n + 1), n)
+        snake = make_graph(n, list(zip(labels, labels[1:])))
+        graphs = [build_family("star", n - 1), snake, build_family("cycle", n), make_graph(n, [(1, 2)])]
+        adjs = [g.neighbor_masks() for g in graphs]
+        masks = np.arange(1, 1 << n, dtype=np.uint32)
+        for adj, hits in zip(adjs, oracle._stack_hits(adjs, oracle._weak_ok)):
+            assert np.array_equal(hits, masks[_scalar_weak(adj)]), adj
+
+
+@pytest.mark.parametrize(
+    "g, s, dominating, weak",
+    [
+        (build_family("path", 3), (1, 3), True, True),  # joined through vertex 2
+        (build_family("path", 3), (1,), False, False),
+        (build_family("path", 6), (2, 5), True, False),  # 2 and 5 are 3 apart
+        (make_graph(1, []), (1,), True, True),
+    ],
+)
+def test_weak_kernel_pinned_cases(g, s, dominating, weak):
+    adj, masks = g.neighbor_masks(), np.array([sum(1 << (v - 1) for v in s)], dtype=np.uint32)
+    assert oracle._dom_ok(adj, masks).tolist() == [dominating] and is_dominating(g, s) is dominating
+    assert oracle._weak_ok(adj, masks).tolist() == [weak] and is_wcds(g, s) is weak
+
+
+@pytest.mark.parametrize("query", [has_minimum_wcds_containing, has_minimum_dominating_containing])
+@pytest.mark.parametrize("v", [0, -1, 5])
+def test_membership_refuses_a_vertex_outside_the_graph(query, v):
+    with pytest.raises(ValueError, match=rf"vertex {v} outside 1\.\.4"):
+        query(build_family("path", 4), v)
+
+
+def test_membership_sweeps_only_the_least_layer(monkeypatch):
+    monkeypatch.setattr(oracle, "_hits", None)  # every hit of the graph is never built
+    seen = []
+    real = oracle._weak_ok
+    monkeypatch.setattr(oracle, "_weak_ok", lambda adj, masks: seen.append(masks) or real(adj, masks))
+    g = build_family("path", 7)  # {2, 4, 6} is its one minimum set
+    assert [has_minimum_wcds_containing(g, v) for v in g.vertices()] == [v in (2, 4, 6) for v in g.vertices()]
+    assert {int(k) for masks in seen for k in np.bitwise_count(masks)} == {3}
+    sets = [s for s in combinations(g.vertices(), 3) if is_dominating(g, s)]
+    assert [has_minimum_dominating_containing(g, v) for v in g.vertices()] == [
+        any(v in s for s in sets) for v in g.vertices()
+    ]
