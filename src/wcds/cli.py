@@ -17,7 +17,7 @@ import io
 import json
 import sys
 
-from .frontier import _frontier_table, frontier_order, projected_states
+from .frontier import _frontier_rows, frontier_order, projected_states
 from .graph import FAMILIES, Graph, build_family, read_edge_list
 from .oracle import (
     CapacityError,
@@ -175,13 +175,16 @@ def _cmd_enumerate(args: argparse.Namespace, cap: int) -> int:
     return 0
 
 
-def _table_row(g: Graph, cap: int) -> tuple[int, ...]:
-    """g's count row by the frontier DP when its projected work, order *
-    2^w * Bell(w) states, is below the sweep's 2^order masks; else by the sweep."""
-    plan = frontier_order(g)
-    if g.order * projected_states(plan[1]) < 1 << g.order:
-        return _frontier_table(g, plan).counts
-    return count_table(g, cap).counts
+def _table_rows(graphs: list[Graph], cap: int) -> list[tuple[int, ...]]:
+    """The count rows of ``graphs``, in order. A row goes to the frontier DP
+    when its projected work, order * 2^w * Bell(w) states, is below the
+    sweep's 2^order masks, else to the sweep. The DP rows run as one
+    sequence through ``_frontier_rows``, so each resumes from the steps it
+    shares with the DP row before it."""
+    planned = [(g, frontier_order(g)) for g in graphs]
+    by_dp = [g.order * projected_states(plan[1]) < 1 << g.order for g, plan in planned]
+    dp = _frontier_rows([row for row, use in zip(planned, by_dp) if use])
+    return [next(dp).counts if use else count_table(g, cap).counts for g, use in zip(graphs, by_dp)]
 
 
 def _cmd_table(args: argparse.Namespace, cap: int) -> int:
@@ -192,9 +195,9 @@ def _cmd_table(args: argparse.Namespace, cap: int) -> int:
     for n in range(start, args.max_n + 1):
         g = build_family(args.family, n)
         check_cap(g.order, cap)  # refuse before sweeping any row
-        graphs.append((n, g))
-    rows = [(n, _table_row(g, cap)) for n, g in graphs]
-    sys.stdout.write(_render_rows(rows, args.fmt, args.family))
+        graphs.append(g)
+    rows = zip(range(start, args.max_n + 1), _table_rows(graphs, cap))
+    sys.stdout.write(_render_rows(list(rows), args.fmt, args.family))
     return 0
 
 

@@ -12,6 +12,16 @@ that counts the partial sets reaching it by size, as a list of Python ints.
 A component with no frontier vertex can never grow again, so it kills the
 state unless it is the whole graph.
 
+States are keyed by frontier position, not by vertex label, so a step
+reads only its signature (:func:`_steps`): the frontier width, the
+positions the new vertex links to, the positions of frontier + [v] that
+stay, and whether any vertex is left unplaced. Two graphs whose first k
+signatures are equal therefore have equal state tables after k steps.
+:func:`_frontier_rows` counts a sequence of graphs in one pass on that
+lemma: each row resumes from a snapshot of the row before, taken where
+their signatures part, so C_{n+1} runs 2 steps after C_n instead of
+n + 1. It holds the live state table and at most one snapshot.
+
 With frontier width w there are at most 2^w * Bell(w) states, so work and
 memory follow the width of the order, not 2^order. Kawahara et al.,
 "Frontier-based search for enumerating all constrained subgraphs with
@@ -21,12 +31,17 @@ Cygan et al., *Parameterized Algorithms* (2015), ch. 7.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 from .graph import Graph, is_connected
 from .oracle import CapacityError, CountTable
 
 # 2**7 * Bell(7) = 112 256 states fit, width 8 (1 059 840) does not; at
 # order 30 a state holds at most 31 coefficients
 MAX_FRONTIER_STATES = 1 << 17
+
+# a plan is what frontier_order returns: the vertex order and its width
+Plan = tuple[tuple[int, ...], int]
 
 
 def bell(k: int) -> int:
@@ -45,12 +60,22 @@ def projected_states(width: int) -> int:
     return (1 << width) * bell(width)
 
 
-def frontier_order(g: Graph) -> tuple[tuple[int, ...], int]:
+def frontier_order(g: Graph) -> Plan:
     """A vertex order for the DP and its width, the largest frontier it leaves.
 
-    Greedy over all unplaced vertices: place next the one that leaves the
-    smallest frontier, ties to the most placed neighbours, then to the
-    lowest label. Builds no DP state.
+    Greedy: place next the unplaced vertex that leaves the smallest
+    frontier, ties to the most placed neighbours, then to the lowest label.
+    Builds no DP state.
+
+    While the frontier F is not empty, only the unplaced neighbours of F are
+    scored; the choice is the same as over every unplaced vertex. A vertex
+    v with no placed neighbour is no frontier vertex's last unplaced
+    neighbour, so placing it frees nobody, and unless v is isolated it
+    joins the frontier: it leaves |F| + 1 with 0 placed neighbours. A
+    neighbour of F leaves at most |F| + 1 with at least one placed
+    neighbour, so its key is smaller. No isolated vertex is left by then:
+    while F is empty every unplaced vertex is scored, an isolated one
+    leaves 0 and any other 1, so the isolated vertices come first.
     """
     adj = g.neighbor_masks()
     unplaced = (1 << g.order) - 1
@@ -60,13 +85,15 @@ def frontier_order(g: Graph) -> tuple[tuple[int, ...], int]:
     for _ in range(g.order):
         # frontier vertices whose last unplaced neighbour is v leave with v
         leaving: dict[int, int] = {}
+        near = 0
         for u in frontier:
             rest = adj[u] & unplaced
+            near |= rest
             if rest & (rest - 1) == 0:
                 leaving[rest] = leaving.get(rest, 0) + 1
         placed = ~unplaced
         best = None
-        rest = unplaced
+        rest = near if frontier else unplaced
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -83,13 +110,31 @@ def frontier_order(g: Graph) -> tuple[tuple[int, ...], int]:
     return tuple(order), width
 
 
-def _place(states: dict, frontier: list[int], v: int, adj: list[int], unplaced: int) -> tuple[dict, list[int]]:
-    """One DP step: put v (0-based) in or out of S, keep its edges to the
-    frontier, drop the vertices with no unplaced neighbour left."""
-    ext = [*frontier, v]
-    w = len(frontier)
-    linked = [i for i, u in enumerate(frontier) if adj[v] >> u & 1]
-    kept = [i for i, u in enumerate(ext) if adj[u] & unplaced]
+def _steps(g: Graph, order: tuple[int, ...]) -> list[tuple]:
+    """The signature of each DP step along ``order``: the frontier width w,
+    the frontier positions the new vertex links to, the positions of
+    frontier + [v] that stay (v is position w), and whether any vertex is
+    left unplaced. A step reads nothing else of g."""
+    adj = g.neighbor_masks()
+    unplaced = (1 << g.order) - 1
+    frontier: list[int] = []
+    steps = []
+    for label in order:
+        v = label - 1
+        unplaced &= ~(1 << v)
+        ext = [*frontier, v]
+        linked = tuple(i for i, u in enumerate(frontier) if adj[v] >> u & 1)
+        kept = tuple(i for i, u in enumerate(ext) if adj[u] & unplaced)
+        steps.append((len(frontier), linked, kept, unplaced != 0))
+        frontier = [ext[i] for i in kept]
+    return steps
+
+
+def _place(states: dict, step: tuple) -> dict:
+    """One DP step with signature ``step``: put the new vertex in or out of
+    S, keep its edges to the frontier, drop the positions that do not stay.
+    Builds a new table and leaves ``states`` as it was."""
+    w, linked, kept, more = step
     nxt: dict = {}
     for (members, comps), poly in states.items():
         for inside in (0, 1):
@@ -101,7 +146,7 @@ def _place(states: dict, frontier: list[int], v: int, adj: list[int], unplaced: 
                     if a != b:
                         labels = [a if x == b else x for x in labels]
             every = set(labels)
-            if every != {labels[i] for i in kept} and (unplaced or len(every) > 1):
+            if every != {labels[i] for i in kept} and (more or len(every) > 1):
                 continue  # a component closed before it spanned the graph
             canon: dict[int, int] = {}
             key = (
@@ -111,7 +156,7 @@ def _place(states: dict, frontier: list[int], v: int, adj: list[int], unplaced: 
             grown = [0, *poly] if inside else [*poly, 0]
             old = nxt.get(key)
             nxt[key] = grown if old is None else [a + b for a, b in zip(old, grown)]
-    return nxt, [ext[i] for i in kept]
+    return nxt
 
 
 def count_table_frontier(g: Graph) -> CountTable:
@@ -121,26 +166,66 @@ def count_table_frontier(g: Graph) -> CountTable:
     width whose projected states exceed :data:`MAX_FRONTIER_STATES` raises
     :class:`CapacityError` before any state is built. There is no order cap.
     """
-    return _frontier_table(g, frontier_order(g))
+    return next(_frontier_rows([(g, frontier_order(g))]))
 
 
-def _frontier_table(g: Graph, plan: tuple[tuple[int, ...], int]) -> CountTable:
-    """:func:`count_table_frontier` along ``plan``, the vertex order and width
-    that :func:`frontier_order` gives for g."""
-    if not is_connected(g):
-        return CountTable(g.order, (0,) * g.order, connected=False)
-    order, width = plan
-    if projected_states(width) > MAX_FRONTIER_STATES:
-        raise CapacityError(
-            f"frontier width {width} allows up to 2**{width} * Bell({width}) = "
-            f"{projected_states(width)} DP states, above the bound of {MAX_FRONTIER_STATES}"
-        )
-    adj = g.neighbor_masks()
-    unplaced = (1 << g.order) - 1
-    states: dict = {((), ()): [1]}
-    frontier: list[int] = []
-    for label in order:
-        unplaced &= ~(1 << (label - 1))
-        states, frontier = _place(states, frontier, label - 1, adj, unplaced)
-    (poly,) = states.values()
-    return CountTable(g.order, tuple(poly[1:]), connected=True)
+def _shared(a: list[tuple] | None, b: list[tuple] | None) -> int:
+    """How many leading step signatures a and b have in common."""
+    k = 0
+    for x, y in zip(a or (), b or ()):
+        if x != y:
+            break
+        k += 1
+    return k
+
+
+def _row_steps(row: tuple[Graph, Plan] | None) -> list[tuple] | None:
+    """The step signatures of a planned row; None for no row or a
+    disconnected graph, which runs no step."""
+    if row is None or not is_connected(row[0]):
+        return None
+    return _steps(row[0], row[1][0])
+
+
+def _frontier_rows(planned: Iterable[tuple[Graph, Plan]]) -> Iterator[CountTable]:
+    """Count tables of the graphs in ``planned``, pairs of a graph and the
+    plan :func:`frontier_order` gives for it, one at a time and in order.
+
+    Each row resumes from a snapshot of the row before, taken after the k
+    steps whose signatures the two rows share, and runs only the steps after
+    it; the snapshot of a row that resumed past its successor's k is the
+    empty table. Only the live table and that one snapshot are held. A
+    row's width is checked against :data:`MAX_FRONTIER_STATES` when the row
+    is reached, so the rows before a refused one are yielded first.
+    """
+    rows = iter(planned)
+    after = next(rows, None)
+    after_steps = _row_steps(after)
+    start, resume = None, 0  # the table this row resumes from, after `resume` steps
+    while after is not None:
+        (g, (_, width)), steps = after, after_steps
+        after = next(rows, None)
+        after_steps = _row_steps(after)
+        if steps is None:
+            yield CountTable(g.order, (0,) * g.order, connected=False)
+            start, resume = None, 0
+            continue
+        if projected_states(width) > MAX_FRONTIER_STATES:
+            raise CapacityError(
+                f"frontier width {width} allows up to 2**{width} * Bell({width}) = "
+                f"{projected_states(width)} DP states, above the bound of {MAX_FRONTIER_STATES}"
+            )
+        keep = _shared(steps, after_steps)
+        if keep < resume:
+            keep = 0  # the table after `keep` steps is gone; the next row starts afresh
+        states = start if resume else {((), ()): [1]}
+        start = snapshot = None
+        for k in range(resume, len(steps)):
+            if k == keep:
+                snapshot = states
+            states = _place(states, steps[k])
+        if keep == len(steps):
+            snapshot = states
+        (poly,) = states.values()
+        yield CountTable(g.order, tuple(poly[1:]), connected=True)
+        start, resume = snapshot, keep

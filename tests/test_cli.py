@@ -7,6 +7,7 @@ import wcds.cli as cli
 import wcds.oracle as oracle
 import wcds.verify as verify
 from wcds.cli import run
+from wcds.frontier import count_table_frontier
 from wcds.graph import FAMILIES, build_family
 from wcds.verify import SUITES
 
@@ -230,8 +231,13 @@ def test_wheel_formula_row_is_stated_with_a_note(capsys):
 @pytest.mark.parametrize("fmt", ("md", "csv", "json"))
 def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
     dp_rows = []
-    real = cli._frontier_table
-    monkeypatch.setattr(cli, "_frontier_table", lambda g, plan: dp_rows.append(g.family) or real(g, plan))
+    real = cli._frontier_rows
+
+    def counted(planned):
+        dp_rows.extend(g.family for g, _ in planned)
+        return real(planned)
+
+    monkeypatch.setattr(cli, "_frontier_rows", counted)
     for family in FAMILIES:
         assert run(["table", "--family", family, "--max-n", "12", "--format", fmt]) == 0
         start = 4 if family == "wheel" else 1
@@ -243,6 +249,24 @@ def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
     assert {f: dp_rows.count(f) for f in FAMILIES} == {
         "path": 11, "cycle": 8, "complete": 1, "star": 11, "wheel": 4,
     }
+
+
+@pytest.mark.parametrize("family, top", (("path", 24), ("cycle", 24), ("star", 23), ("wheel", 24)))
+def test_table_rows_equal_one_graph_dps_to_order_24(capsys, family, top):
+    # a table's DP rows come from one pass, each resumed from the steps it
+    # shares with the row before; a fresh one-graph DP and, to order 16,
+    # the sweep referee each row
+    start = 4 if family == "wheel" else 1
+    rows = []
+    for n in range(start, top + 1):
+        g = build_family(family, n)
+        row = count_table_frontier(g).counts
+        if g.order <= 16:
+            assert row == oracle.count_table(g).counts
+        rows.append((n, row))
+    for fmt in ("md", "csv", "json"):
+        assert run(["table", "--family", family, "--max-n", str(top), "--cap", "24", "--format", fmt]) == 0
+        assert capsys.readouterr().out == cli._render_rows(rows, fmt, family)
 
 
 @pytest.mark.parametrize("argv", (["--family", "wheel", "--n", "11"], ["--family", "star", "--n", "6", "--i", "3"]))

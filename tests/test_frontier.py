@@ -1,6 +1,8 @@
-"""The frontier DP against the subset sweep, its vertex order and width, and
-its up-front refusal."""
+"""The frontier DP against the subset sweep, its vertex order and width,
+its up-front refusal, and row sequences that resume from shared steps."""
 
+import random
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -14,10 +16,12 @@ from wcds import (
     count_table_frontier,
     cross_check,
     frontier_order,
+    is_connected,
     make_graph,
 )
 from wcds import frontier
 from wcds.cli import run
+from wcds.graph import FAMILIES
 
 FAMILY_WIDTH = {"path": 1, "cycle": 2, "star": 1, "wheel": 3}
 
@@ -128,3 +132,173 @@ def test_command_line_keeps_the_order_cap(capsys):
     assert "order 25 exceeds the subset-sweep cap 24" in capsys.readouterr().err
     assert run(["count", "--family", "cycle", "--n", "25", "--method", "frontier", "--cap", "25", "--i", "25"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def _greedy_over_every_vertex(g):
+    """The greedy order scoring every unplaced vertex at every step: the
+    reference that :func:`frontier_order`'s restricted scan must equal."""
+    adj = g.neighbor_masks()
+    unplaced = (1 << g.order) - 1
+    frontier_: list[int] = []
+    order: list[int] = []
+    width = 0
+    for _ in range(g.order):
+        leaving: dict[int, int] = {}
+        for u in frontier_:
+            rest = adj[u] & unplaced
+            if rest & (rest - 1) == 0:
+                leaving[rest] = leaving.get(rest, 0) + 1
+        placed = ~unplaced
+        best = None
+        rest = unplaced
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            size = len(frontier_) - leaving.get(bit, 0) + (adj[v] & unplaced & ~bit != 0)
+            key = (size, -(adj[v] & placed).bit_count(), v)
+            if best is None or key < best:
+                best = key
+        size, _, v = best
+        unplaced &= ~(1 << v)
+        frontier_ = [u for u in (*frontier_, v) if adj[u] & unplaced]
+        order.append(v + 1)
+        width = max(width, size)
+    return tuple(order), width
+
+
+def _random_graph(rng, n, density):
+    return make_graph(n, [p for p in combinations(range(1, n + 1), 2) if rng.random() < density])
+
+
+def test_restricted_greedy_equals_the_full_scan_on_every_small_graph():
+    for n in range(1, 7):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = make_graph(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+            assert frontier_order(g) == _greedy_over_every_vertex(g), g.edges
+
+
+def test_restricted_greedy_equals_the_full_scan_on_random_graphs_and_families():
+    rng = random.Random(19)
+    shapes = {"isolated": 0, "disconnected": 0}
+    for _ in range(600):
+        n = rng.randint(2, 24)
+        g = _random_graph(rng, n, rng.choice((0.05, 0.1, 0.2, 0.4, 0.7)))
+        adj = g.neighbor_masks()
+        shapes["isolated"] += 0 in adj
+        shapes["disconnected"] += not is_connected(g)
+        assert frontier_order(g) == _greedy_over_every_vertex(g), g.edges
+    assert min(shapes.values()) >= 50, shapes
+    for family in FAMILIES:
+        for n in range(4 if family == "wheel" else 1, 61):
+            g = build_family(family, n)
+            assert frontier_order(g) == _greedy_over_every_vertex(g), (family, n)
+
+
+def _rows(graphs):
+    return list(frontier._frontier_rows([(g, frontier_order(g)) for g in graphs]))
+
+
+def test_a_row_sequence_equals_each_one_graph_dp():
+    # repeats, a shorter cycle after a longer one, unrelated graphs, a
+    # disconnected graph and K1 in one pass: a snapshot that a later step
+    # changed, or one taken at the wrong step, gives a wrong row
+    seq = [
+        build_family("cycle", 9),
+        build_family("cycle", 12),
+        build_family("cycle", 7),
+        build_family("cycle", 12),
+        build_family("path", 12),
+        build_family("wheel", 10),
+        make_graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)]),
+        make_graph(1, []),
+        _random_graph(random.Random(7), 10, 0.3),
+    ]
+    rows = _rows(seq)
+    assert len(rows) == len(seq)
+    for g, row in zip(seq, rows):
+        assert row == count_table_frontier(g) == count_table(g)
+    assert not rows[6].connected
+
+
+def test_shared_steps_are_run_once(monkeypatch):
+    steps = []
+    real = frontier._place
+    monkeypatch.setattr(frontier, "_place", lambda states, step: steps.append(step) or real(states, step))
+    c12 = build_family("cycle", 12)
+    _rows([c12, c12, c12])
+    # the second and third C12 read the first one's final table
+    assert len(steps) == 12
+    steps.clear()
+    _rows([build_family("path", n) for n in range(3, 13)])
+    # P_n and P_{n+1} share their first n - 1 steps
+    assert len(steps) == 3 + 2 * 9
+
+
+@pytest.mark.parametrize(
+    "family, top, start, steps",
+    (("path", 20, 1, 38), ("cycle", 20, 1, 35), ("star", 19, 1, 37), ("wheel", 20, 4, 31)),
+)
+def test_benchmark_tables_run_few_steps(capsys, monkeypatch, family, top, start, steps):
+    calls = []
+    real = frontier._place
+    monkeypatch.setattr(frontier, "_place", lambda states, step: calls.append(step) or real(states, step))
+    rows = []
+    real_rows = frontier._frontier_rows
+
+    def counted(planned):
+        rows.extend(planned)
+        return real_rows(planned)
+
+    monkeypatch.setattr("wcds.cli._frontier_rows", counted)
+    assert run(["table", "--family", family, "--max-n", str(top)]) == 0
+    capsys.readouterr()
+    assert len(calls) == steps <= top + 2 * len(rows)
+    # one row at a time the DP runs every row's order in full
+    assert sum(g.order for g, _ in rows) > 4 * steps
+
+
+def test_wide_graph_in_a_sequence_is_refused_before_its_states(monkeypatch):
+    before = [build_family("cycle", 9), build_family("wheel", 8)]
+    calls = []
+    real = frontier._place
+    monkeypatch.setattr(frontier, "_place", lambda states, step: calls.append(step) or real(states, step))
+    alone = _rows(before)
+    ran = len(calls)
+    calls.clear()
+    rows = frontier._frontier_rows(
+        [(g, frontier_order(g)) for g in (*before, build_family("complete", 9), build_family("cycle", 10))]
+    )
+    assert [next(rows), next(rows)] == alone == [count_table(g) for g in before]
+    assert len(calls) == ran
+    with pytest.raises(CapacityError, match="frontier width 8"):
+        next(rows)
+    assert len(calls) == ran
+
+
+def _grid(rows, cols):
+    label = lambda i, j: i * cols + j + 1
+    edges = [(label(i, j), label(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(label(i, j), label(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return make_graph(rows * cols, edges)
+
+
+def _peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sequence_holds_at_most_one_snapshot():
+    # grids with four columns and a growing number of rows share most of
+    # their steps; the pass holds the live table and one snapshot, so its
+    # peak stays within twice the largest one-graph peak
+    grids = [_grid(k, 4) for k in range(4, 9)]
+    assert {frontier_order(g)[1] for g in grids} == {4}
+    single = max(_peak(lambda: count_table_frontier(g)) for g in grids)
+    assert _peak(lambda: _rows(grids)) < 2 * single
+    assert _rows(grids) == [count_table_frontier(g) for g in grids]
