@@ -115,6 +115,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         raise ValueError("give exactly one graph source: --family with --n, or --input")
     if args.n is None:
         raise ValueError("--family needs --n")
+    if getattr(args, "method", "oracle") in ("oracle", "frontier"):
+        # refuse before building: K_n alone has n(n - 1)/2 edges
+        check_cap(args.n + 1 if args.family == "star" else args.n, args.cap)
     return build_family(args.family, args.n)
 
 

@@ -12,6 +12,7 @@ Degenerate-cycle conventions C_1 = K_1 and C_2 = K_2 apply throughout.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb
 
 import numpy as np
@@ -72,10 +73,11 @@ def count_path_closed(n: int, j: int) -> int:
     return _choose(j + 1, n - j)
 
 
-def _pendant_rows(row0: tuple[int, ...], row1: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
-    """Count rows of G(0)..G(m), where G(k) hangs one more path vertex on
-    G(k-1), from the rows of G(0) and G(1) by the two-step recurrence
-    rows[k](i) = rows[k-1](i-1) + rows[k-2](i-1).
+def _pendant_rows(row0: tuple[int, ...], row1: tuple[int, ...], m: int) -> Iterator[tuple[int, ...]]:
+    """Yields the count rows of G(0)..G(m), where G(k) hangs one more path
+    vertex on G(k-1), from the rows of G(0) and G(1) by the two-step
+    recurrence rows[k](i) = rows[k-1](i-1) + rows[k-2](i-1). It holds two
+    rows at a time, so a caller that keeps only the last row stays small.
 
     The recurrence is stated for i >= 2; read at i = 1 it needs the counts
     of the empty set. That is its one boundary rule: the empty set counts
@@ -83,14 +85,14 @@ def _pendant_rows(row0: tuple[int, ...], row1: tuple[int, ...], m: int) -> tuple
     at order 3, where G(k-2) is a single vertex and lifts to the centre of
     the 3-path, and 0 at every other order.
     """
-    rows = [row0, row1]
-    for k in range(2, m + 1):
+    yield from (row0, row1)[: m + 1]
+    prev2, prev = row0, row1
+    for _ in range(2, m + 1):
         # cell i >= 2 sums cell i - 1 of the two earlier rows; the shorter
         # one has no cell at the largest cardinality
-        prev, prev2 = rows[k - 1], rows[k - 2] + (0,)
         first = 1 if len(prev) == 2 else 0  # the new row has order 3
-        rows.append((first,) + tuple(a + b for a, b in zip(prev, prev2)))
-    return tuple(rows[: m + 1])
+        prev2, prev = prev, (first,) + tuple(a + b for a, b in zip(prev, prev2 + (0,)))
+        yield prev
 
 
 def count_path_recurrence(n: int) -> CountTable:
@@ -100,7 +102,9 @@ def count_path_recurrence(n: int) -> CountTable:
     an independent method."""
     if n < 1:
         raise ValueError("order must be positive")
-    return CountTable(n, _pendant_rows((1,), (2, 1), n - 1)[n - 1], connected=True)
+    for row in _pendant_rows((1,), (2, 1), n - 1):
+        pass  # keep the last row only
+    return CountTable(n, row, connected=True)
 
 
 def count_cycle_top(n: int, i: int) -> int:

@@ -11,14 +11,14 @@ between members at distance at most 2. So it keeps the dominating masks
 first and connects only those; :func:`graph.weak_reach` stays the literal
 definition the tests compare it with. Counting queries tally each chunk's
 hits by popcount as Python ints, so counts are independent of the
-partitioning and cannot overflow. Listing filters one cached array of a
-graph's hit masks.
+partitioning and cannot overflow.
 
 Minimum queries sweep cardinality layers instead: :func:`_layer` makes the
 masks of one popcount, and :func:`_least_layer` tests layer after layer,
 upward from a degree bound below which no subset can pass, and stops at the
-first layer with a hit. gamma_w of K_n tests n masks, not 2**n. Membership
-in a minimum set reads the hits of that least layer alone.
+first layer with a hit. gamma_w of K_n tests n masks, not 2**n. Listing
+sets of size i sweeps layer i alone, and membership in a minimum set reads
+the hits of the least layer alone.
 
 A query on one graph sweeps that graph alone. :func:`sweep_stack` sweeps
 many small graphs at once instead: graphs of one order n form a stack, each
@@ -26,9 +26,8 @@ vertex's neighbour masks become a (graphs, 1) column, and the same kernel
 tests a (graphs, 2**n) mask array, 2**16 (graph, mask) pairs a call. The
 extension suites of the verify module use it: a pendant-path instance has
 order 11 at most, so one call covers dozens of graphs where a lone sweep
-would pay the per-call overhead for 2**11 masks. The count rows it makes go
-through the same popcount tally into the cache that :func:`count_table`
-reads.
+would pay the per-call overhead for 2**11 masks. It returns the hits
+alone; a caller that needs count rows tallies them by popcount.
 """
 
 from __future__ import annotations
@@ -246,10 +245,9 @@ def _least_layer(adj: list[int], pred: Callable, need: int, reach: int) -> int:
     raise ValueError("no subset passes")
 
 
-def _least_hits(adj: list[int], pred: Callable, need: int, reach: int) -> np.ndarray:
-    """Every subset passing ``pred`` in the least layer that
-    :func:`_least_layer` finds."""
-    k = _least_layer(adj, pred, need, reach)
+def _layer_hits(adj: list[int], pred: Callable, k: int) -> np.ndarray:
+    """Every k-subset passing ``pred``, as a fresh array, in no particular
+    order."""
     return np.concatenate([masks[pred(adj, masks)] for masks in _layer(len(adj), k)])
 
 
@@ -282,21 +280,11 @@ def _tally(n: int, chunks: Iterator[np.ndarray]) -> list[int]:
     return counts
 
 
-def sweep_counts(order: int, edges: frozenset[tuple[int, int]], chunk_bits: int = _CHUNK_BITS) -> list[int]:
+def sweep_counts(order: int, edges: frozenset[tuple[int, int]]) -> list[int]:
     """Raw subset sweep: counts[k] = number of k-subsets whose weakly induced
-    spanning subgraph is connected. Exposed with a chunk-size knob so the
-    partition-independence contract is testable."""
+    spanning subgraph is connected."""
     adj = Graph(order, frozenset(edges)).neighbor_masks()
-    return _tally(order, _sweep(adj, _weak_ok, chunk_bits))
-
-
-@lru_cache(maxsize=4)
-def _hits(g: Graph) -> np.ndarray:
-    """Every weakly connected dominating set of g as a mask, ascending,
-    read-only."""
-    hits = np.concatenate(list(_sweep(g.neighbor_masks(), _weak_ok)))
-    hits.flags.writeable = False
-    return hits
+    return _tally(order, _sweep(adj, _weak_ok))
 
 
 def _in_a_minimum(sets: np.ndarray, v: int) -> bool:
@@ -305,17 +293,11 @@ def _in_a_minimum(sets: np.ndarray, v: int) -> bool:
     return bool(np.any(sets[sizes == sizes.min()] & 1 << (v - 1)))
 
 
-# count tables that sweep_stack has just made, on their way into the cache below
-_arriving: dict[Graph, CountTable] = {}
-
-
-# far above the 592 distinct graphs that all fifteen verify suites, run in
-# one process at their default sizes and seed, put in it (an extension suite
-# alone puts 464), so no run loses a hit to eviction
+# far above the 151 distinct graphs that all fifteen verify suites, run in
+# one process at their default sizes and seed, put in it (the extension
+# suites put none), so no run loses a hit to eviction
 @lru_cache(maxsize=4096)
 def _count_table_cached(g: Graph) -> CountTable:
-    if g in _arriving:
-        return _arriving.pop(g)
     if not is_connected(g):
         return CountTable(g.order, (0,) * g.order, connected=False)
     counts = sweep_counts(g.order, g.edges)
@@ -336,24 +318,16 @@ def count_table(g: Graph, cap: int = DEFAULT_CAP) -> CountTable:
 def sweep_stack(graphs: Iterable[Graph], pred: Callable = _weak_ok, cap: int = DEFAULT_CAP) -> dict[Graph, np.ndarray]:
     """The non-empty subsets passing ``pred`` (:func:`_weak_ok` or
     :func:`_dom_ok`), ascending, of each distinct graph, swept in stacks of
-    one order. With :func:`_weak_ok` each graph's count table enters the
-    cache of :func:`count_table` as well. An order above ``cap`` raises
-    :class:`CapacityError`, naming the largest, before any sweep."""
+    one order. An order above ``cap`` raises :class:`CapacityError`, naming
+    the largest, before any sweep."""
     by_order: dict[int, list[Graph]] = {}
     for g in dict.fromkeys(graphs):
         by_order.setdefault(g.order, []).append(g)
     if by_order:
         check_cap(max(by_order), cap)
     out = {}
-    for n, group in sorted(by_order.items()):
-        for g, hits in zip(group, _stack_hits([g.neighbor_masks() for g in group], pred)):
-            out[g] = hits
-            if pred is _weak_ok:
-                # S = V keeps every edge, so it is a hit exactly when g is connected
-                connected = hits.size > 0 and int(hits[-1]) == (1 << n) - 1
-                _arriving[g] = CountTable(n, tuple(_tally(n, [hits])[1:]), connected)
-                _count_table_cached(g)
-                _arriving.pop(g, None)  # left over when g was cached already
+    for _, group in sorted(by_order.items()):
+        out.update(zip(group, _stack_hits([g.neighbor_masks() for g in group], pred)))
     return out
 
 
@@ -374,8 +348,7 @@ def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, 
     check_cap(g.order, cap)
     if i < 1 or i > g.order:
         return []
-    hits = _hits(g)
-    return _as_tuples(hits[np.bitwise_count(hits) == i], i)
+    return _as_tuples(_layer_hits(g.neighbor_masks(), _weak_ok, i), i)
 
 
 def _check_connected(g: Graph, cap: int) -> None:
@@ -417,7 +390,9 @@ def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> boo
     ValueError for v outside 1..order."""
     _check_connected(g, cap)
     _member_mask(g, (v,))
-    return _in_a_minimum(_least_hits(g.neighbor_masks(), _weak_ok, g.order - 1, 0), v)
+    adj = g.neighbor_masks()
+    k = _least_layer(adj, _weak_ok, g.order - 1, 0)
+    return bool(np.any(_layer_hits(adj, _weak_ok, k) & 1 << (v - 1)))
 
 
 def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
@@ -425,4 +400,6 @@ def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) 
     ValueError for v outside 1..order."""
     check_cap(g.order, cap)
     _member_mask(g, (v,))
-    return _in_a_minimum(_least_hits(g.neighbor_masks(), _dom_ok, g.order, 1), v)
+    adj = g.neighbor_masks()
+    k = _least_layer(adj, _dom_ok, g.order, 1)
+    return bool(np.any(_layer_hits(adj, _dom_ok, k) & 1 << (v - 1)))

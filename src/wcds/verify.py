@@ -35,6 +35,7 @@ from .oracle import (
     _as_tuples,
     _dom_ok,
     _in_a_minimum,
+    _tally,
     check_cap,
     count_table,
     dominating_counts,
@@ -666,8 +667,7 @@ _WINDOW = 256
 def _extension_windows(random_count: int, seed: int, cap: int) -> Iterator[tuple[list[tuple], dict[Graph, np.ndarray]]]:
     """``_extension_instances`` ``_WINDOW`` at a time, each instance with its
     G(0), G(1) and G(m) appended, and the weakly connected dominating sets
-    of every graph in the window from one stacked sweep per order. Their
-    count tables enter the cache of ``count_table`` on the way."""
+    of every graph in the window from one stacked sweep per order."""
     instances = _extension_instances(random_count, seed)
     while window := list(islice(instances, _WINDOW)):
         window = [
@@ -786,17 +786,17 @@ def _suite_gamma_path_cycle(max_n: int, cap: int, **_) -> list[CheckRecord]:
 
 def _suite_extension_recurrence(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
-    for window, _ in _extension_windows(random_count, seed, cap):
-        for key, rg, cards, (_, _, gm) in window:
-            row = formulas.count_extension_table(rg, cap)[-1]
-            actual = count_table(gm, cap)
+    for window, hits in _extension_windows(random_count, seed, cap):
+        for key, rg, cards, graphs in window:
+            # the count rows of G(0), G(1) and G(m), tallied from the window's hits
+            row0, row1, actual = (tuple(_tally(g.order, [hits[g]])[1:]) for g in graphs)
+            *_, row = formulas._pendant_rows(row0, row1, rg.extension_length)
             mism = [
-                f"i={i}: recurrence {row.count(i)}, exhaustive {actual.count(i)}"
+                f"i={i}: recurrence {row[i - 1]}, exhaustive {actual[i - 1]}"
                 for i in cards
-                if row.count(i) != actual.count(i)
+                if row[i - 1] != actual[i - 1]
             ]
-            claimed, exhaustive = str(row.counts), str(actual.counts)
-            records.append(CheckRecord(key, "two-step recurrence", claimed, exhaustive, not mism, "; ".join(mism)))
+            records.append(CheckRecord(key, "two-step recurrence", str(row), str(actual), not mism, "; ".join(mism)))
     return records
 
 

@@ -97,6 +97,26 @@ def test_capacity_exit_status(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,order",
+    (
+        (["gamma", "--family", "complete", "--n", "1000"], 1000),
+        (["enumerate", "--family", "star", "--n", "24", "--i", "3"], 25),  # star(n) has n + 1 vertices
+        (["count", "--family", "wheel", "--n", "25"], 25),
+        (["count", "--family", "path", "--n", "25", "--method", "frontier"], 25),
+    ),
+)
+def test_over_cap_family_is_refused_before_it_is_built(capsys, monkeypatch, argv, order):
+    def no_build(*args):
+        raise AssertionError("build_family called")
+
+    monkeypatch.setattr(cli, "build_family", no_build)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: order {order} exceeds the subset-sweep cap 24 (2**{order} subsets)" in captured.err
+
+
 def test_table_refuses_an_over_cap_order_before_any_sweep(capsys, sweep_calls):
     assert run(["table", "--family", "star", "--max-n", "10", "--cap", "10"]) == 3
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -289,6 +290,18 @@ def test_pendant_families_match_a_depth_first_recursion(seed):
                 assert built == _depth_first_families(rg, hits0, hits1), rg
                 refused += sum(isinstance(f, str) for f in built)
     assert refused > 0
+
+
+def test_path_recurrence_keeps_two_rows():
+    # holding all 2000 rows of big ints peaked at about 128 MB
+    tracemalloc.start()
+    try:
+        row = count_path_recurrence(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.counts == tuple(count_path_closed(2000, j) for j in range(1, 2001))
+    assert peak < 2 * 2**20
 
 
 def test_boxes_small_cases():

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -65,10 +66,9 @@ def test_path_totals_are_fibonacci(n):
 
 def test_sweep_is_chunk_size_independent():
     g = build_family("wheel", 8)
-    edges = sorted(g.edges)
-    expected = sweep_counts(8, edges, chunk_bits=20)
-    assert sweep_counts(8, edges, chunk_bits=3) == expected
-    assert sweep_counts(8, edges, chunk_bits=1) == expected
+    expected = sweep_counts(8, g.edges)
+    for bits in (20, 3, 1):
+        assert oracle._tally(8, oracle._sweep(g.neighbor_masks(), oracle._weak_ok, bits)) == expected, bits
 
 
 @st.composite
@@ -198,17 +198,14 @@ def test_top_cardinalities_on_cycles(n):
 
 
 def _assert_stack_matches_lone_sweeps(graphs, pred):
-    # the stacked hits against an uncached lone sweep of each graph; with
-    # _weak_ok the row the stack left in the emptied cache against a lone count
-    oracle._count_table_cached.cache_clear()
+    # the stacked hits against a lone sweep of each graph, and their tally
+    # against the lone count of the same kind
     hits = oracle.sweep_stack(graphs, pred)
     assert set(hits) == set(graphs)
+    lone_count = (lambda g: count_table(g).counts) if pred is oracle._weak_ok else dominating_counts
     for g in graphs:
         assert np.array_equal(hits[g], np.concatenate(list(oracle._sweep(g.neighbor_masks(), pred)))), g
-        if pred is oracle._weak_ok:
-            assert count_table(g) == oracle._count_table_cached.__wrapped__(g), g
-        else:
-            assert tuple(oracle._tally(g.order, [hits[g]])[1:]) == dominating_counts(g), g
+        assert tuple(oracle._tally(g.order, [hits[g]])[1:]) == lone_count(g), g
 
 
 def _labelled_graphs(n):
@@ -235,14 +232,6 @@ def test_stacked_sweep_splits_an_order_across_kernel_calls(pred):
     graphs = [make_graph(10, [p for p in pairs if rng.random() < 0.3]) for _ in range(150)]
     assert len(set(graphs)) > 2 * 64 and not all(map(is_connected, graphs))
     _assert_stack_matches_lone_sweeps(graphs, pred)
-
-
-def test_stacked_rows_are_count_table_cache_hits(sweep_calls):
-    graphs = [build_family("path", 6), build_family("wheel", 7), make_graph(4, [(1, 2), (3, 4)])]
-    oracle.sweep_stack(graphs)
-    assert [count_table(g).counts for g in graphs] == [(0, 0, 4, 10, 6, 1), (1, 9, 29, 35, 21, 7, 1), (0, 0, 0, 0)]
-    assert not count_table(graphs[2]).connected
-    assert sweep_calls == []
 
 
 def test_stacked_sweep_refuses_the_largest_order_above_the_cap_first():
@@ -377,7 +366,6 @@ def test_membership_refuses_a_vertex_outside_the_graph(query, v):
 
 
 def test_membership_sweeps_only_the_least_layer(monkeypatch):
-    monkeypatch.setattr(oracle, "_hits", None)  # every hit of the graph is never built
     seen = []
     real = oracle._weak_ok
     monkeypatch.setattr(oracle, "_weak_ok", lambda adj, masks: seen.append(masks) or real(adj, masks))
@@ -388,3 +376,27 @@ def test_membership_sweeps_only_the_least_layer(monkeypatch):
     assert [has_minimum_dominating_containing(g, v) for v in g.vertices()] == [
         any(v in s for s in sets) for v in g.vertices()
     ]
+
+
+def test_enumerate_sweeps_only_its_layer(monkeypatch):
+    seen = []
+    real = oracle._weak_ok
+    monkeypatch.setattr(oracle, "_weak_ok", lambda adj, masks: seen.append(masks) or real(adj, masks))
+    g = build_family("cycle", 9)
+    for i in range(1, 10):
+        seen.clear()
+        assert len(enumerate_wcds(g, i)) == count_table(g).count(i)
+        assert {int(k) for masks in seen for k in np.bitwise_count(masks)} == {i}, i
+
+
+def test_enumerate_peaks_with_its_layer_not_the_graph():
+    # K22 has 2**22 - 1 weakly connected dominating sets; its 3-sets are 1,540
+    g = build_family("complete", 22)
+    tracemalloc.start()
+    try:
+        sets = enumerate_wcds(g, 3, cap=22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == comb(22, 3)
+    assert peak < 2 * 2**20

@@ -19,6 +19,7 @@ from wcds import (
     RootedGraph,
     UnsupportedMethodError,
     build_family,
+    count_extension_table,
     count_table,
     cross_check,
     gamma_w,
@@ -379,6 +380,21 @@ def test_random_pools_are_drawn_lazily():
     assert joins[-1][0] == "random25"
     assert first_random_base == "random1 root=1 m=2"
     assert peak < 2 * 2**20
+
+
+def test_extension_recurrence_tallies_its_rows_from_the_stacked_hits(monkeypatch, sweep_calls):
+    def no_count_table(*args, **kwargs):
+        raise AssertionError("count_table called")
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "count_table", no_count_table)
+        m.setattr(formulas, "count_table", no_count_table)
+        report = verify_formula_suite("extension_recurrence")
+    assert sweep_calls == []
+    # each claimed row is the last row of the public extension table
+    instances = verify._extension_instances(verify.SUITES["extension_recurrence"].random_count, DEFAULT_SEED)
+    for r, (key, rg, _) in zip(report.records, instances, strict=True):
+        assert r.key == key and r.claimed_value == str(count_extension_table(rg)[-1].counts), key
 
 
 def test_extension_suites_sweep_a_window_before_drawing_more(monkeypatch):
