@@ -18,7 +18,7 @@ import json
 import sys
 
 from .frontier import _frontier_rows, frontier_order, projected_states
-from .graph import FAMILIES, Graph, build_family, read_edge_list
+from .graph import FAMILIES, Graph, build_family, family_label, family_order, read_edge_list
 from .oracle import (
     CapacityError,
     DEFAULT_CAP,
@@ -29,7 +29,15 @@ from .oracle import (
     gamma,
     gamma_w,
 )
-from .verify import DEFAULT_SEED, METHODS, SUITES, UnsupportedMethodError, table_by_method, verify_formula_suite
+from .verify import (
+    DEFAULT_SEED,
+    METHODS,
+    SUITES,
+    UnsupportedMethodError,
+    family_table,
+    table_by_method,
+    verify_formula_suite,
+)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -92,10 +100,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
+def _family_source(args: argparse.Namespace) -> tuple[str, int] | None:
+    """The (family, n) of a --family source, None for --input; ValueError
+    unless exactly one source is given."""
     if args.input is not None and args.family is not None:
         raise ValueError("give exactly one graph source: --family with --n, or --input")
     if args.input is not None:
+        return None
+    if args.family is None:
+        raise ValueError("give exactly one graph source: --family with --n, or --input")
+    if args.n is None:
+        raise ValueError("--family needs --n")
+    return args.family, args.n
+
+
+def _load_graph(args: argparse.Namespace) -> Graph:
+    source = _family_source(args)
+    if source is None:
         if args.input == "-":
             text = sys.stdin.read()
         else:
@@ -111,14 +132,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         if any(old != new for old, new in mapping.items()):
             print(f"note: input labels renumbered to 1..{g.order}", file=sys.stderr)
         return g
-    if args.family is None:
-        raise ValueError("give exactly one graph source: --family with --n, or --input")
-    if args.n is None:
-        raise ValueError("--family needs --n")
-    if getattr(args, "method", "oracle") in ("oracle", "frontier"):
-        # refuse before building: K_n alone has n(n - 1)/2 edges
-        check_cap(args.n + 1 if args.family == "star" else args.n, args.cap)
-    return build_family(args.family, args.n)
+    # refuse before building: K_n alone has n(n - 1)/2 edges
+    check_cap(family_order(*source), args.cap)
+    return build_family(*source)
 
 
 def _render_rows(rows: list[tuple[int, tuple[int, ...]]], fmt: str, label: str) -> str:
@@ -156,18 +172,25 @@ def _cmd_gamma(args: argparse.Namespace, cap: int) -> int:
 
 
 def _cmd_count(args: argparse.Namespace, cap: int) -> int:
-    g = _load_graph(args)
-    counts = table_by_method(g, args.method, cap)
-    if args.method == "formula" and g.family == "wheel":
+    source = _family_source(args)
+    if source is not None and args.method in ("formula", "recurrence"):
+        # these read (family, n) alone, so no graph is built
+        family, order, label = source[0], family_order(*source), family_label(*source)
+        counts = family_table(*source, args.method, cap)
+    else:
+        g = _load_graph(args)
+        family, order, label = g.family, g.order, g.label()
+        counts = table_by_method(g, args.method, cap)
+    if args.method == "formula" and family == "wheel":
         print(
             "note: the formula method follows the stated wheel composition, which the sweep refutes; "
             "`wcds verify --suite wheel` shows the counterexamples",
             file=sys.stderr,
         )
     if args.i is not None:
-        print(counts[args.i - 1] if 1 <= args.i <= g.order else 0)
+        print(counts[args.i - 1] if 1 <= args.i <= order else 0)
         return 0
-    sys.stdout.write(_render_rows([(g.order, counts)], args.fmt, g.label()))
+    sys.stdout.write(_render_rows([(order, counts)], args.fmt, label))
     return 0
 
 

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .graph import Graph, RootedGraph, is_connected, realize_extension
-from .oracle import DEFAULT_CAP, CountTable, _as_tuples, count_table, sweep_stack
+from .oracle import DEFAULT_CAP, CountTable, _as_tuples, _tally, count_table, sweep_stack
 
 
 class RecurrenceAssumptionError(Exception):
@@ -241,16 +241,19 @@ def count_extension_table(rg: RootedGraph, cap: int = DEFAULT_CAP) -> tuple[Coun
 
 def _pendant_families(
     rg: RootedGraph, hits0: np.ndarray, hits1: np.ndarray
-) -> list[np.ndarray | RecurrenceAssumptionError]:
-    """The families of weakly connected dominating sets of G(m) by
-    cardinality 0..order, as ascending masks (bit l - 1 is vertex l), built
-    in one bottom-up pass over k from ``hits0`` and ``hits1``, the ascending
-    hit masks of G(0) and G(1).
+) -> Iterator[tuple[np.ndarray, dict[int, RecurrenceAssumptionError]]]:
+    """Yields, for k = 0..m, the family of weakly connected dominating sets
+    of G(k) built from ``hits0`` and ``hits1``, the ascending hit masks of
+    G(0) and G(1): one ascending mask array (bit l - 1 is vertex l), and
+    the cardinalities at which the construction refuses, each with its
+    error. It holds two prefixes at a time, as :func:`_pendant_rows` does.
 
     Each set of G(k) of size j either ends in the last path vertex, lifted
     from a set of G(k-1) of size j - 1, or in the one before it, lifted from
-    a set of G(k-2); the two branches are disjoint. Two boundary rules keep
-    the recursion exact:
+    a set of G(k-2); the two branches are disjoint. So a step is two ORs and
+    a concatenation: the lifted G(k-2) sets stay below 2**(order - 1) and
+    the lifted G(k-1) sets hold that bit, so the result stays ascending.
+    Two boundary rules keep the recursion exact:
 
     * cardinality 0 on a single vertex counts the empty set once (the
       convention behind the recurrence's i = 1 boundary rule, see
@@ -259,36 +262,43 @@ def _pendant_families(
       empty for size reasons alone, and every set must come from the longer
       prefix. Inside the size bound that one-sided pattern is impossible.
 
-    Where it happens anyway, (k, j) holds a :class:`RecurrenceAssumptionError`
-    instead of a family, and so does every family whose recursion reaches it:
-    each takes the error of its longer prefix first, as a depth-first
-    recursion from it would meet them.
+    Where it happens anyway, the construction refuses (k, j) with a
+    :class:`RecurrenceAssumptionError`, and so every (k', j') whose
+    recursion reaches it: each takes the error of its longer prefix first,
+    as a depth-first recursion from it would meet them. Whether a family is
+    empty is read from the count rows of :func:`_pendant_rows`, run from the
+    tallies of ``hits0`` and ``hits1``: a family no refusal reaches has
+    exactly the size the recurrence gives it.
     """
-    n0, m = rg.base.order, rg.extension_length
-    empty = np.zeros(0, dtype=np.uint32)
-    fams = [[hits[np.bitwise_count(hits) == j] for j in range(n0 + k + 1)] for k, hits in enumerate((hits0, hits1))]
+    n0 = rg.base.order
+    rows = _pendant_rows(*(tuple(_tally(n0 + k, [h])[1:]) for k, h in enumerate((hits0, hits1))), rg.extension_length)
     if n0 == 1:
-        fams[0][0] = np.zeros(1, dtype=np.uint32)  # the empty set
-    for k in range(2, m + 1):
-        order = n0 + k  # of G(k), and the label of its last path vertex
-        row: list[np.ndarray | RecurrenceAssumptionError] = [empty]
-        for j in range(1, order + 1):
-            in_bounds = j - 1 <= order - 2  # G(k-2) has sets of size j - 1
-            f1 = fams[k - 1][j - 1]
-            f2 = fams[k - 2][j - 1] if in_bounds else empty
-            refused = next((f for f in (f1, f2) if isinstance(f, RecurrenceAssumptionError)), None)
-            if refused is None and f1.size and not f2.size and in_bounds:
-                refused = RecurrenceAssumptionError(
-                    f"at prefix {k}, cardinality {j}: the longer-prefix "
-                    "family is non-empty while the shorter one is empty "
-                    "within size bounds; the case analysis assumes this "
-                    "cannot happen"
-                )
-            # lifted G(k-2) sets stay below 2**(order - 1) and lifted G(k-1)
-            # sets hold that bit, so the result stays ascending
-            row.append(refused or np.concatenate((f2 | 1 << (order - 2), f1 | 1 << (order - 1))))
-        fams.append(row)
-    return fams[m]
+        hits0 = np.concatenate((np.zeros(1, dtype=np.uint32), hits0))  # the empty set
+    prev2 = prev = None  # the (family, refusals, count row) of G(k-2) and G(k-1)
+    for k, row in enumerate(rows):
+        if k < 2:
+            fam, refused = (hits0, hits1)[k], {}
+        else:
+            (fam2, refused2, row2), (fam1, refused1, row1) = prev2, prev
+            order = n0 + k  # of G(k), and the label of its last path vertex
+            refused = {}
+            # cardinality 1 lifts sets of size 0: G(k-1) has none, so no
+            # refusal starts or reaches there
+            for j in range(2, order + 1):
+                in_bounds = j - 1 <= order - 2  # G(k-2) has sets of size j - 1
+                error = refused1.get(j - 1) or (refused2.get(j - 1) if in_bounds else None)
+                if error is None and in_bounds and row1[j - 2] and not row2[j - 2]:
+                    error = RecurrenceAssumptionError(
+                        f"at prefix {k}, cardinality {j}: the longer-prefix "
+                        "family is non-empty while the shorter one is empty "
+                        "within size bounds; the case analysis assumes this "
+                        "cannot happen"
+                    )
+                if error is not None:
+                    refused[j] = error
+            fam = np.concatenate((fam2 | 1 << (order - 2), fam1 | 1 << (order - 1)))
+        yield fam, refused
+        prev2, prev = prev, (fam, refused, row)
 
 
 def build_extension_wcds(
@@ -307,12 +317,11 @@ def build_extension_wcds(
         raise ValueError("the construction needs extension length at least 2")
     g0, g1 = (realize_extension(RootedGraph(rg.base, rg.root, k)) for k in (0, 1))
     hits = sweep_stack((g0, g1), cap=cap)
-    fams = _pendant_families(rg, hits[g0], hits[g1])
-    if not 0 <= i < len(fams):
-        return []
-    if isinstance(fams[i], RecurrenceAssumptionError):
-        raise fams[i]
-    return _as_tuples(fams[i], i)
+    for fam, refused in _pendant_families(rg, hits[g0], hits[g1]):
+        pass  # keep the last prefix, G(m), only
+    if i in refused:
+        raise refused[i]
+    return _as_tuples(fam[np.bitwise_count(fam) == i], i) if i >= 0 else []
 
 
 def boxes_count(n: int, j: int) -> int:

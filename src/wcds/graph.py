@@ -58,9 +58,8 @@ class Graph:
 
     def label(self) -> str:
         """Short display name: family shorthand when tagged, else order/size."""
-        short = {"path": "P", "cycle": "C", "complete": "K", "star": "S", "wheel": "W"}
-        if self.family in short:
-            return f"{short[self.family]}{self.family_n}"
+        if self.family is not None:
+            return family_label(self.family, self.family_n)
         return f"G(n={self.order},m={len(self.edges)})"
 
 
@@ -98,6 +97,23 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, frozenset(canon))
 
 
+def family_order(family: str, n: int) -> int:
+    """The order of ``build_family(family, n)``, without building it:
+    ValueError for an unknown family or a size out of range."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family == "wheel" and n < 4:
+        raise ValueError(f"wheel requires n >= 4, got {n}")
+    if n < 1:
+        raise ValueError(f"family size must be >= 1, got {n}")
+    return n + 1 if family == "star" else n
+
+
+def family_label(family: str, n: int) -> str:
+    """The short display name of ``build_family(family, n)``, such as P5."""
+    return {"path": "P", "cycle": "C", "complete": "K", "star": "S", "wheel": "W"}[family] + str(n)
+
+
 def build_family(family: str, n: int) -> Graph:
     """Construct a named family member.
 
@@ -106,15 +122,10 @@ def build_family(family: str, n: int) -> Graph:
     pairs. star(n): center 1 with n leaves, order n + 1. wheel(n): cycle(n - 1)
     joined with a single hub (vertex n), n >= 4.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    family_order(family, n)  # the refusals
     if family == "wheel":
-        if n < 4:
-            raise ValueError(f"wheel requires n >= 4, got {n}")
         g = join(build_family("cycle", n - 1), build_family("complete", 1))
         return Graph(g.order, g.edges, "wheel", n)
-    if n < 1:
-        raise ValueError(f"family size must be >= 1, got {n}")
     if family == "path":
         edges = [(i, i + 1) for i in range(1, n)]
         return Graph(n, frozenset(edges), "path", n)

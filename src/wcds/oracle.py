@@ -10,24 +10,29 @@ subgraph is connected iff S dominates and S is connected through links
 between members at distance at most 2. So it keeps the dominating masks
 first and connects only those; :func:`graph.weak_reach` stays the literal
 definition the tests compare it with. Counting queries tally each chunk's
-hits by popcount as Python ints, so counts are independent of the
-partitioning and cannot overflow.
+hits by popcount, as Python ints or, in stacks, int64 cells that hold at
+most 2**30, so counts are independent of the partitioning and cannot
+overflow.
 
 Minimum queries sweep cardinality layers instead: :func:`_layer` makes the
-masks of one popcount, and :func:`_least_layer` tests layer after layer,
+masks of one popcount, and :func:`_least_layers` tests layer after layer,
 upward from a degree bound below which no subset can pass, and stops at the
 first layer with a hit. gamma_w of K_n tests n masks, not 2**n. Listing
 sets of size i sweeps layer i alone, and membership in a minimum set reads
 the hits of the least layer alone.
 
-A query on one graph sweeps that graph alone. :func:`sweep_stack` sweeps
-many small graphs at once instead: graphs of one order n form a stack, each
-vertex's neighbour masks become a (graphs, 1) column, and the same kernel
-tests a (graphs, 2**n) mask array, 2**16 (graph, mask) pairs a call. The
-extension suites of the verify module use it: a pendant-path instance has
-order 11 at most, so one call covers dozens of graphs where a lone sweep
-would pay the per-call overhead for 2**11 masks. It returns the hits
-alone; a caller that needs count rows tallies them by popcount.
+Many small graphs are queried as stacks: graphs of one order n form a
+stack, each vertex's neighbour masks become a (graphs, 1) column, and the
+same kernel tests a (graphs, masks) array, at most 2**16 (graph, mask)
+pairs a call, where one graph alone would pay the per-call overhead for a
+few masks. :func:`sweep_stack` returns each graph's hits (the extension
+suites of the verify module), :func:`count_stack` tallies its count row
+call by call (the join suite), and :func:`gamma_w_stack` and
+:func:`gamma_stack` run one least-layer pass per stack, where a graph
+retires at its first layer with a hit (the join, corona and path/cycle
+minimum suites). A query on one graph is the one-graph case of the same
+routines, and a kernel call on one graph takes its int neighbour masks and
+a flat chunk of masks.
 """
 
 from __future__ import annotations
@@ -39,12 +44,13 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .core import _member_mask
-from .graph import Graph, is_connected
+from .graph import Graph, is_connected, weak_reach
 
 DEFAULT_CAP = 24
 HARD_CAP = 30
 # 2**16 masks (256 KiB per working buffer) stay in cache; 2**20 ran half as fast
 _CHUNK_BITS = 16
+_DISCONNECTED = "gamma_w undefined: graph is disconnected"
 
 
 class CapacityError(Exception):
@@ -122,24 +128,28 @@ def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
 
     ``adj`` holds int neighbour masks, or (graphs, 1) columns for a
     (graphs, masks) array (:func:`_stack_hits`); then each surviving mask
-    gathers its own graph's N2 values, and keeps them through retirements.
+    reads its own graph's N2 values, one vertex at a time, so the working
+    arrays stay a few per surviving mask whatever the order.
     """
     n = len(adj)
     ok = _dom_ok(adj, masks).reshape(-1)
     live = np.flatnonzero(ok)
     s = masks.reshape(-1)[live]
     near = _near(adj)
-    if masks.ndim > 1:  # one row of N2 values per surviving mask
-        near = np.stack(near).reshape(n, -1)[:, live // masks.shape[1]]
+    stacked = masks.ndim > 1
+    if stacked:  # near[v, g], and each surviving mask's graph g
+        near = np.stack(near).reshape(n, -1)
+        graph = live // masks.shape[1]
     reach = s & -s
     half, other = range(n), range(n - 2, -1, -1)
     while live.size:
         prev = reach.copy()
         bit = np.empty_like(reach)
+        cell = np.empty_like(reach) if stacked else None
         for v in half:
             np.right_shift(reach, v, out=bit)
             np.bitwise_and(bit, 1, out=bit)
-            np.multiply(bit, near[v], out=bit)
+            np.multiply(bit, np.take(near[v], graph, out=cell) if stacked else near[v], out=bit)
             np.bitwise_and(bit, s, out=bit)
             np.bitwise_or(reach, bit, out=reach)
         spans = reach == s
@@ -147,8 +157,8 @@ def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
         ok[live[~(spans | grew)]] = False
         busy = grew & ~spans
         live, s, reach = live[busy], s[busy], reach[busy]
-        if masks.ndim > 1:
-            near = near[:, busy]
+        if stacked:
+            graph = graph[busy]
         half, other = other, half
     return ok.reshape(masks.shape)
 
@@ -156,7 +166,14 @@ def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
 def _near(adj: list) -> list:
     """Per vertex v, the mask of N2[v], the vertices at distance at most 2
     from v, v included. Ints from int neighbour masks, columns from
-    columns."""
+    columns, all the graphs' at once."""
+    n = len(adj)
+    if isinstance(adj[0], np.ndarray):
+        nbrs = np.concatenate(adj, axis=1)  # (graphs, n)
+        # links[g, v, u]: u is a neighbour of v in graph g
+        links = nbrs[:, :, None] >> np.arange(n, dtype=np.uint32) & 1
+        near = np.bitwise_or.reduce(links * nbrs[:, None, :], axis=2) | nbrs | 1 << np.arange(n, dtype=np.uint32)
+        return list(near.T[:, :, None])
     out = []
     for v, nbrs in enumerate(adj):
         near = nbrs | 1 << v
@@ -224,10 +241,26 @@ def _layer_floor(adj: list[int], need: int, reach: int) -> int:
     return k
 
 
-def _least_layer(adj: list[int], pred: Callable, need: int, reach: int) -> int:
-    """The least k such that some k-subset passes ``pred``, found by testing
-    the layers of :func:`_layer` upward from :func:`_layer_floor`. The
-    callers' graphs always pass with S = V, so some layer up to n hits.
+def _batch_ok(adjs: list[list[int]], pred: Callable, masks: np.ndarray) -> np.ndarray:
+    """``pred`` on the same masks in each graph of a batch of one order, as a
+    (graphs, masks) array. One graph passes its int neighbour masks, as a
+    lone query does; more pass (graphs, 1) columns and a row of masks each."""
+    if len(adjs) == 1:
+        return pred(adjs[0], masks)[None]
+    cols = np.array(adjs, dtype=np.uint32).T[:, :, None].copy()
+    return pred(list(cols), np.tile(masks, (len(adjs), 1)))
+
+
+def _least_layers(adjs: list[list[int]], pred: Callable, need: int, reach: int) -> list[int]:
+    """Per graph of a stack of one order n, given by its neighbour masks,
+    the least k such that some k-subset passes ``pred``. The layers of
+    :func:`_layer` are tested upward from the least :func:`_layer_floor` in
+    the stack (a graph tested below its own floor finds nothing), each chunk
+    against the graphs without a hit yet, at most 2**_CHUNK_BITS (graph,
+    mask) pairs a call. A graph retires at its first layer with a hit, and
+    the pass stops when every graph has; a stack of one graph is a lone
+    query. The callers' graphs always pass with S = V, so some layer up to
+    n hits each.
 
     The two floors are one-line lemmas:
 
@@ -238,10 +271,20 @@ def _least_layer(adj: list[int], pred: Callable, need: int, reach: int) -> int:
     - gamma: ``need`` n, ``reach`` 1. The closed neighbourhood of v covers
       at most deg v + 1 vertices, and S must cover all n.
     """
-    n = len(adj)
-    for k in range(_layer_floor(adj, need, reach), n + 1):
-        if any(pred(adj, masks).any() for masks in _layer(n, k)):
-            return k
+    n = len(adjs[0])
+    least = [0] * len(adjs)
+    todo = list(range(len(adjs)))
+    for k in range(min(_layer_floor(adj, need, reach) for adj in adjs), n + 1):
+        for masks in _layer(n, k):
+            per_call = max(1, (1 << _CHUNK_BITS) // masks.size)
+            for lo in range(0, len(todo), per_call):
+                batch = todo[lo : lo + per_call]
+                for i, hit in zip(batch, _batch_ok([adjs[i] for i in batch], pred, masks).any(axis=1)):
+                    if hit:
+                        least[i] = k
+            todo = [i for i in todo if not least[i]]
+            if not todo:
+                return least
     raise ValueError("no subset passes")
 
 
@@ -251,24 +294,46 @@ def _layer_hits(adj: list[int], pred: Callable, k: int) -> np.ndarray:
     return np.concatenate([masks[pred(adj, masks)] for masks in _layer(len(adj), k)])
 
 
-def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:
-    """The non-empty subsets passing ``pred``, ascending, of each graph of one
-    order n, given by its neighbour masks. A kernel call takes at most
-    2**_CHUNK_BITS (graph, mask) pairs: 2**(_CHUNK_BITS - n) whole graphs at
-    once, each vertex's masks a (graphs, 1) column. Above order _CHUNK_BITS
-    each graph is swept alone."""
+def _stack_calls(adjs: list[list[int]], pred: Callable) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The kernel calls that sweep every subset of each graph of a stack of
+    one order n, given by its neighbour masks. Yields the index of the
+    call's first graph, the masks tested and their flags, one row per graph
+    (the empty set never passes). A call takes at most 2**_CHUNK_BITS
+    (graph, mask) pairs: 2**(_CHUNK_BITS - n) whole graphs, or above order
+    _CHUNK_BITS one chunk of one graph."""
     n = len(adjs[0])
-    if n > _CHUNK_BITS:
-        return [np.concatenate(list(_sweep(adj, pred))) for adj in adjs]
-    masks = np.arange(1 << n, dtype=np.uint32)
-    per_call = 1 << (_CHUNK_BITS - n)
-    out = []
-    for lo in range(0, len(adjs), per_call):
-        cols = np.array(adjs[lo : lo + per_call], dtype=np.uint32).T[:, :, None].copy()
-        ok = pred(list(cols), np.tile(masks, (cols.shape[1], 1)))
-        ok[:, 0] = False  # the empty set
-        out.extend(masks[row] for row in ok)
-    return out
+    step = 1 << min(n, _CHUNK_BITS)
+    per_call = (1 << _CHUNK_BITS) // step
+    for first in range(0, len(adjs), per_call):
+        for lo in range(0, 1 << n, step):
+            masks = np.arange(lo, lo + step, dtype=np.uint32)
+            ok = _batch_ok(adjs[first : first + per_call], pred, masks)
+            if lo == 0:
+                ok[:, 0] = False
+            yield first, masks, ok
+
+
+def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:
+    """The non-empty subsets passing ``pred``, ascending, of each graph of a
+    stack of one order (:func:`_stack_calls`)."""
+    hits: list[list[np.ndarray]] = [[] for _ in adjs]
+    for first, masks, ok in _stack_calls(adjs, pred):
+        for i, row in enumerate(ok, first):
+            hits[i].append(masks[row])
+    return [np.concatenate(h) for h in hits]
+
+
+def _stack_rows(adjs: list[list[int]], pred: Callable) -> list[tuple[int, ...]]:
+    """Per graph of a stack of one order n, counts[k - 1] = number of
+    k-subsets passing ``pred``, tallied call by call (:func:`_stack_calls`),
+    so no hit outlives its call."""
+    n = len(adjs[0])
+    counts = np.zeros((len(adjs), n + 1), dtype=np.int64)
+    for first, masks, ok in _stack_calls(adjs, pred):
+        # cell (graph row, popcount) of each hit, as one flat index
+        cells = np.arange(len(ok))[:, None] * (n + 1) + np.bitwise_count(masks)
+        counts[first : first + len(ok)] += np.bincount(cells[ok], minlength=len(ok) * (n + 1)).reshape(-1, n + 1)
+    return [tuple(row[1:]) for row in counts.tolist()]
 
 
 def _tally(n: int, chunks: Iterator[np.ndarray]) -> list[int]:
@@ -315,20 +380,61 @@ def count_table(g: Graph, cap: int = DEFAULT_CAP) -> CountTable:
     return _count_table_cached(g)
 
 
+def _stacked(graphs: Iterable[Graph], cap: int, query: Callable[[list[list[int]]], list]) -> list:
+    """``query``'s value for each of ``graphs``, in their order. The graphs
+    of one order form a stack, given to ``query`` as their neighbour masks;
+    only the masks are kept, so a caller may build the graphs on the fly.
+    An order above ``cap`` raises :class:`CapacityError`, naming the
+    largest, before any query."""
+    by_order: dict[int, list[tuple[int, list[int] | None]]] = {}
+    for i, g in enumerate(graphs):
+        # an order above the cap is refused below, before its masks are read
+        by_order.setdefault(g.order, []).append((i, g.neighbor_masks() if g.order <= cap else None))
+    if by_order:
+        check_cap(max(by_order), cap)
+    out = [None] * sum(map(len, by_order.values()))
+    for _, stack in sorted(by_order.items()):
+        for (i, _), value in zip(stack, query([adj for _, adj in stack])):
+            out[i] = value
+    return out
+
+
 def sweep_stack(graphs: Iterable[Graph], pred: Callable = _weak_ok, cap: int = DEFAULT_CAP) -> dict[Graph, np.ndarray]:
     """The non-empty subsets passing ``pred`` (:func:`_weak_ok` or
     :func:`_dom_ok`), ascending, of each distinct graph, swept in stacks of
     one order. An order above ``cap`` raises :class:`CapacityError`, naming
     the largest, before any sweep."""
-    by_order: dict[int, list[Graph]] = {}
-    for g in dict.fromkeys(graphs):
-        by_order.setdefault(g.order, []).append(g)
-    if by_order:
-        check_cap(max(by_order), cap)
-    out = {}
-    for _, group in sorted(by_order.items()):
-        out.update(zip(group, _stack_hits([g.neighbor_masks() for g in group], pred)))
-    return out
+    distinct = list(dict.fromkeys(graphs))
+    return dict(zip(distinct, _stacked(distinct, cap, lambda adjs: _stack_hits(adjs, pred))))
+
+
+def count_stack(graphs: Iterable[Graph], pred: Callable = _weak_ok, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """The count row of each graph, in order, as :func:`count_table`
+    (``pred`` :func:`_weak_ok`) or :func:`dominating_counts`
+    (:func:`_dom_ok`) give it: counts[i - 1] subsets of size i pass. Swept
+    in stacks of one order and tallied call by call, so the memory follows
+    the stack, not the hits; the cap as for :func:`sweep_stack`."""
+    return _stacked(graphs, cap, lambda adjs: _stack_rows(adjs, pred))
+
+
+def gamma_w_stack(graphs: Iterable[Graph], cap: int = DEFAULT_CAP) -> list[int]:
+    """:func:`gamma_w` of each graph, in order, from one least-layer pass
+    per stack of one order; the cap as for :func:`sweep_stack`, then
+    ValueError for a disconnected graph."""
+
+    def least(adjs: list[list[int]]) -> list[int]:
+        full = (1 << len(adjs[0])) - 1
+        if any(weak_reach(adj, full) != full for adj in adjs):
+            raise ValueError(_DISCONNECTED)
+        return _least_layers(adjs, _weak_ok, len(adjs[0]) - 1, 0)
+
+    return _stacked(graphs, cap, least)
+
+
+def gamma_stack(graphs: Iterable[Graph], cap: int = DEFAULT_CAP) -> list[int]:
+    """:func:`gamma` of each graph, in order, from one least-layer pass per
+    stack of one order; the cap as for :func:`sweep_stack`."""
+    return _stacked(graphs, cap, lambda adjs: _least_layers(adjs, _dom_ok, len(adjs[0]), 1))
 
 
 def _as_tuples(sets: np.ndarray, i: int) -> list[tuple[int, ...]]:
@@ -356,7 +462,7 @@ def _check_connected(g: Graph, cap: int) -> None:
     weakly connects it."""
     check_cap(g.order, cap)
     if not is_connected(g):
-        raise ValueError("gamma_w undefined: graph is disconnected")
+        raise ValueError(_DISCONNECTED)
 
 
 def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
@@ -364,14 +470,12 @@ def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
 
     Undefined (ValueError) for disconnected graphs.
     """
-    _check_connected(g, cap)
-    return _least_layer(g.neighbor_masks(), _weak_ok, g.order - 1, 0)
+    return gamma_w_stack([g], cap)[0]
 
 
 def gamma(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Minimum size of an ordinary dominating set."""
-    check_cap(g.order, cap)
-    return _least_layer(g.neighbor_masks(), _dom_ok, g.order, 1)
+    return gamma_stack([g], cap)[0]
 
 
 def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
@@ -391,7 +495,7 @@ def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> boo
     _check_connected(g, cap)
     _member_mask(g, (v,))
     adj = g.neighbor_masks()
-    k = _least_layer(adj, _weak_ok, g.order - 1, 0)
+    (k,) = _least_layers([adj], _weak_ok, g.order - 1, 0)
     return bool(np.any(_layer_hits(adj, _weak_ok, k) & 1 << (v - 1)))
 
 
@@ -401,5 +505,5 @@ def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) 
     check_cap(g.order, cap)
     _member_mask(g, (v,))
     adj = g.neighbor_masks()
-    k = _least_layer(adj, _dom_ok, g.order, 1)
+    (k,) = _least_layers([adj], _dom_ok, g.order, 1)
     return bool(np.any(_layer_hits(adj, _dom_ok, k) & 1 << (v - 1)))

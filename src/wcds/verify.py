@@ -21,26 +21,28 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, groupby, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import formulas
 from .frontier import count_table_frontier
-from .graph import Graph, RootedGraph, build_family, corona, join, make_graph, realize_extension
+from .graph import Graph, RootedGraph, build_family, corona, family_label, family_order, join, make_graph, realize_extension
 from .oracle import (
     DEFAULT_CAP,
     CapacityError,
+    CountTable,
     _as_tuples,
     _dom_ok,
     _in_a_minimum,
     _tally,
     check_cap,
+    count_stack,
     count_table,
     dominating_counts,
-    gamma,
-    gamma_w,
+    gamma_stack,
+    gamma_w_stack,
     sweep_stack,
 )
 
@@ -644,6 +646,10 @@ def _join_instances(max_order: int, random_count: int, seed: int) -> Iterator[tu
         yield f"random{idx + 1}", g, h
 
 
+# the pendant path lengths m of the extension suites' instances
+_LENGTHS = range(2, 7)
+
+
 def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, RootedGraph, range]]:
     """The instances of the three extension suites: every named base of
     order <= 5 and ``random_count`` random connected ones, every root, and
@@ -654,27 +660,46 @@ def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, Ro
     randoms = ((f"random{i + 1}", _random_connected(rng, 5, min_order=2)) for i in range(random_count))
     for label, base in chain(_named_family_graphs(5), randoms):
         for root in range(1, base.order + 1):
-            for m in range(2, 7):
+            for m in _LENGTHS:
                 cards = range(1 if base.order >= 2 else 2, base.order + m + 1)
                 yield f"{label} root={root} m={m}", RootedGraph(base, root, m), cards
 
 
-# extension instances per stacked sweep, so that the suites' memory follows
-# the window, not the random pool
+# instances per window (stacked sweep, least-layer pass), so that the suites'
+# memory follows the window, not the random pool
 _WINDOW = 256
 
 
+def _prefixes(rg: RootedGraph) -> tuple[Graph, ...]:
+    """G(0)..G(m) of ``rg``."""
+    return tuple(realize_extension(RootedGraph(rg.base, rg.root, k)) for k in range(rg.extension_length + 1))
+
+
 def _extension_windows(random_count: int, seed: int, cap: int) -> Iterator[tuple[list[tuple], dict[Graph, np.ndarray]]]:
-    """``_extension_instances`` ``_WINDOW`` at a time, each instance with its
-    G(0), G(1) and G(m) appended, and the weakly connected dominating sets
-    of every graph in the window from one stacked sweep per order."""
-    instances = _extension_instances(random_count, seed)
+    """``_extension_instances`` by chain: the instances of one base and root
+    share G(0)..G(6), realized once. Yields the chains of up to ``_WINDOW``
+    instances at a time, each as its instances, m ascending, and its graphs
+    G(0)..G(6), with the weakly connected dominating sets of every graph in
+    the window from one stacked sweep per order."""
+    # an instance's key without its " m=..." names its chain
+    runs = groupby(_extension_instances(random_count, seed), key=lambda instance: instance[0].rpartition(" m=")[0])
+    chains = (list(run) for _, run in runs)
+    while window := list(islice(chains, _WINDOW // len(_LENGTHS))):
+        window = [(instances, _prefixes(instances[-1][1])) for instances in window]
+        yield window, sweep_stack(chain.from_iterable(graphs for _, graphs in window), cap=cap)
+
+
+def _join_windows(max_order: int, random_count: int, seed: int) -> Iterator[list[tuple[str, Graph, Graph]]]:
+    """``_join_instances`` ``_WINDOW`` at a time."""
+    instances = _join_instances(max_order, random_count, seed)
     while window := list(islice(instances, _WINDOW)):
-        window = [
-            (key, rg, cards, tuple(realize_extension(RootedGraph(rg.base, rg.root, k)) for k in (0, 1, rg.extension_length)))
-            for key, rg, cards in window
-        ]
-        yield window, sweep_stack(chain.from_iterable(graphs for *_, graphs in window), cap=cap)
+        yield window
+
+
+def _per_part(window: list[tuple[str, Graph, Graph]], query: Callable[[list[Graph]], list]) -> dict[Graph, object]:
+    """``query``'s value for each distinct part g or h of a join window."""
+    parts = list(dict.fromkeys(x for _, g, h in window for x in (g, h)))
+    return dict(zip(parts, query(parts)))
 
 
 # --- formula suites ---------------------------------------------------------
@@ -727,136 +752,148 @@ def _suite_wheel(max_n: int, cap: int, **_) -> list[CheckRecord]:
 
 def _suite_join(max_n: int, random_count: int, seed: int, cap: int) -> list[CheckRecord]:
     records = []
-    for key, g, h in _join_instances(max_n, random_count, seed):
-        tg = count_table(g, cap)
-        th = count_table(h, cap)
-        joined = join(g, h)
-        actual_row = count_table(joined, cap).counts
-        dom_g = dominating_counts(g, cap)
-        dom_h = dominating_counts(h, cap)
-        claimed_row = tuple(formulas.count_join(tg, th, i) for i in range(1, joined.order + 1))
-        mismatches = []
-        for i, (claimed, o) in enumerate(zip(claimed_row, actual_row), start=1):
-            if claimed != o:
-                corrected = formulas.count_join_dominating(dom_g, dom_h, i)
-                note = "matches" if corrected == o else "still off"
-                mismatches.append(
-                    f"i={i}: stated {claimed}, exhaustive {o}, "
-                    f"dominating-set one-part terms give {corrected} ({note})"
-                )
-        detail = "; ".join(mismatches)
-        records.append(_check(key, "join composition", str(claimed_row), str(actual_row), detail))
+    for window in _join_windows(max_n, random_count, seed):
+        # the count rows of the window's parts and joins and the parts'
+        # dominating rows, each from stacked sweeps of one order; the joins
+        # are built on the fly, and only their neighbour masks are kept
+        rows = _per_part(window, partial(count_stack, cap=cap))
+        dominating = _per_part(window, partial(count_stack, pred=_dom_ok, cap=cap))
+        joined = count_stack((join(g, h) for _, g, h in window), cap=cap)
+        for (key, g, h), actual_row in zip(window, joined):
+            tg, th = (CountTable(x.order, rows[x]) for x in (g, h))
+            claimed_row = tuple(formulas.count_join(tg, th, i) for i in range(1, len(actual_row) + 1))
+            mismatches = []
+            for i, (claimed, o) in enumerate(zip(claimed_row, actual_row), start=1):
+                if claimed != o:
+                    corrected = formulas.count_join_dominating(dominating[g], dominating[h], i)
+                    note = "matches" if corrected == o else "still off"
+                    mismatches.append(
+                        f"i={i}: stated {claimed}, exhaustive {o}, "
+                        f"dominating-set one-part terms give {corrected} ({note})"
+                    )
+            detail = "; ".join(mismatches)
+            records.append(_check(key, "join composition", str(claimed_row), str(actual_row), detail))
     return records
 
 
 def _suite_corona_gamma(cap: int, **_) -> list[CheckRecord]:
     bases = [build_family(*b) for b in (("path", 2), ("path", 3), ("cycle", 3), ("cycle", 4), ("complete", 3))]
     hats = [build_family(*h) for h in (("complete", 1), ("complete", 2), ("path", 3))]
+    pairs = [(bg, hg) for bg in bases for hg in hats]
+    gw = gamma_w_stack((corona(bg, hg) for bg, hg in pairs), cap)
     return [
-        _check(
-            f"corona({bg.label()},{hg.label()})",
-            "base-order rule",
-            formulas.gamma_w_corona(bg),
-            gamma_w(corona(bg, hg), cap),
-        )
-        for bg in bases
-        for hg in hats
+        _check(f"corona({bg.label()},{hg.label()})", "base-order rule", formulas.gamma_w_corona(bg), value)
+        for (bg, hg), value in zip(pairs, gw)
     ]
 
 
 def _suite_join_gamma(max_n: int, random_count: int, seed: int, cap: int) -> list[CheckRecord]:
-    return [
-        _check(
-            key,
-            "dominating-vertex rule",
-            formulas.gamma_w_join(gamma(g, cap), gamma(h, cap)),
-            gamma_w(join(g, h), cap),
-        )
-        for key, g, h in _join_instances(max_n, random_count, seed)
-    ]
+    records = []
+    for window in _join_windows(max_n, random_count, seed):
+        gam = _per_part(window, partial(gamma_stack, cap=cap))
+        gw = gamma_w_stack((join(g, h) for _, g, h in window), cap)
+        records += [
+            _check(key, "dominating-vertex rule", formulas.gamma_w_join(gam[g], gam[h]), value)
+            for (key, g, h), value in zip(window, gw)
+        ]
+    return records
 
 
 def _suite_gamma_path_cycle(max_n: int, cap: int, **_) -> list[CheckRecord]:
-    return [
-        _check(f"{fam} n={n}", f"half-order-{fam}", fn(n), gamma_w(build_family(fam, n), cap))
+    cases = [
+        (fam, n, fn)
         for n in range(1, max_n + 1)
         for fam, fn in (("path", formulas.gamma_w_path), ("cycle", formulas.gamma_w_cycle))
     ]
+    gw = gamma_w_stack((build_family(fam, n) for fam, n, _ in cases), cap)
+    return [_check(f"{fam} n={n}", f"half-order-{fam}", fn(n), value) for (fam, n, fn), value in zip(cases, gw)]
 
 
 def _suite_extension_recurrence(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
     for window, hits in _extension_windows(random_count, seed, cap):
-        for key, rg, cards, graphs in window:
-            # the count rows of G(0), G(1) and G(m), tallied from the window's hits
-            row0, row1, actual = (tuple(_tally(g.order, [hits[g]])[1:]) for g in graphs)
-            *_, row = formulas._pendant_rows(row0, row1, rg.extension_length)
-            mism = [
-                f"i={i}: recurrence {row[i - 1]}, exhaustive {actual[i - 1]}"
-                for i in cards
-                if row[i - 1] != actual[i - 1]
-            ]
-            records.append(CheckRecord(key, "two-step recurrence", str(row), str(actual), not mism, "; ".join(mism)))
+        for instances, graphs in window:
+            # the count rows of G(0)..G(6), tallied from the window's hits,
+            # and the chain's rows by the recurrence, in one run to m = 6
+            actual = [tuple(_tally(g.order, [hits[g]])[1:]) for g in graphs]
+            rows = formulas._pendant_rows(actual[0], actual[1], len(graphs) - 1)
+            for (key, _, cards), row, exhaustive in zip(instances, islice(rows, _LENGTHS[0], None), actual[_LENGTHS[0] :]):
+                mism = [
+                    f"i={i}: recurrence {row[i - 1]}, exhaustive {exhaustive[i - 1]}"
+                    for i in cards
+                    if row[i - 1] != exhaustive[i - 1]
+                ]
+                records.append(CheckRecord(key, "two-step recurrence", str(row), str(exhaustive), not mism, "; ".join(mism)))
     return records
 
 
 def _suite_extension_constructive(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
     for window, hits in _extension_windows(random_count, seed, cap):
-        for key, rg, cards, (g0, g1, gm) in window:
-            families = formulas._pendant_families(rg, hits[g0], hits[g1])
-            sizes = np.bitwise_count(hits[gm])
-            built_total = 0
-            truth_total = 0
-            mism = []
-            for i in cards:
-                truth = hits[gm][sizes == i]
-                truth_total += truth.size
-                built = families[i]
-                if isinstance(built, formulas.RecurrenceAssumptionError):
-                    mism.append(f"i={i}: construction refused ({built})")
-                    continue
-                built_total += built.size
-                if not np.array_equal(built, truth):
-                    if built.size == truth.size:
-                        extra = next(iter(_as_tuples(np.setdiff1d(built, truth), i)), None)
-                        mism.append(
-                            f"i={i}: same count but different sets, "
-                            f"e.g. construction includes {extra}"
-                        )
-                    else:
-                        mism.append(
-                            f"i={i}: construction yields {built.size} sets, "
-                            f"exhaustive {truth.size}"
-                        )
-            detail = "; ".join(mism)
-            records.append(CheckRecord(key, "pendant-path construction", built_total, truth_total, not mism, detail))
+        for instances, graphs in window:
+            walk = formulas._pendant_families(instances[-1][1], hits[graphs[0]], hits[graphs[1]])
+            for (key, _, cards), (built, refused), g in zip(instances, islice(walk, _LENGTHS[0], None), graphs[_LENGTHS[0] :]):
+                records.append(_constructive_record(key, cards, built, refused, hits[g]))
     return records
+
+
+def _constructive_record(
+    key: str, cards: range, built: np.ndarray, refused: dict[int, Exception], truth: np.ndarray
+) -> CheckRecord:
+    """The record of one constructed family of G(m), ``built`` with its
+    refused cardinalities, against the swept one, ``truth``, over the
+    cardinalities ``cards``. Both are ascending mask arrays, so equal arrays
+    and no refusal pass at once; the cardinalities are compared one by one
+    only to say where they differ."""
+    truth_row = np.bincount(np.bitwise_count(truth), minlength=cards.stop)
+    truth_total = int(truth_row[cards.start :].sum())
+    if not refused and np.array_equal(built, truth):
+        return CheckRecord(key, "pendant-path construction", truth_total, truth_total, True)
+    built_sizes, truth_sizes = np.bitwise_count(built), np.bitwise_count(truth)
+    built_total = 0
+    mism = []
+    for i in cards:
+        if i in refused:
+            mism.append(f"i={i}: construction refused ({refused[i]})")
+            continue
+        family, swept = built[built_sizes == i], truth[truth_sizes == i]
+        built_total += family.size
+        if not np.array_equal(family, swept):
+            if family.size == swept.size:
+                extra = next(iter(_as_tuples(np.setdiff1d(family, swept), i)), None)
+                mism.append(f"i={i}: same count but different sets, e.g. construction includes {extra}")
+            else:
+                mism.append(f"i={i}: construction yields {family.size} sets, exhaustive {swept.size}")
+    return CheckRecord(key, "pendant-path construction", built_total, truth_total, not mism, "; ".join(mism))
 
 
 def _suite_extension_gamma(random_count: int, seed: int, cap: int, **_) -> list[CheckRecord]:
     records = []
     for window, hits in _extension_windows(random_count, seed, cap):
-        dominating = sweep_stack((g0 for *_, (g0, _, _) in window), _dom_ok, cap)
-        for key, rg, _cards, (g0, _, gm) in window:
+        dominating = sweep_stack((graphs[0] for _, graphs in window), _dom_ok, cap)
+        for instances, graphs in window:
             # the window's hits hold every weakly connected dominating set of
-            # G(0) and G(m), so gamma_w is their least popcount
-            gw_base, gw_m = (int(np.bitwise_count(hits[g]).min()) for g in (g0, gm))
-            flag_w = _in_a_minimum(hits[g0], rg.root)
-            flag_d = _in_a_minimum(dominating[g0], rg.root)
-            predicted_w = formulas.gamma_w_extension(gw_base, flag_w, rg.extension_length)
-            predicted_d = formulas.gamma_w_extension(gw_base, flag_d, rg.extension_length)
-            records.append(
-                _check(
-                    key,
-                    "pendant shift formula",
-                    predicted_w,
-                    gw_m,
-                    f"root in a minimum weakly connected dominating set: "
-                    f"{flag_w} (predicts {predicted_w}); root in a minimum "
-                    f"dominating set: {flag_d} (predicts {predicted_d})",
+            # each G(k), so gamma_w is their least popcount; G(0)'s and the
+            # root flags serve the whole chain
+            g0, root = graphs[0], instances[0][1].root
+            gw_base = int(np.bitwise_count(hits[g0]).min())
+            flag_w = _in_a_minimum(hits[g0], root)
+            flag_d = _in_a_minimum(dominating[g0], root)
+            for (key, rg, _), g in zip(instances, graphs[_LENGTHS[0] :]):
+                gw_m = int(np.bitwise_count(hits[g]).min())
+                predicted_w = formulas.gamma_w_extension(gw_base, flag_w, rg.extension_length)
+                predicted_d = formulas.gamma_w_extension(gw_base, flag_d, rg.extension_length)
+                records.append(
+                    _check(
+                        key,
+                        "pendant shift formula",
+                        predicted_w,
+                        gw_m,
+                        f"root in a minimum weakly connected dominating set: "
+                        f"{flag_w} (predicts {predicted_w}); root in a minimum "
+                        f"dominating set: {flag_d} (predicts {predicted_d})",
+                    )
                 )
-            )
     return records
 
 
@@ -984,29 +1021,55 @@ def verify_structural(max_order: int | None = None) -> VerificationReport:
 def table_by_method(g: Graph, method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """Full count row of g by one of ``METHODS``: ``oracle`` (any graph,
     the subset sweep), ``frontier`` (any graph, the frontier DP, refused
-    above its width bound), ``formula`` (paths, complete graphs, stars,
-    wheels; wheels get their rim table wired in here), ``recurrence``
-    (paths). Family recognition uses construction metadata, so graphs read
-    from edge lists only support ``oracle`` and ``frontier``."""
+    above its width bound), ``formula`` and ``recurrence`` (a named family
+    member, see :func:`family_table`). Family recognition uses
+    construction metadata, so graphs read from edge lists only support
+    ``oracle`` and ``frontier``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    n = g.order
     if method == "oracle":
         return count_table(g, cap).counts
     if method == "frontier":
-        check_cap(n, cap)
+        check_cap(g.order, cap)
         return count_table_frontier(g).counts
+    if g.family is None:
+        raise UnsupportedMethodError(_unsupported(method, g.label()))
+    return family_table(g.family, g.family_n, method, cap)
+
+
+# the largest family size that ``family_table`` evaluates: K_2000's closed
+# row, 2000 binomials of up to 600 digits, takes about 0.2 s, and the path
+# recurrence to 2000 about 0.2 s (README)
+FORMULA_MAX_N = 2000
+
+
+def _unsupported(method: str, label: str) -> str:
     if method == "recurrence":
-        if g.family != "path":
-            raise UnsupportedMethodError(f"no recurrence covers {g.label()}")
+        return f"no recurrence covers {label}"
+    return f"no closed form covers the full table of {label}"
+
+
+def family_table(family: str, n: int, method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """Full count row of ``build_family(family, n)`` by ``formula`` (the
+    closed forms of paths, complete graphs and stars, and the stated wheel
+    composition, whose rim table the sweep gives) or ``recurrence``
+    (paths), from ``(family, n)`` alone: the family graph is never built.
+    A method that does not cover the family raises
+    :class:`UnsupportedMethodError`, and a size above ``FORMULA_MAX_N``
+    :class:`CapacityError`, both before any count."""
+    order = family_order(family, n)
+    covered = family == "path" if method == "recurrence" else family in _CLOSED_FORMS or family == "wheel"
+    if not covered:
+        raise UnsupportedMethodError(_unsupported(method, family_label(family, n)))
+    if n > FORMULA_MAX_N:
+        raise CapacityError(f"family size {n} exceeds {FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate")
+    if method == "recurrence":
         return formulas.count_path_recurrence(n).counts
-    if g.family == "wheel":
+    if family == "wheel":
         rim_table = count_table(build_family("cycle", n - 1), cap)
         return tuple(formulas.count_wheel(n, i, rim_table) for i in range(1, n + 1))
-    if g.family not in _CLOSED_FORMS:
-        raise UnsupportedMethodError(f"no closed form covers the full table of {g.label()}")
-    closed = _CLOSED_FORMS[g.family]
-    return tuple(closed(g.family_n, i) for i in range(1, n + 1))
+    closed = _CLOSED_FORMS[family]
+    return tuple(closed(n, i) for i in range(1, order + 1))
 
 
 def cross_check(

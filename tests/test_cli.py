@@ -117,6 +117,55 @@ def test_over_cap_family_is_refused_before_it_is_built(capsys, monkeypatch, argv
     assert f"error: order {order} exceeds the subset-sweep cap 24 (2**{order} subsets)" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["count", "--family", "complete", "--n", "600", "--method", "formula", "--i", "300"],
+        ["count", "--family", "star", "--n", "40", "--method", "formula", "--format", "csv"],
+        ["count", "--family", "path", "--n", "300", "--method", "formula", "--format", "json"],
+        ["count", "--family", "path", "--n", "300", "--method", "recurrence", "--i", "200"],
+        ["count", "--family", "wheel", "--n", "12", "--method", "formula"],
+    ),
+)
+def test_formula_and_recurrence_counts_build_no_family_graph(capsys, monkeypatch, argv):
+    # the rows equal those of the built graph's table_by_method
+    n, method = int(argv[4]), argv[6]
+    g = build_family(argv[2], n)
+    monkeypatch.setattr(cli, "build_family", lambda *args: pytest.fail("build_family called"))
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    counts = verify.table_by_method(g, method)
+    if "--i" in argv:
+        assert out == f"{counts[int(argv[-1]) - 1]}\n"
+    else:
+        assert out == cli._render_rows([(g.order, counts)], argv[-1] if "--format" in argv else "md", g.label())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["count", "--family", "complete", "--n", "2001", "--method", "formula"],
+        ["count", "--family", "star", "--n", "1000000000", "--method", "formula", "--i", "2"],
+        ["count", "--family", "path", "--n", "2001", "--method", "recurrence"],
+        ["count", "--family", "wheel", "--n", "5000", "--method", "formula"],
+    ),
+)
+def test_formula_and_recurrence_refuse_a_size_above_the_bound(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_family", lambda *args: pytest.fail("build_family called"))
+    monkeypatch.setattr(verify, "build_family", lambda *args: pytest.fail("build_family called"))
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exceeds {verify.FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate" in captured.err
+
+
+def test_formula_and_recurrence_refuse_an_uncovered_family_of_any_size(capsys):
+    for family, method in (("cycle", "formula"), ("complete", "recurrence")):
+        assert run(["count", "--family", family, "--n", "100000", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: no " in captured.err
+
+
 def test_table_refuses_an_over_cap_order_before_any_sweep(capsys, sweep_calls):
     assert run(["table", "--family", "star", "--max-n", "10", "--cap", "10"]) == 3
     captured = capsys.readouterr()

@@ -283,12 +283,15 @@ def test_pendant_families_match_a_depth_first_recursion(seed):
                 rg = RootedGraph(base, root, m)
                 keep = rng.random()
                 hits0, hits1 = (h[np.array([rng.random() < keep for _ in h], dtype=bool)] for h in hits.values())
-                built = [
-                    str(f).split(":")[0] if isinstance(f, RecurrenceAssumptionError) else f.tolist()
-                    for f in formulas._pendant_families(rg, hits0, hits1)
-                ]
-                assert built == _depth_first_families(rg, hits0, hits1), rg
-                refused += sum(isinstance(f, str) for f in built)
+                # every prefix of the walk, one cardinality at a time
+                for k, (family, errors) in enumerate(formulas._pendant_families(rg, hits0, hits1)):
+                    sizes = np.bitwise_count(family)
+                    built = [
+                        str(errors[j]).split(":")[0] if j in errors else family[sizes == j].tolist()
+                        for j in range(base.order + k + 1)
+                    ]
+                    assert built == _depth_first_families(RootedGraph(base, root, k), hits0, hits1), (rg, k)
+                    refused += len(errors)
     assert refused > 0
 
 

@@ -239,6 +239,77 @@ def test_stacked_sweep_refuses_the_largest_order_above_the_cap_first():
         oracle.sweep_stack([build_family("path", 6), build_family("path", 7), build_family("path", 3)], cap=5)
 
 
+def _least_popcount(hits):
+    return int(np.bitwise_count(hits).min())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_least_layers_equal_lone_minimums_on_every_labelled_graph(n):
+    # one stack per order, against the lone queries and the least popcount
+    # of the whole sweep
+    graphs = _labelled_graphs(n)
+    connected = [g for g in graphs if is_connected(g)]
+    weak = oracle.sweep_stack(connected)
+    dom = oracle.sweep_stack(graphs, oracle._dom_ok)
+    assert oracle.gamma_stack(graphs) == [gamma(g) for g in graphs] == [_least_popcount(dom[g]) for g in graphs]
+    assert oracle.gamma_w_stack(connected) == [gamma_w(g) for g in connected]
+    assert oracle.gamma_w_stack(connected) == [_least_popcount(weak[g]) for g in connected]
+
+
+def _stack_graphs():
+    # per order 6..18: three random graphs at three densities and one with
+    # an isolated vertex; the order-18 ones do not fit 16-bit stacks
+    rng = random.Random(21)
+    graphs = []
+    for n in range(6, 19):
+        pairs = list(combinations(range(1, n + 1), 2))
+        graphs += [make_graph(n, [e for e in pairs if rng.random() < p]) for p in (0.2, 0.4, 0.7)]
+        isolated = rng.randint(1, n)
+        graphs.append(make_graph(n, [e for e in pairs if isolated not in e and rng.random() < 0.5]))
+    return graphs
+
+
+def test_stacked_least_layers_equal_lone_minimums_across_sixteen_bits():
+    graphs = _stack_graphs()
+    connected = [g for g in graphs if is_connected(g)]
+    assert len(connected) >= 2 * 13 and len(graphs) - len(connected) >= 13
+    rng = random.Random(5)
+    rng.shuffle(graphs)  # orders interleaved in the input
+    assert oracle.gamma_stack(graphs) == [gamma(g) for g in graphs]
+    assert oracle.gamma_w_stack(connected) == [gamma_w(g) for g in connected]
+    # and against the least size of the whole sweeps, up to order 14
+    small = [g for g in graphs if g.order <= 14]
+    assert oracle.gamma_stack(small) == [next(i for i, c in enumerate(dominating_counts(g), 1) if c) for g in small]
+    small = [g for g in connected if g.order <= 14]
+    assert oracle.gamma_w_stack(small) == [count_table(g).min_size() for g in small]
+
+
+def test_stacked_gamma_w_refuses_a_disconnected_graph_after_the_cap():
+    graphs = [build_family("path", 4), make_graph(4, [(1, 2)])]
+    with pytest.raises(ValueError, match="gamma_w undefined: graph is disconnected"):
+        oracle.gamma_w_stack(graphs)
+    with pytest.raises(CapacityError, match=r"order 9 exceeds the subset-sweep cap 8"):
+        oracle.gamma_w_stack([*graphs, build_family("path", 9)], cap=8)
+
+
+def test_stacked_count_rows_equal_the_lone_counts():
+    graphs = [g for n in range(1, 6) for g in _labelled_graphs(n)] + _stack_graphs()
+    assert oracle.count_stack(graphs) == [count_table(g).counts for g in graphs]
+    assert oracle.count_stack(graphs, oracle._dom_ok) == [dominating_counts(g) for g in graphs]
+
+
+def test_lone_minimums_test_int_masks_one_graph_at_a_time(monkeypatch):
+    # a stack of one graph is the lone query: int neighbour masks and 1-d
+    # mask chunks, as before stacking
+    seen = []
+    real = oracle._dom_ok
+    monkeypatch.setattr(oracle, "_dom_ok", lambda adj, masks: seen.append((type(adj[0]), masks.ndim)) or real(adj, masks))
+    for g in (build_family("path", 9), build_family("wheel", 18)):
+        seen.clear()
+        gamma(g), gamma_w(g)
+        assert seen and set(seen) == {(int, 1)}
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_layer_yields_every_k_subset_once(n):
     # from order 17 up a mask is a high part above the low 16 bits
@@ -258,7 +329,7 @@ def test_layer_at_order_thirty(k):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_layer_floors_never_pass_the_exhaustive_minimum(n):
-    # the two lemmas of _least_layer, on every labelled graph of order n
+    # the two lemmas of _least_layers, on every labelled graph of order n
     graphs = _labelled_graphs(n)
     adjs = [g.neighbor_masks() for g in graphs]
     weak = oracle._stack_hits(adjs, oracle._weak_ok)

@@ -32,7 +32,7 @@ from wcds import (
     verify_path_table,
     verify_cycle_table,
 )
-from wcds import formulas, verify
+from wcds import formulas, oracle, verify
 from wcds.cli import run
 
 
@@ -369,6 +369,37 @@ def test_join_suite_is_reproducible():
     assert a.records != c.records
 
 
+def _join_peak(random_count):
+    tracemalloc.start()
+    try:
+        verify_formula_suite("join", max_n=8, random_count=random_count)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_join_suite_memory_follows_the_window_not_the_pool():
+    # joins up to order 16, 256 instances a window: about 4 MiB of kernel
+    # buffers and window; ten times the pool adds only its records (the
+    # count cache that held every join's row grew by 1.7 MiB here)
+    small, large = _join_peak(30), _join_peak(300)
+    assert large < 5 * 2**20
+    assert large - small < 2**20
+
+
+def test_join_gamma_stays_layered_at_order_twenty_four(monkeypatch):
+    # the joins have gamma_w at most 2, so the weak kernel sees layers 1
+    # and 2 alone, never a sweep of 2**24 masks
+    seen = []
+    real = oracle._weak_ok
+    monkeypatch.setattr(oracle, "_weak_ok", lambda adj, masks: seen.append(masks) or real(adj, masks))
+    r = verify_formula_suite("join_gamma", max_n=12, random_count=100)
+    assert len(r.records) == 31 * 31 + 100 and r.all_passed()
+    assert max(masks.size for masks in seen) <= 2**16
+    assert {int(k) for masks in seen for k in np.unique(np.bitwise_count(masks))} <= {1, 2}
+    assert sum(masks.size for masks in seen) < 10**6
+
+
 def test_random_pools_are_drawn_lazily():
     tracemalloc.start()
     try:
@@ -435,7 +466,7 @@ def _masks(sets):
 def _constructive_records(monkeypatch, plant):
     """The constructive suite's records for the 3-path rooted at vertex 1,
     with ``plant(rg, hits0, hits1, real)`` in place of the construction
-    ``real`` there."""
+    ``real`` there: the walk over the prefixes of that one chain."""
     real = formulas._pendant_families
 
     def planted(rg, hits0, hits1):
@@ -446,14 +477,19 @@ def _constructive_records(monkeypatch, plant):
     return {r.key: r for r in records if r.key.startswith("P3 root=1 ")}
 
 
+def _triples_at_prefix(walk, m, triples):
+    """The prefixes of ``walk`` with the 3-sets of G(m) replaced by ``triples``."""
+    for k, (family, refused) in enumerate(walk):
+        if k == m:
+            family = np.sort(np.concatenate((family[np.bitwise_count(family) != 3], _masks(triples))))
+        yield family, refused
+
+
 def test_constructive_suite_details_a_dropped_and_a_swapped_set(monkeypatch):
     assert formulas.build_extension_wcds(_P3_END, 3) == _P5_TRIPLES
 
     def dropped(rg, hits0, hits1, real):
-        families = real(rg, hits0, hits1)
-        if rg == _P3_END:
-            families[3] = _masks(_P5_TRIPLES[1:])
-        return families
+        return _triples_at_prefix(real(rg, hits0, hits1), _P3_END.extension_length, _P5_TRIPLES[1:])
 
     records = _constructive_records(monkeypatch, dropped)
     bad = records.pop("P3 root=1 m=2")
@@ -462,15 +498,29 @@ def test_constructive_suite_details_a_dropped_and_a_swapped_set(monkeypatch):
     assert all(r.passed for r in records.values())
 
     def swapped(rg, hits0, hits1, real):
-        families = real(rg, hits0, hits1)
-        if rg == _P3_END:
-            # (1, 4, 5) is the smaller tuple, (2, 3, 5) the smaller mask
-            families[3] = _masks(_P5_TRIPLES[:4] + [(1, 4, 5), (2, 3, 5)])
-        return families
+        # (1, 4, 5) is the smaller tuple, (2, 3, 5) the smaller mask
+        triples = _P5_TRIPLES[:4] + [(1, 4, 5), (2, 3, 5)]
+        return _triples_at_prefix(real(rg, hits0, hits1), _P3_END.extension_length, triples)
 
     bad = _constructive_records(monkeypatch, swapped)["P3 root=1 m=2"]
     assert (bad.passed, bad.claimed_value, bad.oracle_value) == (False, 13, 13)
     assert bad.detail == "i=3: same count but different sets, e.g. construction includes (1, 4, 5)"
+
+
+def test_constructive_suite_reports_a_refusal_where_the_sets_agree(monkeypatch):
+    # a refusal at G(2)'s cardinality 3 fails the record even though the
+    # built family still equals the swept one
+    error = formulas.RecurrenceAssumptionError("planted")
+
+    def refuse(rg, hits0, hits1, real):
+        for k, (family, refused) in enumerate(real(rg, hits0, hits1)):
+            yield family, {**refused, 3: error} if k == _P3_END.extension_length else refused
+
+    records = _constructive_records(monkeypatch, refuse)
+    bad = records.pop("P3 root=1 m=2")
+    assert (bad.passed, bad.claimed_value, bad.oracle_value) == (False, 13 - 6, 13)
+    assert bad.detail == "i=3: construction refused (planted)"
+    assert all(r.passed for r in records.values())
 
 
 def test_constructive_suite_refuses_every_cardinality_that_reaches_a_failed_step(monkeypatch):
