@@ -22,6 +22,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, groupby, islice
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -230,15 +231,25 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
 # combinations(range(k), 2). A vertex subset S is a mask as well (bit v is
 # vertex v). The flags of one subset over every graph are a packed bit plane:
 # bit G & 63 of its 64-bit word G >> 6 says whether S is weakly connected
-# dominating in G. The planes are built and checked one block of words at a
-# time: a pair b < 6 is a bit inside each word, a pair b below
-# 6 + log2(block) a bit of the word's offset in its block, and a higher pair
-# a bit of the block's index.
+# dominating in G. The planes are built one block of words at a time: a pair
+# b < 6 is a bit inside each word, a pair b below 6 + log2(block) a bit of
+# the word's offset in its block, and a higher pair a bit of the block's
+# index.
+#
+# Whether S is weakly connected dominating in G depends on the graph alone,
+# not on its labels: for every permutation p of the vertices, S is one in G
+# iff p(S) is one in p(G), and G -> p(G) is a bijection on the labelled
+# graphs of order k that keeps connectivity. So every subset of one size
+# (every (S, v) with v outside S, every pair) has the same counts over all
+# graphs, and the checks count one of each, scaled by how many there are.
 
 # 64-bit plane words per block; one block's planes take 2**order * _BLOCK
-# words (1 MiB at order 7), and the checks hold about two such arrays
+# words (1 MiB at order 7)
 _BLOCK = 1 << 10
-_DENSE_MAX_ORDER = 7
+# the largest order of the packed connectivity table (32 MiB at order 8),
+# and of the subsets' planes (2**36 bits at order 8, 2**28 at order 7)
+_DENSE_MAX_ORDER = 8
+_PLANES_MAX_ORDER = 7
 
 
 @dataclass(frozen=True)
@@ -254,16 +265,19 @@ class _DenseTables:
     conn: np.ndarray  # packed 64-bit words, at least one; the bits past the last graph are 0
 
 
-def _check_dense_order(max_order: int) -> None:
-    """Refuse all-graphs tables above ``_DENSE_MAX_ORDER`` before allocating any."""
-    if max_order > _DENSE_MAX_ORDER:
+def _check_dense_order(max_order: int, planes: bool) -> None:
+    """Refuse all-graphs tables above ``_DENSE_MAX_ORDER``, or above
+    ``_PLANES_MAX_ORDER`` if every subset's plane is needed, before
+    allocating any."""
+    limit = _PLANES_MAX_ORDER if planes else _DENSE_MAX_ORDER
+    if max_order > limit:
         graphs = 1 << (max_order * (max_order - 1) // 2)
         # the planes are streamed, but every graph still has one bit in each
         # of the 2**order planes, and packed connectivity is kept whole
+        projected = f"{graphs << max_order} plane bits projected from " if planes else ""
         raise CapacityError(
             f"order {max_order} needs all-graphs tables over {graphs} labelled graphs: "
-            f"{graphs << max_order} plane bits projected from {graphs // 8} bytes of packed "
-            f"connectivity; the limit is order {_DENSE_MAX_ORDER}"
+            f"{projected}{graphs // 8} bytes of packed connectivity; the limit is order {limit}"
         )
 
 
@@ -366,113 +380,97 @@ def _dense_tables(k: int) -> _DenseTables:
         rests = 1 << len(prev.pairs)
         prev_conn = np.unpackbits(prev.conn.view(np.uint8), count=rests, bitorder="little").view(bool)
         rest = np.arange(rests)
-        # by_n[N >> 3, rest]: bit N & 7 is the flag of rest << (k - 1) | N
-        by_n = np.zeros((-(-(1 << (k - 1)) // 8), rests), dtype=np.uint8)
-        for n in range(1, 1 << (k - 1)):
-            clique = sum(1 << b for b, (u, v) in enumerate(prev.pairs) if n >> u & n >> v & 1)
-            by_n[n >> 3] |= prev_conn[rest | clique].view(np.uint8) << (n & 7)
+        index = np.empty_like(rest)
+        # by_n[rest, N >> 3]: bit N & 7 is the flag of rest << (k - 1) | N;
+        # from order 4 on, the bytes of one rest are consecutive in conn
+        width = -(-(1 << (k - 1)) // 8)
+        by_n = conn.view(np.uint8).reshape(rests, width) if k >= 4 else np.zeros((rests, 1), dtype=np.uint8)
+        for j in range(width):  # byte j of every rest: N = 8j .. 8j + 7
+            byte = np.zeros(rests, dtype=np.uint8)
+            for n in range(max(1, 8 * j), min(8 * j + 8, 1 << (k - 1))):
+                clique = sum(1 << b for b, (u, v) in enumerate(prev.pairs) if n >> u & n >> v & 1)
+                np.bitwise_or(rest, clique, out=index)
+                byte |= prev_conn[index].view(np.uint8) << (n & 7)
+            by_n[:, j] = byte
         if k < 4:  # fewer than eight values of N: drop each byte's unused bits
-            bits = np.unpackbits(by_n[0], bitorder="little").reshape(rests, 8)[:, : 1 << (k - 1)]
+            bits = np.unpackbits(by_n[:, 0], bitorder="little").reshape(rests, 8)[:, : 1 << (k - 1)]
             packed = np.packbits(bits, bitorder="little")
-        else:  # from order 4 on, the bytes of one rest are consecutive
-            packed = by_n.T.reshape(-1)
-        conn.view(np.uint8)[: packed.size] = packed
+            conn.view(np.uint8)[: packed.size] = packed
     return _DenseTables(k, pairs, conn)
 
 
-def _free_words(b: int, words: np.ndarray) -> np.ndarray:
-    """The graphs without pair b, as the 64-bit plane words at indices ``words``."""
-    if b < 6:
-        return np.full(words.size, _WITHOUT[b])
-    return np.where(words >> (b - 6) & 1 == 1, np.uint64(0), ~np.uint64(0))
+def _prefix_pairs(k: int, s: int) -> int:
+    """The number of pairs (u, v) with u < s at order k. They come first in
+    the order of combinations(range(k), 2), and the pairs after them are the
+    pairs inside {s, ..., k - 1}."""
+    return s * (2 * k - s - 1) // 2
 
 
-def _count_violations(t: _DenseTables, j: int, flags: np.ndarray) -> tuple[int, int]:
-    """The closure and domination violations (see ``_violations``) in block
-    j of the planes, ``flags``, counted one by one."""
-    k = t.order
-    span = np.arange(j * flags.shape[1], (j + 1) * flags.shape[1], dtype=np.uint64)
-    free = {p: _free_words(b, span) for b, p in enumerate(t.pairs)}
-    closure = 0
-    # lonely[S]: the graphs where some vertex outside S has no neighbour in S
+def _period(conn: np.ndarray, b: int, n: int) -> np.ndarray:
+    """The packed flags conn[H mod 2**b] of the graphs H < 2**n, b <= n, as
+    their period: the first 2**(b - 6) words of conn or, for b < 6, one word
+    holding the low 2**b bits of conn again and again, its bits from 2**n
+    on clear."""
+    if b >= 6:
+        return conn[: 1 << (b - 6)]
+    word = int(conn[0]) & ((1 << (1 << b)) - 1)
+    return np.array([word * sum(1 << (i << b) for i in range(1 << (min(n, 6) - b)))], dtype=np.uint64)
+
+
+def _closure_count(t: _DenseTables, s: int) -> int:
+    """The graphs G of ``t`` in which S = {0, ..., s - 1} is weakly
+    connected dominating and S + s is not.
+
+    S is weakly connected dominating in G iff G minus the pairs inside
+    V - S, the pairs from b = ``_prefix_pairs(k, s)`` on, is connected: iff
+    conn[G mod 2**b]. So S's plane is the flags of the graphs below 2**b
+    again and again, and the count is one over the graphs below 2**c, c the
+    b of S + s, times the 2**(pairs - c) repetitions."""
+    b, c = _prefix_pairs(t.order, s), _prefix_pairs(t.order, s + 1)
+    low = _period(t.conn, b, c)
+    apart = ~t.conn[: max(1, 1 << c >> 6)].reshape(-1, low.size)
+    apart &= low
+    return _popcount(apart) << (len(t.pairs) - c)
+
+
+def _domination_count(t: _DenseTables, s: int) -> int:
+    """The graphs G of ``t`` in which S = {0, ..., s - 1} is weakly
+    connected dominating and some vertex v >= s has no pair to S in G: one
+    count over the graphs below 2**b, times the 2**(pairs - b) repetitions
+    (see ``_closure_count``)."""
+    b = _prefix_pairs(t.order, s)
+    # Of v's pairs to S, one below 6 is a bit inside each word, and one
+    # above, p, is bit p - 6 of the word's index: axis b - 1 - p of the
+    # words read as one axis of length 2 for each index bit.
+    flags = _period(t.conn, b, b)
     lonely = np.zeros_like(flags)
-    apart = np.empty_like(flags[: 1 << (k - 1)])
-    for v in range(k):
-        # [:, 0] are the subsets without v, [:, 1] the same subsets with v
-        by_v = flags.reshape(-1, 2, 1 << v, flags.shape[1])
-        closure += _popcount(by_v[:, 0] & ~by_v[:, 1])
-        # apart[S]: the graphs where v has no neighbour in S, S a subset
-        # of the other vertices in order; the i-th of them, u, fills
-        # rows 2**i .. 2**(i+1) - 1 from rows 0 .. 2**i - 1
-        apart[0] = ~np.uint64(0)
-        for i, u in enumerate(u for u in range(k) if u != v):
-            np.bitwise_and(apart[: 1 << i], free[min(u, v), max(u, v)], out=apart[1 << i : 2 << i])
-        lonely.reshape(by_v.shape)[:, 0] |= apart.reshape(by_v[:, 0].shape)
-    return closure, _popcount(flags & lonely)
+    by_bit = lonely.reshape((2,) * max(0, b - 6))
+    for v in range(s, t.order):
+        word, index = ~np.uint64(0), [slice(None)] * by_bit.ndim
+        for u in range(s):
+            p = t.pairs.index((u, v))
+            if p < 6:
+                word &= _WITHOUT[p]
+            else:
+                index[b - 1 - p] = 0
+        alone = by_bit[(..., *index)]
+        np.bitwise_or(alone, word, out=alone)
+    lonely &= flags
+    return _popcount(lonely) << (len(t.pairs) - b)
 
 
-def _upward_closed(flags: np.ndarray) -> bool:
-    """Whether, in every graph of one block's planes ``flags``, each superset
-    of a flagged subset is flagged."""
-    k, words = flags.shape[0].bit_length() - 1, flags.shape[1]
-    # up[A]: the OR of the planes of the subsets of A
-    up = flags.copy()
-    for v in range(k):
-        by_v = up.reshape(-1, 2, 1 << v, words)
-        by_v[:, 1] |= by_v[:, 0]
-    return np.array_equal(up, flags)
-
-
-def _dominating(t: _DenseTables, j: int, flags: np.ndarray) -> bool:
-    """Whether every flagged subset dominates its graph in block j of the
-    planes, ``flags``, which must be upward closed."""
-    words = flags.shape[1]
-    low = 5 + words.bit_length()
-    # Some flagged S in G leaves v undominated iff the largest such S,
-    # V - N[v], has a flag. Pick that row for every graph, one other vertex
-    # u at a time: u is in V - N[v] iff (u, v) is not in G. A high pair
-    # (u, v) is in every graph of the block or in none, so the row view
-    # fixes u; a low pair halves the rows, highest u first, keeping for each
-    # graph the half it picks.
-    for v in range(t.order):
-        fixed, split = {v: 0}, []
-        for u in reversed(range(t.order)):
-            if u != v:
-                b = t.pairs.index((min(u, v), max(u, v)))
-                if b >= low:
-                    fixed[u] = 0 if j >> (b - low) & 1 else 1
-                else:
-                    split.append(b)
-        rows = np.array(_rows(flags, fixed)).reshape(-1, words)  # a copy
-        for b in split:
-            half = rows.shape[0] // 2
-            with_, without = rows[:half], rows[half:]  # u adjacent to v, and not
-            if b >= 6:
-                shape = (half, words >> (b - 5), 2, 1 << (b - 6))
-                with_.reshape(shape)[:, :, 0] = without.reshape(shape)[:, :, 0]
-            else:  # the closure puts the flags of with_ within those of without
-                with_ |= without & _WITHOUT[b]
-            rows = with_
-        if rows.any():
-            return False
-    return True
-
-
-def _violations(t: _DenseTables, blocks: Iterable[tuple[int, np.ndarray]]) -> tuple[int, int]:
-    """Upward-closure and domination violations over the connected graphs of
-    ``t``, in the plane ``blocks`` of ``_plane_blocks``. Closure counts the
-    (S, v, G) with S weakly connected dominating in G, v outside S and S + v
-    not; domination counts the (S, G) with S weakly connected dominating in G
-    and some vertex outside S undominated. A disconnected graph has no flags
-    (its spanning subgraphs are all disconnected), so every graph can be
-    counted. Each block is first tested whole, and counted one violation at
-    a time only if the test finds one."""
-    closure = domination = 0
-    for j, flags in blocks:
-        if not (_upward_closed(flags) and _dominating(t, j, flags)):
-            c, d = _count_violations(t, j, flags)
-            closure += c
-            domination += d
+def _canonical_violations(t: _DenseTables) -> tuple[int, int]:
+    """Upward-closure and domination violations over the graphs of ``t``.
+    Closure counts the (S, v, G) with S weakly connected dominating in G, v
+    outside S and S + v not; domination counts the (S, G) with S weakly
+    connected dominating in G and some vertex outside S undominated. By the
+    relabelling lemma (see above), every (S, v) with |S| = s counts as
+    S = {0, ..., s - 1} and v = s do, and every S as {0, ..., s - 1}: closure
+    is the sum over s of C(k, s) * (k - s) * ``_closure_count(t, s)``, and
+    domination the sum of C(k, s) * ``_domination_count(t, s)``."""
+    k = t.order
+    closure = sum(comb(k, s) * (k - s) * _closure_count(t, s) for s in range(1, k))
+    domination = sum(comb(k, s) * _domination_count(t, s) for s in range(1, k))
     return closure, domination
 
 
@@ -493,59 +491,57 @@ def _within(t: _DenseTables, blocks: Iterable[tuple[int, np.ndarray]]) -> np.nda
 
 
 def _halves(words: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flags in one plane's 64-bit words of the graphs without pair b
-    and of the same graphs with it, aligned: for b < 6 at the bits of the
-    graphs without it, ``_WITHOUT[b]`` (the other bits pair nothing), for
-    b >= 6 as the two halves of each block of words."""
+    """The flags in one plane's 64-bit words of the graphs without the top
+    pair b and of the same graphs with it, aligned: for b < 6 at the bits
+    of the graphs without it, ``_WITHOUT[b]`` (the other bits pair nothing),
+    for b >= 6 as the two halves of the words."""
     if b >= 6:
-        blocks = words.reshape(-1, 2, 1 << (b - 6))
-        return blocks[:, 0], blocks[:, 1]
+        return words[: words.size // 2], words[words.size // 2 :]
     return words, words >> np.uint64(1 << b)
 
 
 def _deletion_counts(t: _DenseTables, blocks: Iterable[tuple[int, np.ndarray]]) -> tuple[int, int, int]:
     """Single-edge deletions over the graphs of ``t``, in the plane
-    ``blocks`` of ``_plane_blocks``: G has pair b and G - e is the same
+    ``blocks`` of ``_plane_blocks``: G has a pair e and G - e is the same
     graph without it. Returns the deletions with G and G - e connected where
     gamma_w(G - e) is neither gamma_w(G) nor gamma_w(G) + 1, the deletions
-    with both connected, and those with G connected and G - e not."""
-    k = t.order
+    with both connected, and those with G connected and G - e not. By the
+    relabelling lemma every pair has the same three counts, so they are
+    counted for the top pair (k - 2, k - 1), whose bit is the highest of G,
+    and multiplied by the number of pairs."""
+    k, b = t.order, len(t.pairs) - 1
     within = _within(t, blocks)
     # where within[g - 2..g] are equal, level g repeats the test of level
     # g - 1 (at order 7, gamma_w is at most 3: levels 5..7 repeat level 4)
     same = [g > 0 and np.array_equal(within[g], within[g - 1]) for g in range(k + 1)]
     levels = [g for g in range(1, k + 1) if not (same[g] and same[g - 1])]
-    bad = checked = skipped = 0
-    for b in range(len(t.pairs)):
-        # a deletion breaks the window where, at some g, G - e is within g
-        # and G is not, or G is within g - 1 and G - e is not within g. As
-        # G within g - 1 implies G within g, that is where (G - e within g
-        # or G within g - 1) differs from (G - e and G within g).
-        broken = below = 0  # below: G within g - 1
-        for g in levels:
-            without, with_ = _halves(within[g], b)
-            broken |= (without | below) ^ (without & with_)
-            below = with_
-        without, with_ = _halves(within[k], b)
-        aligned = _WITHOUT[b] if b < 6 else ~np.uint64(0)  # the bits of (G - e, G) pairs
-        valid = without & with_ & aligned  # G and G - e connected
-        bad += _popcount(broken & valid)
-        checked += _popcount(valid)
-        skipped += _popcount(with_ & ~without & aligned)
-    return bad, checked, skipped
+    # a deletion breaks the window where, at some g, G - e is within g and
+    # G is not, or G is within g - 1 and G - e is not within g. As G within
+    # g - 1 implies G within g, that is where (G - e within g or G within
+    # g - 1) differs from (G - e and G within g).
+    broken = below = 0  # below: G within g - 1
+    for g in levels:
+        without, with_ = _halves(within[g], b)
+        broken |= (without | below) ^ (without & with_)
+        below = with_
+    without, with_ = _halves(within[k], b)
+    aligned = _WITHOUT[b] if b < 6 else ~np.uint64(0)  # the bits of (G - e, G) pairs
+    valid = without & with_ & aligned  # G and G - e connected
+    counts = _popcount(broken & valid), _popcount(valid), _popcount(with_ & ~without & aligned)
+    return tuple(len(t.pairs) * count for count in counts)
 
 
 def _suite_structural(max_n: int, **_) -> list[CheckRecord]:
     """Two definitional consequences swept over every connected labeled graph
     up to order ``max_n``: supersets of a weakly connected dominating set
     stay in the family, and membership implies ordinary domination (order
-    >= 2). Orders above 7 raise :class:`CapacityError`."""
-    _check_dense_order(max_n)
+    >= 2). Orders above 8 raise :class:`CapacityError`."""
+    _check_dense_order(max_n, planes=False)
     records: list[CheckRecord] = []
     for k in range(1, max_n + 1):
         eng = _dense_tables(k)
         swept = f"{_popcount(eng.conn)} connected graphs swept"
-        closure_bad, dom_bad = _violations(eng, _plane_blocks(eng))
+        closure_bad, dom_bad = _canonical_violations(eng)
         records.append(_check(f"order {k} upward closure", "superset preservation", 0, closure_bad, swept))
         if k >= 2:
             records.append(
@@ -557,8 +553,10 @@ def _suite_structural(max_n: int, **_) -> list[CheckRecord]:
 def _suite_edge_deletion(max_n: int, **_) -> tuple[list[CheckRecord], int]:
     """Deleting an edge that keeps a labeled graph of order 2..``max_n``
     connected never lowers gamma_w and raises it by at most one. Also
-    returns the number of disconnecting deletions skipped."""
-    _check_dense_order(max_n)
+    returns the number of disconnecting deletions skipped. Orders above 7
+    raise :class:`CapacityError`: gamma_w of every graph needs every
+    subset's plane."""
+    _check_dense_order(max_n, planes=True)
     records: list[CheckRecord] = []
     total_skipped = 0
     for k in range(2, max_n + 1):
@@ -1014,7 +1012,7 @@ def verify_cycle_table(max_n: int | None = None, cap: int = DEFAULT_CAP) -> Veri
 
 
 def verify_structural(max_order: int | None = None) -> VerificationReport:
-    """The ``structural`` suite; orders above 7 raise :class:`CapacityError`."""
+    """The ``structural`` suite; orders above 8 raise :class:`CapacityError`."""
     return verify_formula_suite("structural", max_n=max_order)
 
 

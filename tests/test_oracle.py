@@ -168,6 +168,19 @@ def test_dominating_sets_are_at_least_as_many():
         assert all(d >= w for d, w in zip(dom, wc))
 
 
+def test_every_graph_has_an_odd_number_of_dominating_sets():
+    # Brouwer's theorem, V itself counted: the lone and stacked domination
+    # sweeps must both give odd totals on every graph, connected or not
+    rng = random.Random(14)
+    pairs = {n: list(combinations(range(1, n + 1), 2)) for n in range(6, 15)}
+    densities = (0.2, 0.5, 0.8)
+    randoms = [make_graph(n, [p for p in pairs[n] if rng.random() < d]) for n in range(6, 15) for d in densities]
+    graphs = [g for n in range(1, 6) for g in _labelled_graphs(n)] + randoms
+    for g, row in zip(graphs, oracle.count_stack(graphs, pred=oracle._dom_ok), strict=True):
+        assert sum(dominating_counts(g)) % 2 == 1, g
+        assert sum(row) % 2 == 1, g
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         count_table(make_graph(25, [(i, i + 1) for i in range(1, 25)]))

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import numpy as np
@@ -56,23 +56,19 @@ def test_structural_small():
     assert len(r.records) == 7
 
 
-def test_all_graphs_suites_refuse_order_eight_before_building(monkeypatch, capsys):
-    real = verify._dense_tables
-
-    def guarded(k):
-        # order 8 has 2**28 graphs, 2**36 plane bits to stream
-        assert k < 8, f"_dense_tables({k}) reached"
-        return real(k)
-
-    monkeypatch.setattr(verify, "_dense_tables", guarded)
-    # 2**28 graphs, a bit in each of 256 planes, 32 MiB of packed connectivity
-    refusal = r"order 8 .* 268435456 labelled graphs: 68719476736 plane bits .* 33554432 bytes"
-    with pytest.raises(CapacityError, match=refusal):
-        verify_structural(8)
+def test_all_graphs_suites_refuse_orders_above_their_tables_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_dense_tables", partial(pytest.fail, "_dense_tables reached"))
+    # edge deletion needs every subset's plane: 2**28 graphs at order 8, a
+    # bit in each of 256 planes, from 32 MiB of packed connectivity
+    refusal = r"order 8 .* 268435456 labelled graphs: 68719476736 plane bits .* 33554432 bytes .* limit is order 7$"
     with pytest.raises(CapacityError, match=refusal):
         verify_formula_suite("edge_deletion_bounds", max_n=8)
-    for suite in ("structural", "edge_deletion_bounds"):
-        assert run(["verify", "--suite", suite, "--max-n", "8"]) == 3
+    # structural needs packed connectivity alone: 2**33 bytes at order 9
+    refusal = r"order 9 .* 68719476736 labelled graphs: 8589934592 bytes of packed connectivity; the limit is order 8$"
+    with pytest.raises(CapacityError, match=refusal):
+        verify_structural(9)
+    for suite, order in (("structural", "9"), ("edge_deletion_bounds", "8")):
+        assert run(["verify", "--suite", suite, "--max-n", order]) == 3
         assert capsys.readouterr().out == ""
 
 
@@ -89,20 +85,6 @@ def _flag(planes, g, s):
 def _planes(blocks):
     """Every subset's whole plane, from a stream of plane blocks."""
     return np.concatenate([flags.copy() for _, flags in blocks], axis=1)
-
-
-def _planted(t, block, clear=(), plant=()):
-    """The plane blocks of t with the flag of S in graph G cleared for each
-    (G, S) in ``clear`` and set for each in ``plant``."""
-    for j, flags in verify._plane_blocks(t, block):
-        words = flags.shape[1]
-        for pairs, value in ((clear, 0), (plant, 1)):
-            for g, s in pairs:
-                if (g >> 6) // words == j:
-                    bit = np.uint64(1 << (g & 63))
-                    w = (g >> 6) % words
-                    flags[s, w] = flags[s, w] | bit if value else flags[s, w] & ~bit
-        yield j, flags
 
 
 def _blocks(t):
@@ -126,6 +108,10 @@ def test_connected_graph_counts_match_oeis_a001187():
     # connected labelled graphs on k nodes (Harary & Palmer, Graphical Enumeration)
     for k, connected in enumerate((1, 1, 4, 38, 728, 26704, 1866256), start=1):
         assert verify._popcount(verify._dense_tables(k).conn) == connected
+    # order 8 from order 7's table, uncached: 32 MiB, freed with the test
+    t = verify._dense_tables.__wrapped__(8)
+    assert verify._popcount(t.conn) == 251548592
+    assert verify._canonical_violations(t) == (0, 0)
 
 
 def test_dense_tables_match_the_scalar_predicates():
@@ -155,9 +141,6 @@ def test_checks_do_not_depend_on_the_block_size():
         # pairs from 6 + log2(small) up pick a block
         assert k < 5 or small.bit_length() + 5 < len(t.pairs)
         assert np.array_equal(_planes(verify._plane_blocks(t, one)), _planes(verify._plane_blocks(t, small)))
-        assert verify._violations(t, verify._plane_blocks(t, one)) == verify._violations(
-            t, verify._plane_blocks(t, small)
-        )
         within = verify._within(t, verify._plane_blocks(t, one))
         assert np.array_equal(within, verify._within(t, verify._plane_blocks(t, small)))
         # within[g]: the graphs with gamma_w <= g
@@ -169,160 +152,154 @@ def test_checks_do_not_depend_on_the_block_size():
             )
 
 
-def test_blocks_without_violations_are_not_counted_one_by_one(monkeypatch):
-    # the whole-block test must pass every block of the real planes, or
-    # the one-by-one count would run on all of them
-    def refuse(t, j, flags):
-        raise AssertionError(f"block {j} of order {t.order} counted one by one")
-
-    monkeypatch.setattr(verify, "_count_violations", refuse)
+def test_canonical_plane_is_the_plane_of_the_first_s_vertices():
+    # the plane of {0, ..., s - 1}, projected along every pair inside
+    # {s, ..., k - 1} by _plane_blocks at either block size, is conn below
+    # 2**b_s repeated
     for k in range(1, 8):
         t = verify._dense_tables(k)
+        n_pairs = len(t.pairs)
         for block in _blocks(t):
-            assert verify._violations(t, verify._plane_blocks(t, block)) == (0, 0)
+            planes = _planes(verify._plane_blocks(t, block))
+            for s in range(1, k + 1):
+                b = verify._prefix_pairs(k, s)
+                assert t.pairs[b:] == tuple(combinations(range(s, k), 2))
+                period = verify._period(t.conn, b, n_pairs)
+                assert np.array_equal(np.tile(period, len(t.conn) // len(period)), planes[(1 << s) - 1]), (k, s)
 
 
-def _scalar_violations(t, planes, graphs):
-    """Per-(S, v) recount of the closure and domination violations on the
-    given graphs, reading neighbours from the pairs."""
+def _with_conn(t, keep):
+    """t with its connectivity replaced by ``keep(edges, connected)``, a
+    property of each graph's edge count and connectivity, which
+    relabelling keeps."""
+    n_graphs = 1 << len(t.pairs)
+    connected = np.unpackbits(t.conn.view(np.uint8), count=n_graphs, bitorder="little").astype(bool)
+    conn = np.zeros_like(t.conn)
+    flags = keep(np.bitwise_count(np.arange(n_graphs)), connected)
+    conn.view(np.uint8)[: -(-n_graphs // 8)] = np.packbits(flags, bitorder="little")
+    return verify._DenseTables(t.order, t.pairs, conn)
+
+
+def _unpacked(t, planes):
+    """Every subset's plane as a row of booleans, one a graph."""
+    return np.unpackbits(planes.view(np.uint8), axis=1, count=1 << len(t.pairs), bitorder="little").astype(bool)
+
+
+def _scalar_violations(t, planes):
+    """Per-(S, v) recount of the closure and domination violations over
+    every graph, from the whole planes and each graph's pairs."""
+    flags = _unpacked(t, planes)
+    graphs = np.arange(flags.shape[1])
     closure = domination = 0
-    for g in graphs:
-        if not _bit(t.conn, g):
-            continue
-        adj = [0] * t.order
-        for b, (u, v) in enumerate(t.pairs):
-            if g >> b & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        for s in range(1, 1 << t.order):
-            if not _flag(planes, g, s):
-                continue
-            outside = [v for v in range(t.order) if not s >> v & 1]
-            closure += sum(not _flag(planes, g, s | 1 << v) for v in outside)
-            domination += any(not adj[v] & s for v in outside)
+    for s in range(1, 1 << t.order):
+        outside = [v for v in range(t.order) if not s >> v & 1]
+        closure += sum(int((flags[s] & ~flags[s | 1 << v]).sum()) for v in outside)
+        # v is undominated where none of its pairs to S is in the graph
+        lonely = np.zeros_like(flags[s])
+        for v in outside:
+            to_s = sum(1 << t.pairs.index((min(u, v), max(u, v))) for u in range(t.order) if s >> u & 1)
+            lonely |= graphs & to_s == 0
+        domination += int((flags[s] & lonely).sum())
     return closure, domination
 
 
-def _edge_mask(t, edges):
-    return sum(1 << t.pairs.index(e) for e in edges)
-
-
 def test_packed_checks_count_planted_violations():
-    t = verify._dense_tables(4)
-    assert verify._violations(t, verify._plane_blocks(t)) == (0, 0)
-    complete = _edge_mask(t, t.pairs)
-    path = _edge_mask(t, [(0, 1), (1, 2), (2, 3)])
-    # {0, 1} stops being a WCDS of K4; {0}, which misses vertex 3, becomes one of P4
-    planted = partial(_planted, t, 1, clear=[(complete, 0b0011)], plant=[(path, 0b0001)])
-    counts = verify._violations(t, planted())
-    assert counts == _scalar_violations(t, _planes(planted()), range(1 << len(t.pairs)))
-    assert counts[0] > 0 and counts[1] > 0
-
-
-def test_packed_checks_count_violations_on_projected_planes():
-    # the planes of {2, 3, 4} (outside it (0, 1), pair 0, and (5, 6), pair 20)
-    # and of {1, 3, 4} (outside it (0, 2), pair 1, and (2, 5), pair 13) are
-    # projected along pairs below 6, inside each 64-bit word, and 6 or above,
-    # by whole words or, at the small block size, by picking a block
-    t = verify._dense_tables(7)
-    complete = _edge_mask(t, t.pairs)
-    path = _edge_mask(t, [(v, v + 1) for v in range(6)])
-    k7, p7 = make_graph(7, [(u + 1, v + 1) for u, v in t.pairs]), build_family("path", 7)
-    for block in (verify._BLOCK, *_blocks(t)):
-        assert verify._violations(t, verify._plane_blocks(t, block)) == (0, 0)
-        # both graphs lie past the first block, if there are several
-        assert block == len(t.conn) or min(complete, path) >> 6 >= block
-        planes = _planes(verify._plane_blocks(t, block))
-        assert _flag(planes, complete, 0b0011100) and is_wcds(k7, [3, 4, 5])
-        assert not _flag(planes, path, 0b0011010) and not is_wcds(p7, [2, 4, 5])
-        # {2, 3, 4} leaves K7's family while its supersets stay; {1, 3, 4},
-        # which misses the top vertex 6 alone, joins the family of P7
-        planted = partial(_planted, t, block, clear=[(complete, 0b0011100)], plant=[(path, 0b0011010)])
-        # all violations sit in the two planted graphs
-        counts = verify._violations(t, planted())
-        assert counts == _scalar_violations(t, _planes(planted()), [complete, path])
-        assert counts[0] > 0 and counts[1] > 0
+    # the real tables have no violation; two properties of the edge count,
+    # and connectivity without the 60 labelled copies of C6, planted as
+    # connectivity have many, alike by both routes: the canonical subsets,
+    # and every subset's projected plane
+    for k in range(1, 7):
+        t = verify._dense_tables(k)
+        assert verify._canonical_violations(t) == (0, 0) == _scalar_violations(t, _planes(verify._plane_blocks(t)))
+        mod_3, even = _with_conn(t, lambda e, c: e % 3 == 0), _with_conn(t, lambda e, c: (e >= k - 1) & (e % 2 == 0))
+        for planted in (mod_3, even):
+            counts = verify._canonical_violations(planted)
+            assert counts == _scalar_violations(planted, _planes(verify._plane_blocks(planted))), k
+            assert k < 5 or counts[0] > 0 and counts[1] > 0
+        assert k < 3 or min(verify._canonical_violations(mod_3)) > 0
+    no_c6 = _without_copies_of_c6(verify._dense_tables(6))
+    counts = verify._canonical_violations(no_c6)
+    assert counts == _scalar_violations(no_c6, _planes(verify._plane_blocks(no_c6)))
+    assert counts[0] > 0
+    # the mod-3 property at order 7, where _plane_blocks streams 32 blocks
+    assert verify._canonical_violations(_with_conn(verify._dense_tables(7), lambda e, c: e % 3 == 0)) == (
+        213483606,
+        31454220,
+    )
 
 
 def test_domination_check_finds_violations_that_keep_the_closure():
-    # every superset of {0, ..., k - 4} joins the family of P_k: the family
-    # stays upward closed, so only the domination test can see the sets
-    # that leave k - 2 or k - 1 undominated. Each of those two has a high
-    # pair to a vertex of V - N[v] at the small block size.
-    for k in (6, 7):
-        t = verify._dense_tables(k)
-        path = _edge_mask(t, [(v, v + 1) for v in range(k - 1)])
-        head = (1 << (k - 3)) - 1
-        supersets = [(path, s) for s in range(1 << k) if s & head == head]
-        for block in _blocks(t):
-            assert block == len(t.conn) or path >> 6 >= block
-            planted = partial(_planted, t, block, plant=supersets)
-            counts = verify._violations(t, planted())
-            assert counts == _scalar_violations(t, _planes(planted()), [path])
-            assert counts[0] == 0 and counts[1] > 0
+    # at least k - 1 edges, planted as connectivity, is kept by adding
+    # edges: every superset of a flagged set is flagged, and only the
+    # domination check sees the sets that leave a vertex alone
+    for k in range(4, 7):
+        planted = _with_conn(verify._dense_tables(k), lambda e, c: e >= k - 1)
+        counts = verify._canonical_violations(planted)
+        assert counts == _scalar_violations(planted, _planes(verify._plane_blocks(planted)))
+        assert counts[0] == 0 and counts[1] > 0
 
 
 def _scalar_deletion_counts(t, planes):
     """Per-pair recount of the deletion window from the least flagged size
-    of each graph (no flag: disconnected)."""
-    n_graphs = 1 << len(t.pairs)
-    flags = np.unpackbits(planes.view(np.uint8), axis=1, count=n_graphs, bitorder="little").astype(bool)
+    of each graph (no flag: disconnected): (bad, checked, skipped) of each
+    pair."""
+    flags = _unpacked(t, planes)
     sizes = np.bitwise_count(np.arange(1 << t.order))[:, None]
-    least = np.where(flags, sizes, t.order + 1).min(axis=0).tolist()
-    bad = checked = skipped = 0
+    least = np.where(flags, sizes, t.order + 1).min(axis=0)
+    graphs = np.arange(flags.shape[1])
+    counts = []
     for b in range(len(t.pairs)):
-        for g in range(n_graphs):
-            if not g >> b & 1 or least[g] > t.order:
-                continue
-            deleted = least[g ^ 1 << b]
-            if deleted > t.order:
-                skipped += 1
-                continue
-            checked += 1
-            bad += not least[g] <= deleted <= least[g] + 1
-    return bad, checked, skipped
+        g = graphs[(graphs >> b & 1 == 1) & (least <= t.order)]
+        deleted, kept = least[g ^ 1 << b], least[g]
+        within = deleted <= t.order
+        bad = within & ((deleted < kept) | (deleted > kept + 1))
+        counts.append((int(bad.sum()), int(within.sum()), int((~within).sum())))
+    return counts
+
+
+def _without_copies_of_c6(t):
+    """Order 6's tables with the 60 labelled copies of C6 planted as
+    disconnected."""
+    pairs = list(combinations(range(6), 2))
+    copies = {sum(1 << pairs.index(tuple(sorted((p[i - 1], p[i])))) for i in range(6)) for p in permutations(range(6))}
+    assert len(copies) == 60
+    not_c6 = np.ones(1 << len(pairs), dtype=bool)
+    not_c6[list(copies)] = False
+    return _with_conn(t, lambda e, c: c & not_c6)
 
 
 def test_deletion_counts_match_a_scalar_recount_on_planted_flags():
-    t = verify._dense_tables(6)
-    cycle = _edge_mask(t, [(v, v + 1) for v in range(5)] + [(0, 5)])
-    chorded_star = _edge_mask(t, [(0, v) for v in range(1, 6)] + [(1, 3)])
-    pendant_square = _edge_mask(t, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 5), (2, 4)])
-    assert gamma_w(build_family("cycle", 6)) == 3
-    for block in _blocks(t):
-        counts = verify._deletion_counts(t, verify._plane_blocks(t, block))
-        assert counts == _scalar_deletion_counts(t, _planes(verify._plane_blocks(t, block)))
-        assert counts[0] == 0 and counts[1] > 0 and counts[2] > 0
-        # {0} becomes a WCDS of C6, whose edge deletions (pairs 0, 4 and 5
-        # below 6, pairs 9, 12 and 14 above, which at the small block size
-        # select C6's block) leave paths of gamma_w 3: a rise of 2
-        assert block == len(t.conn) or cycle >> 6 >= block and 5 + block.bit_length() <= 9
-        rise = partial(_planted, t, block, plant=[(cycle, 0b000001)])
-        counts = verify._deletion_counts(t, rise())
-        assert counts == _scalar_deletion_counts(t, _planes(rise()))
-        assert counts[0] > 0
-        # {0}, the one minimum of the star plus (1, 3), and {0, 2}, the one
-        # minimum of the square 0123 with pendants 5 on 0 and 4 on 2, leave
-        # their families: deleting (1, 3) (pair 6) drops gamma_w from 2 to 1,
-        # deleting (0, 1) (pair 0) from 3 to 2
-        drop = partial(_planted, t, block, clear=[(chorded_star, 0b000001), (pendant_square, 0b000101)])
-        counts = verify._deletion_counts(t, drop())
-        assert counts == _scalar_deletion_counts(t, _planes(drop()))
-        assert counts[0] > 0
+    for k in range(2, 7):
+        t = verify._dense_tables(k)
+        mod_3 = _with_conn(t, lambda e, c: e % 3 == 0)
+        plants = [t, mod_3] + ([_with_conn(t, lambda e, c: c & (e % 3 != 0))] if k == 6 else [])
+        for planted in plants:
+            # each pair's window counts are the same, as relabelling maps any
+            # pair onto any other, so the top pair's times the pairs is the total
+            per_pair = _scalar_deletion_counts(planted, _planes(verify._plane_blocks(planted)))
+            assert len(set(per_pair)) == 1, (k, per_pair)
+            for block in _blocks(t):
+                counts = verify._deletion_counts(planted, verify._plane_blocks(planted, block))
+                assert counts == tuple(len(t.pairs) * x for x in per_pair[-1])
+            # the planted properties break the window from order 4 on
+            assert (counts[0] > 0) == (planted is not t and k >= 4)
 
 
 def test_dense_tables_and_checks_peak_under_5_mb():
-    # 256 KiB of packed order-7 connectivity are kept; a block's planes
-    # (1 MiB), the closure test's copy of them and the 2 MiB of cumulative
-    # planes of the deletion check are the working arrays
+    # 256 KiB of packed order-7 connectivity are kept. The canonical checks
+    # add one prefix-sized array at a time, at most that again; the deletion
+    # check holds a block's planes (1 MiB) and the 2 MiB of cumulative planes
     tracemalloc.start()
     try:
         t = verify._dense_tables.__wrapped__(7)
-        verify._violations(t, verify._plane_blocks(t))
+        tracemalloc.reset_peak()
+        verify._canonical_violations(t)
+        canonical = tracemalloc.get_traced_memory()[1]
         verify._deletion_counts(t, verify._plane_blocks(t))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert canonical < 2**20
     assert peak < 5 * 10**6
 
 
