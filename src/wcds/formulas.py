@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .graph import Graph, RootedGraph, is_connected, realize_extension
-from .oracle import DEFAULT_CAP, CountTable, _as_tuples, _tally, count_table, sweep_stack
+from .oracle import DEFAULT_CAP, CountTable, _as_tuples, _count_row, count_table, sweep_stack
 
 
 class RecurrenceAssumptionError(Exception):
@@ -271,7 +271,7 @@ def _pendant_families(
     exactly the size the recurrence gives it.
     """
     n0 = rg.base.order
-    rows = _pendant_rows(*(tuple(_tally(n0 + k, [h])[1:]) for k, h in enumerate((hits0, hits1))), rg.extension_length)
+    rows = _pendant_rows(*(_count_row(n0 + k, h) for k, h in enumerate((hits0, hits1))), rg.extension_length)
     if n0 == 1:
         hits0 = np.concatenate((np.zeros(1, dtype=np.uint32), hits0))  # the empty set
     prev2 = prev = None  # the (family, refusals, count row) of G(k-2) and G(k-1)

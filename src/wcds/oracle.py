@@ -9,10 +9,9 @@ whole chunk at once with in-place numpy passes over the vertices.
 subgraph is connected iff S dominates and S is connected through links
 between members at distance at most 2. So it keeps the dominating masks
 first and connects only those; :func:`graph.weak_reach` stays the literal
-definition the tests compare it with. Counting queries tally each chunk's
-hits by popcount, as Python ints or, in stacks, int64 cells that hold at
-most 2**30, so counts are independent of the partitioning and cannot
-overflow.
+definition the tests compare it with. Counting queries tally each kernel
+call's hits by popcount into int64 cells that hold at most 2**30, so
+counts are independent of the partitioning and cannot overflow.
 
 Minimum queries sweep cardinality layers instead: :func:`_layer` makes the
 masks of one popcount, and :func:`_least_layers` tests layer after layer,
@@ -31,8 +30,11 @@ call by call (the join suite), and :func:`gamma_w_stack` and
 :func:`gamma_stack` run one least-layer pass per stack, where a graph
 retires at its first layer with a hit (the join, corona and path/cycle
 minimum suites). A query on one graph is the one-graph case of the same
-routines, and a kernel call on one graph takes its int neighbour masks and
-a flat chunk of masks.
+routines: :func:`count_table`, :func:`sweep_counts` and
+:func:`dominating_counts` tally a stack of one graph, whose calls popcount
+their hits alone, and a kernel call on one graph takes its int neighbour
+masks and a flat chunk of masks. No query result is memoised; a caller
+that needs a row twice keeps it.
 """
 
 from __future__ import annotations
@@ -135,11 +137,12 @@ def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
     ok = _dom_ok(adj, masks).reshape(-1)
     live = np.flatnonzero(ok)
     s = masks.reshape(-1)[live]
-    near = _near(adj)
     stacked = masks.ndim > 1
-    if stacked:  # near[v, g], and each surviving mask's graph g
-        near = np.stack(near).reshape(n, -1)
+    near = _near(np.concatenate(adj, axis=1) if stacked else np.array([adj], dtype=np.uint32))
+    if stacked:  # each surviving mask's graph g
         graph = live // masks.shape[1]
+    else:  # the one graph's column, as ints
+        near = near[:, 0].tolist()
     reach = s & -s
     half, other = range(n), range(n - 2, -1, -1)
     while live.size:
@@ -163,24 +166,14 @@ def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
     return ok.reshape(masks.shape)
 
 
-def _near(adj: list) -> list:
-    """Per vertex v, the mask of N2[v], the vertices at distance at most 2
-    from v, v included. Ints from int neighbour masks, columns from
-    columns, all the graphs' at once."""
-    n = len(adj)
-    if isinstance(adj[0], np.ndarray):
-        nbrs = np.concatenate(adj, axis=1)  # (graphs, n)
-        # links[g, v, u]: u is a neighbour of v in graph g
-        links = nbrs[:, :, None] >> np.arange(n, dtype=np.uint32) & 1
-        near = np.bitwise_or.reduce(links * nbrs[:, None, :], axis=2) | nbrs | 1 << np.arange(n, dtype=np.uint32)
-        return list(near.T[:, :, None])
-    out = []
-    for v, nbrs in enumerate(adj):
-        near = nbrs | 1 << v
-        for u, other in enumerate(adj):
-            near = near | (nbrs >> u & 1) * other
-        out.append(near)
-    return out
+def _near(nbrs: np.ndarray) -> np.ndarray:
+    """near[v, g], the mask of N2[v] in graph g, the vertices at distance
+    at most 2 from v, v included, from the (graphs, n) neighbour masks."""
+    n = nbrs.shape[1]
+    # links[g, v, u]: u is a neighbour of v in graph g
+    links = nbrs[:, :, None] >> np.arange(n, dtype=np.uint32) & 1
+    near = np.bitwise_or.reduce(links * nbrs[:, None, :], axis=2) | nbrs | 1 << np.arange(n, dtype=np.uint32)
+    return np.ascontiguousarray(near.T)  # rows that np.take reads in place
 
 
 def _dom_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
@@ -193,15 +186,6 @@ def _dom_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
         np.bitwise_and(masks, nbrs | 1 << v, out=meet)
         np.minimum(least, meet, out=least)
     return least != 0
-
-
-def _sweep(adj: list[int], pred: Callable, chunk_bits: int = _CHUNK_BITS) -> Iterator[np.ndarray]:
-    """The non-empty subsets passing ``pred``, one ascending chunk at a time."""
-    n = len(adj)
-    step = 1 << min(chunk_bits, n)
-    for lo in range(0, 1 << n, step):
-        masks = np.arange(max(lo, 1), lo + step, dtype=np.uint32)
-        yield masks[pred(adj, masks)]
 
 
 @lru_cache(maxsize=_CHUNK_BITS + 1)
@@ -260,16 +244,7 @@ def _least_layers(adjs: list[list[int]], pred: Callable, need: int, reach: int) 
     mask) pairs a call. A graph retires at its first layer with a hit, and
     the pass stops when every graph has; a stack of one graph is a lone
     query. The callers' graphs always pass with S = V, so some layer up to
-    n hits each.
-
-    The two floors are one-line lemmas:
-
-    - gamma_w: ``need`` n - 1, ``reach`` 0. The weakly induced subgraph of
-      a hit S is connected and spans all n vertices, so it has at least
-      n - 1 edges; every kept edge meets S, so the degrees over S sum to at
-      least n - 1.
-    - gamma: ``need`` n, ``reach`` 1. The closed neighbourhood of v covers
-      at most deg v + 1 vertices, and S must cover all n.
+    n hits each. The floors are :func:`_least_weak` and :func:`_least_dom`.
     """
     n = len(adjs[0])
     least = [0] * len(adjs)
@@ -286,6 +261,22 @@ def _least_layers(adjs: list[list[int]], pred: Callable, need: int, reach: int) 
             if not todo:
                 return least
     raise ValueError("no subset passes")
+
+
+def _least_weak(adjs: list[list[int]]) -> list[int]:
+    """gamma_w of each graph of a stack of connected graphs of one order n.
+    The floor lemma, ``need`` n - 1 and ``reach`` 0: the weakly induced
+    subgraph of a hit S is connected and spans all n vertices, so it has at
+    least n - 1 edges; every kept edge meets S, so the degrees over S sum
+    to at least n - 1."""
+    return _least_layers(adjs, _weak_ok, len(adjs[0]) - 1, 0)
+
+
+def _least_dom(adjs: list[list[int]]) -> list[int]:
+    """gamma of each graph of a stack of one order n. The floor lemma,
+    ``need`` n and ``reach`` 1: the closed neighbourhood of v covers at
+    most deg v + 1 vertices, and S must cover all n."""
+    return _least_layers(adjs, _dom_ok, len(adjs[0]), 1)
 
 
 def _layer_hits(adj: list[int], pred: Callable, k: int) -> np.ndarray:
@@ -330,44 +321,32 @@ def _stack_rows(adjs: list[list[int]], pred: Callable) -> list[tuple[int, ...]]:
     n = len(adjs[0])
     counts = np.zeros((len(adjs), n + 1), dtype=np.int64)
     for first, masks, ok in _stack_calls(adjs, pred):
+        if len(ok) == 1:  # one graph: popcount its hits alone
+            counts[first, 1:] += _count_row(n, masks[ok[0]])
+            continue
         # cell (graph row, popcount) of each hit, as one flat index
         cells = np.arange(len(ok))[:, None] * (n + 1) + np.bitwise_count(masks)
         counts[first : first + len(ok)] += np.bincount(cells[ok], minlength=len(ok) * (n + 1)).reshape(-1, n + 1)
     return [tuple(row[1:]) for row in counts.tolist()]
 
 
-def _tally(n: int, chunks: Iterator[np.ndarray]) -> list[int]:
-    """counts[k] = number of hits of popcount k, over every chunk."""
-    counts = [0] * (n + 1)
-    for hits in chunks:
-        per_size = np.bincount(np.bitwise_count(hits), minlength=n + 1)
-        counts = [c + int(b) for c, b in zip(counts, per_size)]
-    return counts
+def _count_row(n: int, hits: np.ndarray) -> tuple[int, ...]:
+    """counts[k - 1] = number of the masks ``hits`` of popcount k, for
+    k = 1..n."""
+    return tuple(np.bincount(np.bitwise_count(hits), minlength=n + 1)[1:].tolist())
 
 
 def sweep_counts(order: int, edges: frozenset[tuple[int, int]]) -> list[int]:
     """Raw subset sweep: counts[k] = number of k-subsets whose weakly induced
     spanning subgraph is connected."""
     adj = Graph(order, frozenset(edges)).neighbor_masks()
-    return _tally(order, _sweep(adj, _weak_ok))
+    return [0, *_stack_rows([adj], _weak_ok)[0]]
 
 
 def _in_a_minimum(sets: np.ndarray, v: int) -> bool:
     """Whether some smallest of the (non-empty) masks ``sets`` holds vertex v."""
     sizes = np.bitwise_count(sets)
     return bool(np.any(sets[sizes == sizes.min()] & 1 << (v - 1)))
-
-
-# far above the 52 distinct graphs that all fifteen verify suites, run in
-# one process at their default sizes and seed, put in it (55 hits and 52
-# misses; the suites that stack their sweeps put none), so no run loses a
-# hit to eviction
-@lru_cache(maxsize=4096)
-def _count_table_cached(g: Graph) -> CountTable:
-    if not is_connected(g):
-        return CountTable(g.order, (0,) * g.order, connected=False)
-    counts = sweep_counts(g.order, g.edges)
-    return CountTable(g.order, tuple(counts[1:]), connected=True)
 
 
 def count_table(g: Graph, cap: int = DEFAULT_CAP) -> CountTable:
@@ -378,7 +357,9 @@ def count_table(g: Graph, cap: int = DEFAULT_CAP) -> CountTable:
     uniformly. Orders above ``cap`` raise :class:`CapacityError`.
     """
     check_cap(g.order, cap)
-    return _count_table_cached(g)
+    if not is_connected(g):
+        return CountTable(g.order, (0,) * g.order, connected=False)
+    return CountTable(g.order, tuple(sweep_counts(g.order, g.edges)[1:]))
 
 
 def _stacked(graphs: Iterable[Graph], cap: int, query: Callable[[list[list[int]]], list]) -> list:
@@ -427,7 +408,7 @@ def gamma_w_stack(graphs: Iterable[Graph], cap: int = DEFAULT_CAP) -> list[int]:
         full = (1 << len(adjs[0])) - 1
         if any(weak_reach(adj, full) != full for adj in adjs):
             raise ValueError(_DISCONNECTED)
-        return _least_layers(adjs, _weak_ok, len(adjs[0]) - 1, 0)
+        return _least_weak(adjs)
 
     return _stacked(graphs, cap, least)
 
@@ -435,7 +416,7 @@ def gamma_w_stack(graphs: Iterable[Graph], cap: int = DEFAULT_CAP) -> list[int]:
 def gamma_stack(graphs: Iterable[Graph], cap: int = DEFAULT_CAP) -> list[int]:
     """:func:`gamma` of each graph, in order, from one least-layer pass per
     stack of one order; the cap as for :func:`sweep_stack`."""
-    return _stacked(graphs, cap, lambda adjs: _least_layers(adjs, _dom_ok, len(adjs[0]), 1))
+    return _stacked(graphs, cap, _least_dom)
 
 
 def _as_tuples(sets: np.ndarray, i: int) -> list[tuple[int, ...]]:
@@ -486,8 +467,7 @@ def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     diagnose composition formulas whose one-part terms should count
     dominating sets rather than weakly connected ones.
     """
-    check_cap(g.order, cap)
-    return tuple(_tally(g.order, _sweep(g.neighbor_masks(), _dom_ok))[1:])
+    return count_stack([g], _dom_ok, cap)[0]
 
 
 def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
@@ -496,8 +476,7 @@ def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> boo
     _check_connected(g, cap)
     _member_mask(g, (v,))
     adj = g.neighbor_masks()
-    (k,) = _least_layers([adj], _weak_ok, g.order - 1, 0)
-    return bool(np.any(_layer_hits(adj, _weak_ok, k) & 1 << (v - 1)))
+    return _in_a_minimum(_layer_hits(adj, _weak_ok, _least_weak([adj])[0]), v)
 
 
 def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
@@ -506,5 +485,4 @@ def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) 
     check_cap(g.order, cap)
     _member_mask(g, (v,))
     adj = g.neighbor_masks()
-    (k,) = _least_layers([adj], _dom_ok, g.order, 1)
-    return bool(np.any(_layer_hits(adj, _dom_ok, k) & 1 << (v - 1)))
+    return _in_a_minimum(_layer_hits(adj, _dom_ok, _least_dom([adj])[0]), v)

@@ -35,9 +35,9 @@ from .oracle import (
     CapacityError,
     CountTable,
     _as_tuples,
+    _count_row,
     _dom_ok,
     _in_a_minimum,
-    _tally,
     check_cap,
     count_stack,
     count_table,
@@ -206,22 +206,20 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
     """Cycle counts against the reference rows (n <= 14), plus the top-cell
     closed forms and the one-step shift identity on exhaustive values."""
     records: list[CheckRecord] = []
+    tables = {n: count_table(build_family("cycle", n), cap) for n in range(1, max_n + 1)}
     for n in range(1, min(max_n, 14) + 1):
-        actual = count_table(build_family("cycle", n), cap)
         for j in range(1, n + 1):
             ref = REFERENCE_CYCLE_TABLE[n][j - 1]
-            records.append(_check(f"cycle n={n} j={j}", "reference row", ref, actual.count(j)))
+            records.append(_check(f"cycle n={n} j={j}", "reference row", ref, tables[n].count(j)))
     for n in range(4, max_n + 1):
-        actual = count_table(build_family("cycle", n), cap)
         tops = ([n - 3] if n >= 6 else []) + [n - 2, n - 1, n]
         for i in tops:
             c = formulas.count_cycle_top(n, i)
-            records.append(_check(f"cycle n={n} i={i}", "top-cell closed form", c, actual.count(i)))
+            records.append(_check(f"cycle n={n} i={i}", "top-cell closed form", c, tables[n].count(i)))
     for n in range(7, max_n + 1):
-        cur = count_table(build_family("cycle", n), cap)
-        prev = count_table(build_family("cycle", n - 1), cap)
+        prev = tables[n - 1]
         claimed = prev.count(n - 4) + prev.count(n - 3) - 1
-        records.append(_check(f"cycle n={n} shift", "one-step shift identity", claimed, cur.count(n - 3)))
+        records.append(_check(f"cycle n={n} shift", "one-step shift identity", claimed, tables[n].count(n - 3)))
     return records
 
 
@@ -813,7 +811,7 @@ def _suite_extension_recurrence(random_count: int, seed: int, cap: int, **_) -> 
         for instances, graphs in window:
             # the count rows of G(0)..G(6), tallied from the window's hits,
             # and the chain's rows by the recurrence, in one run to m = 6
-            actual = [tuple(_tally(g.order, [hits[g]])[1:]) for g in graphs]
+            actual = [_count_row(g.order, hits[g]) for g in graphs]
             rows = formulas._pendant_rows(actual[0], actual[1], len(graphs) - 1)
             for (key, _, cards), row, exhaustive in zip(instances, islice(rows, _LENGTHS[0], None), actual[_LENGTHS[0] :]):
                 mism = [

@@ -1,5 +1,4 @@
 import re
-from functools import lru_cache
 
 import pytest
 
@@ -14,9 +13,6 @@ def sweep_calls(monkeypatch):
     calls = []
     real = oracle.sweep_counts
     monkeypatch.setattr(oracle, "sweep_counts", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    # an empty count cache, so rows cached by other tests would sweep too
-    fresh = lru_cache(maxsize=None)(oracle._count_table_cached.__wrapped__)
-    monkeypatch.setattr(oracle, "_count_table_cached", fresh)
     return calls
 
 

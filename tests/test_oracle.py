@@ -64,11 +64,18 @@ def test_path_totals_are_fibonacci(n):
     assert count_table(build_family("path", n)).total() == _fib(n + 2)
 
 
-def test_sweep_is_chunk_size_independent():
+def _lone_hits(g, pred):
+    # one kernel call over every non-empty mask of g
+    masks = np.arange(1, 1 << g.order, dtype=np.uint32)
+    return masks[pred(g.neighbor_masks(), masks)]
+
+
+def test_sweep_is_chunk_size_independent(monkeypatch):
     g = build_family("wheel", 8)
-    expected = sweep_counts(8, g.edges)
-    for bits in (20, 3, 1):
-        assert oracle._tally(8, oracle._sweep(g.neighbor_masks(), oracle._weak_ok, bits)) == expected, bits
+    expected = [0, *oracle._count_row(8, _lone_hits(g, oracle._weak_ok))]
+    for bits in (20, 16, 3, 1):
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", bits)
+        assert sweep_counts(8, g.edges) == expected, bits
 
 
 @st.composite
@@ -117,11 +124,6 @@ def test_declared_numpy_floor_has_bitwise_count():
     (spec,) = [d for d in meta["project"]["dependencies"] if re.match(r"numpy\b", d)]
     floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", spec.replace(" ", ""))
     assert floor and tuple(map(int, floor.groups())) >= (2, 0), spec
-
-
-def test_count_cache_is_bounded():
-    maxsize = oracle._count_table_cached.cache_info().maxsize
-    assert maxsize is not None and maxsize > 0
 
 
 def test_enumerate_lists_lexicographically():
@@ -181,6 +183,29 @@ def test_every_graph_has_an_odd_number_of_dominating_sets():
         assert sum(row) % 2 == 1, g
 
 
+def _path_domination_rows(n):
+    # D(P_n, x) = x (D(P_{n-1}, x) + D(P_{n-2}, x) + D(P_{n-3}, x)) from
+    # P1 = x, P2 = x^2 + 2x and P3 = x^3 + 3x^2 + x (Alikhani & Peng), as
+    # coefficient rows of x^1..x^n
+    rows = [(1,), (2, 1), (1, 3, 1)]
+    for k in range(4, n + 1):
+        a, b, c = (r + (0,) * (k - 1 - len(r)) for r in rows[-3:])
+        rows.append((0, *(x + y + z for x, y, z in zip(a, b, c))))
+    return rows[n - 1]
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_path_dominating_counts_past_one_kernel_chunk(n):
+    assert dominating_counts(build_family("path", n)) == _path_domination_rows(n)
+
+
+def test_dominating_totals_are_odd_past_one_kernel_chunk():
+    rng = random.Random(18)
+    dense = make_graph(18, [p for p in combinations(range(1, 19), 2) if rng.random() < 0.7])
+    for g in (build_family("cycle", 20), build_family("wheel", 20), build_family("star", 19), dense):
+        assert sum(dominating_counts(g)) % 2 == 1, g
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         count_table(make_graph(25, [(i, i + 1) for i in range(1, 25)]))
@@ -211,14 +236,14 @@ def test_top_cardinalities_on_cycles(n):
 
 
 def _assert_stack_matches_lone_sweeps(graphs, pred):
-    # the stacked hits against a lone sweep of each graph, and their tally
-    # against the lone count of the same kind
+    # the stacked hits against one lone kernel call over every mask of each
+    # graph, and their tally against the lone count of the same kind
     hits = oracle.sweep_stack(graphs, pred)
     assert set(hits) == set(graphs)
     lone_count = (lambda g: count_table(g).counts) if pred is oracle._weak_ok else dominating_counts
     for g in graphs:
-        assert np.array_equal(hits[g], np.concatenate(list(oracle._sweep(g.neighbor_masks(), pred)))), g
-        assert tuple(oracle._tally(g.order, [hits[g]])[1:]) == lone_count(g), g
+        assert np.array_equal(hits[g], _lone_hits(g, pred)), g
+        assert oracle._count_row(g.order, hits[g]) == lone_count(g), g
 
 
 def _labelled_graphs(n):
@@ -342,7 +367,8 @@ def test_layer_at_order_thirty(k):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_layer_floors_never_pass_the_exhaustive_minimum(n):
-    # the two lemmas of _least_layers, on every labelled graph of order n
+    # the floor lemmas of _least_dom and _least_weak, on every labelled
+    # graph of order n
     graphs = _labelled_graphs(n)
     adjs = [g.neighbor_masks() for g in graphs]
     weak = oracle._stack_hits(adjs, oracle._weak_ok)
@@ -404,13 +430,14 @@ def test_seeded_graphs_include_the_awkward_cases():
 
 
 @pytest.mark.parametrize("g", _seeded_graphs(), ids=lambda g: f"n{g.order}e{len(g.edges)}")
-def test_weak_kernel_matches_the_definition_at_every_chunk_size(g):
+def test_weak_kernel_matches_the_definition_at_every_chunk_size(g, monkeypatch):
     # masks that settle in different passes share a chunk, or do not
     adj = g.neighbor_masks()
     expected = np.arange(1, 1 << g.order, dtype=np.uint32)[_scalar_weak(adj)]
     for bits in range(3, 17):
-        hits = list(oracle._sweep(adj, oracle._weak_ok, bits))
-        assert np.array_equal(np.concatenate(hits), expected), bits
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", bits)
+        (hits,) = oracle._stack_hits([adj], oracle._weak_ok)
+        assert np.array_equal(hits, expected), bits
 
 
 def test_one_stack_mixes_graphs_that_settle_at_once_and_late():
@@ -463,13 +490,14 @@ def test_membership_sweeps_only_the_least_layer(monkeypatch):
 
 
 def test_enumerate_sweeps_only_its_layer(monkeypatch):
+    g = build_family("cycle", 9)
+    row = count_table(g).counts  # read before the kernel is watched
     seen = []
     real = oracle._weak_ok
     monkeypatch.setattr(oracle, "_weak_ok", lambda adj, masks: seen.append(masks) or real(adj, masks))
-    g = build_family("cycle", 9)
     for i in range(1, 10):
         seen.clear()
-        assert len(enumerate_wcds(g, i)) == count_table(g).count(i)
+        assert len(enumerate_wcds(g, i)) == row[i - 1]
         assert {int(k) for masks in seen for k in np.bitwise_count(masks)} == {i}, i
 
 
