@@ -289,19 +289,17 @@ def _stack_calls(adjs: list[list[int]], pred: Callable) -> Iterator[tuple[int, n
     """The kernel calls that sweep every subset of each graph of a stack of
     one order n, given by its neighbour masks. Yields the index of the
     call's first graph, the masks tested and their flags, one row per graph
-    (the empty set never passes). A call takes at most 2**_CHUNK_BITS
-    (graph, mask) pairs: 2**(_CHUNK_BITS - n) whole graphs, or above order
-    _CHUNK_BITS one chunk of one graph."""
+    (the empty set never passes: its least intersection in :func:`_dom_ok`
+    is 0, and :func:`_weak_ok` keeps only masks that pass ``_dom_ok``). A
+    call takes at most 2**_CHUNK_BITS (graph, mask) pairs: 2**(_CHUNK_BITS
+    - n) whole graphs, or above order _CHUNK_BITS one chunk of one graph."""
     n = len(adjs[0])
     step = 1 << min(n, _CHUNK_BITS)
     per_call = (1 << _CHUNK_BITS) // step
     for first in range(0, len(adjs), per_call):
         for lo in range(0, 1 << n, step):
             masks = np.arange(lo, lo + step, dtype=np.uint32)
-            ok = _batch_ok(adjs[first : first + per_call], pred, masks)
-            if lo == 0:
-                ok[:, 0] = False
-            yield first, masks, ok
+            yield first, masks, _batch_ok(adjs[first : first + per_call], pred, masks)
 
 
 def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:

@@ -229,10 +229,10 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
 # combinations(range(k), 2). A vertex subset S is a mask as well (bit v is
 # vertex v). The flags of one subset over every graph are a packed bit plane:
 # bit G & 63 of its 64-bit word G >> 6 says whether S is weakly connected
-# dominating in G. The planes are built one block of words at a time: a pair
-# b < 6 is a bit inside each word, a pair b below 6 + log2(block) a bit of
-# the word's offset in its block, and a higher pair a bit of the block's
-# index.
+# dominating in G. The words are read as one axis of length 2 per pair from
+# 6 on, highest first: a pair b >= 6 is bit b - 6 of the word index, and a
+# pair below 6 is a bit inside each word. Fixing the axes of some pairs
+# (``_fix``) gives every subset's plane as a view of the connectivity table.
 #
 # Whether S is weakly connected dominating in G depends on the graph alone,
 # not on its labels: for every permutation p of the vertices, S is one in G
@@ -241,11 +241,9 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
 # (every (S, v) with v outside S, every pair) has the same counts over all
 # graphs, and the checks count one of each, scaled by how many there are.
 
-# 64-bit plane words per block; one block's planes take 2**order * _BLOCK
-# words (1 MiB at order 7)
-_BLOCK = 1 << 10
 # the largest order of the packed connectivity table (32 MiB at order 8),
-# and of the subsets' planes (2**36 bits at order 8, 2**28 at order 7)
+# and of the subsets' planes: ``_within`` holds order + 1 whole planes, which
+# would be 9 x 32 MiB at order 8
 _DENSE_MAX_ORDER = 8
 _PLANES_MAX_ORDER = 7
 
@@ -253,10 +251,10 @@ _PLANES_MAX_ORDER = 7
 @dataclass(frozen=True)
 class _DenseTables:
     """Connectivity of every labelled graph of one order, as a bit plane
-    indexed by edge mask, and the pairs in bit order. The subsets' planes
-    come from it one block of graphs at a time (``_plane_blocks``): a
-    disconnected graph has no flag in any plane, and the least size of a
-    subset with a flag in a connected graph is its gamma_w."""
+    indexed by edge mask, and the pairs in bit order. Each subset's plane is
+    a view of it (``_plane``): a disconnected graph has no flag in any plane,
+    and the least size of a subset with a flag in a connected graph is its
+    gamma_w."""
 
     order: int
     pairs: tuple[tuple[int, int], ...]
@@ -270,8 +268,8 @@ def _check_dense_order(max_order: int, planes: bool) -> None:
     limit = _PLANES_MAX_ORDER if planes else _DENSE_MAX_ORDER
     if max_order > limit:
         graphs = 1 << (max_order * (max_order - 1) // 2)
-        # the planes are streamed, but every graph still has one bit in each
-        # of the 2**order planes, and packed connectivity is kept whole
+        # every graph has one bit in each of the 2**order planes, and the
+        # cumulative planes of every size are kept whole
         projected = f"{graphs << max_order} plane bits projected from " if planes else ""
         raise CapacityError(
             f"order {max_order} needs all-graphs tables over {graphs} labelled graphs: "
@@ -288,77 +286,39 @@ def _popcount(words: np.ndarray) -> int:
 _WITHOUT = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(6))
 
 
-def _rows(planes: np.ndarray, fixed: dict[int, int], b: int = 0) -> np.ndarray:
-    """The view of the rows of one block's ``planes`` whose subset has bit v
-    equal to ``fixed[v]``, an axis of length 2 for each other vertex, highest
-    first. For 6 <= b the words are read as runs of 2**(b - 6), split by
-    pair b: [..., 0] are the runs of the graphs without it, [..., 1] those
-    with it (one element a run, so that a copy moves whole runs)."""
-    k = planes.shape[0].bit_length() - 1
-    if b > 6:
-        planes = planes.view(np.dtype((np.void, 8 << (b - 6))))
-    tail = (planes.shape[1] // 2, 2) if b >= 6 else planes.shape[1:]
-    index = tuple(fixed.get(v, slice(None)) for v in reversed(range(k)))
-    return planes.reshape((2,) * k + tail)[index]
+def _fix(axes: np.ndarray, bits: Iterable[int], at: int) -> np.ndarray:
+    """The view of ``axes``, flags read as one axis of length 2 per bit of
+    their index, highest first, with the axis of each of ``bits`` fixed at
+    index ``at``. The fixed axes keep length 1, so the view broadcasts back
+    onto ``axes`` and keeps its ``ndim``, from which a bit's axis is found."""
+    index = [slice(None)] * axes.ndim
+    for i in bits:
+        index[axes.ndim - 1 - i] = slice(at, at + 1)
+    return axes[(..., *index)]
 
 
-def _projection(view: np.ndarray, b: int) -> Callable[[], None]:
-    """The step that gives every graph with pair b, in the plane words of
-    ``view`` (split at b as by ``_rows``), the flag of the same graph
-    without it."""
-    if b >= 6:
-        return partial(np.copyto, view[..., 1], view[..., 0])
+def _words(t: _DenseTables) -> np.ndarray:
+    """conn with one axis per pair from 6 on (0-d below order 5)."""
+    return t.conn.reshape((2,) * max(0, len(t.pairs) - 6))
 
-    def step() -> None:
+
+def _plane(t: _DenseTables, s: int) -> np.ndarray:
+    """The plane of the non-empty subset S, mask ``s``, with one axis per
+    pair from 6 on. S is weakly connected dominating in G iff G minus the
+    pairs inside T = V - S is connected, so the plane is conn with the axes
+    of T's pairs fixed at 0: a view, copied only when a pair below 6 lies
+    inside T, and then projected along it inside each word."""
+    inside = [b for b, (u, v) in enumerate(t.pairs) if not (s >> u | s >> v) & 1]
+    plane = _fix(_words(t), [b - 6 for b in inside if b >= 6], 0)
+    low = [b for b in inside if b < 6]
+    if low:
+        plane = plane.copy()
+    for b in low:
         # keep the bits of the graphs without pair b, and add them shifted
         # by 2**b onto those with it: the two sets of bits do not overlap
-        np.bitwise_and(view, _WITHOUT[b], out=view)
-        np.multiply(view, np.uint64(1 + (1 << (1 << b))), out=view)
-
-    return step
-
-
-def _plane_blocks(t: _DenseTables, block: int = _BLOCK) -> Iterator[tuple[int, np.ndarray]]:
-    """The bit planes of every vertex subset, ``block`` words at a time
-    (fewer if the planes are shorter): yields each block's index j and an
-    array whose row S holds the words j * block .. (j + 1) * block - 1 of
-    S's plane. The array is overwritten by the next block."""
-    k, pairs, conn = t.order, t.pairs, t.conn
-    block = min(block, conn.size)
-    low = 5 + block.bit_length()  # the pairs below it lie inside a block
-    # S is weakly connected dominating in G iff G minus the pairs inside
-    # T = V - S is connected: S's plane is conn projected along them. Within
-    # a block, a high pair inside T picks the source block, the block index
-    # with that pair's bit cleared; a low pair is projected in place. The
-    # high pairs join the vertices of ``hub``: every T's high pairs lie in
-    # T & hub, so the rows with every other vertex in S are gathered from
-    # their source blocks, and each other vertex x then enters T in turn,
-    # copying the rows without it and projecting along its pairs.
-    high = [(b - low, u, v) for b, (u, v) in enumerate(pairs) if b >= low]
-    hub = {w for _, u, v in high for w in (u, v)}
-    rest = [v for v in range(k) if v not in hub]
-    rest_bits = sum(1 << v for v in rest)
-    base = [s for s in range(1 << k) if s & rest_bits == rest_bits]
-    # the block index bits each base row clears: those of its high pairs inside T
-    cleared = np.array([sum(1 << i for i, u, v in high if not (s >> u | s >> v) & 1) for s in base])
-    planes = np.empty((1 << k, block), dtype=np.uint64)
-    steps = []
-    for b, (u, v) in enumerate(pairs[:low]):
-        if u in hub and v in hub:
-            steps.append(_projection(_rows(planes, {**dict.fromkeys(rest, 1), u: 0, v: 0}, b), b))
-    for i, x in enumerate(rest):
-        later = dict.fromkeys(rest[i + 1 :], 1)
-        steps.append(partial(np.copyto, _rows(planes, {**later, x: 0}), _rows(planes, {**later, x: 1})))
-        for y in sorted(hub.union(rest[:i])):
-            b = pairs.index((min(x, y), max(x, y)))
-            steps.append(_projection(_rows(planes, {**later, x: 0, y: 0}, b), b))
-    blocks = conn.reshape(-1, block)
-    for j in range(blocks.shape[0]):
-        planes[base] = blocks[j & ~cleared]
-        for step in steps:
-            step()
-        planes[0] = 0  # the empty set dominates no graph
-        yield j, planes
+        plane &= _WITHOUT[b]
+        plane *= np.uint64(1 + (1 << (1 << b)))
+    return plane
 
 
 @lru_cache(maxsize=_DENSE_MAX_ORDER)
@@ -366,95 +326,60 @@ def _dense_tables(k: int) -> _DenseTables:
     pairs = tuple(combinations(range(k), 2))
     n_graphs = 1 << len(pairs)
     conn = np.zeros(max(1, n_graphs >> 6), dtype="<u8")
-    if k <= 2:  # the complete graph is the one connected graph
-        conn.view(np.uint8)[:1] = np.packbits(np.arange(n_graphs) == n_graphs - 1, bitorder="little")
+    if k <= 3:  # a graph of order <= 3 is connected iff it has k - 1 edges or more
+        connected = np.bitwise_count(np.arange(n_graphs)) >= k - 1
+        conn.view(np.uint8)[:1] = np.packbits(connected, bitorder="little")
     else:
         # Vertex 0's pairs are the low k - 1 bits of G: its neighbours N,
         # bit v - 1 for vertex v. The rest, G >> (k - 1), is a graph of
         # order k - 1 on vertices 1..k-1 with its pairs in the same order.
         # G is connected iff N is not empty and the rest, with N made a
-        # clique, is connected.
+        # clique, is connected: over every rest, the order-(k - 1) flags
+        # with the axes of the clique's pairs fixed at 1.
         prev = _dense_tables(k - 1)
-        rests = 1 << len(prev.pairs)
-        prev_conn = np.unpackbits(prev.conn.view(np.uint8), count=rests, bitorder="little").view(bool)
-        rest = np.arange(rests)
-        index = np.empty_like(rest)
-        # by_n[rest, N >> 3]: bit N & 7 is the flag of rest << (k - 1) | N;
-        # from order 4 on, the bytes of one rest are consecutive in conn
-        width = -(-(1 << (k - 1)) // 8)
-        by_n = conn.view(np.uint8).reshape(rests, width) if k >= 4 else np.zeros((rests, 1), dtype=np.uint8)
-        for j in range(width):  # byte j of every rest: N = 8j .. 8j + 7
-            byte = np.zeros(rests, dtype=np.uint8)
-            for n in range(max(1, 8 * j), min(8 * j + 8, 1 << (k - 1))):
-                clique = sum(1 << b for b, (u, v) in enumerate(prev.pairs) if n >> u & n >> v & 1)
-                np.bitwise_or(rest, clique, out=index)
-                byte |= prev_conn[index].view(np.uint8) << (n & 7)
-            by_n[:, j] = byte
-        if k < 4:  # fewer than eight values of N: drop each byte's unused bits
-            bits = np.unpackbits(by_n[:, 0], bitorder="little").reshape(rests, 8)[:, : 1 << (k - 1)]
-            packed = np.packbits(bits, bitorder="little")
-            conn.view(np.uint8)[: packed.size] = packed
+        flags = np.unpackbits(prev.conn.view(np.uint8), count=1 << len(prev.pairs), bitorder="little")
+        flags = flags.reshape((2,) * len(prev.pairs))
+        # by_n[rest, N >> 3]: bit N & 7 is the flag of rest << (k - 1) | N
+        by_n = conn.view(np.uint8).reshape(flags.size, -1)
+        byte = np.empty_like(flags)
+        for j in range(by_n.shape[1]):  # byte j of every rest: N = 8j .. 8j + 7
+            byte[...] = 0
+            for n in range(max(1, 8 * j), 8 * j + 8):
+                clique = [b for b, (u, v) in enumerate(prev.pairs) if n >> u & n >> v & 1]
+                byte |= _fix(flags, clique, 1) << (n & 7)
+            by_n[:, j] = byte.reshape(-1)
     return _DenseTables(k, pairs, conn)
-
-
-def _prefix_pairs(k: int, s: int) -> int:
-    """The number of pairs (u, v) with u < s at order k. They come first in
-    the order of combinations(range(k), 2), and the pairs after them are the
-    pairs inside {s, ..., k - 1}."""
-    return s * (2 * k - s - 1) // 2
-
-
-def _period(conn: np.ndarray, b: int, n: int) -> np.ndarray:
-    """The packed flags conn[H mod 2**b] of the graphs H < 2**n, b <= n, as
-    their period: the first 2**(b - 6) words of conn or, for b < 6, one word
-    holding the low 2**b bits of conn again and again, its bits from 2**n
-    on clear."""
-    if b >= 6:
-        return conn[: 1 << (b - 6)]
-    word = int(conn[0]) & ((1 << (1 << b)) - 1)
-    return np.array([word * sum(1 << (i << b) for i in range(1 << (min(n, 6) - b)))], dtype=np.uint64)
 
 
 def _closure_count(t: _DenseTables, s: int) -> int:
     """The graphs G of ``t`` in which S = {0, ..., s - 1} is weakly
-    connected dominating and S + s is not.
-
-    S is weakly connected dominating in G iff G minus the pairs inside
-    V - S, the pairs from b = ``_prefix_pairs(k, s)`` on, is connected: iff
-    conn[G mod 2**b]. So S's plane is the flags of the graphs below 2**b
-    again and again, and the count is one over the graphs below 2**c, c the
-    b of S + s, times the 2**(pairs - c) repetitions."""
-    b, c = _prefix_pairs(t.order, s), _prefix_pairs(t.order, s + 1)
-    low = _period(t.conn, b, c)
-    apart = ~t.conn[: max(1, 1 << c >> 6)].reshape(-1, low.size)
-    apart &= low
-    return _popcount(apart) << (len(t.pairs) - c)
+    connected dominating and S + s is not. S's plane fixes every axis that
+    the plane of S + s fixes, so their difference has the shape of the
+    latter, and each of its words stands for conn.size / its size words."""
+    apart = ~_plane(t, (1 << s + 1) - 1)
+    apart &= _plane(t, (1 << s) - 1)
+    return _popcount(apart) * (t.conn.size // apart.size)
 
 
 def _domination_count(t: _DenseTables, s: int) -> int:
     """The graphs G of ``t`` in which S = {0, ..., s - 1} is weakly
-    connected dominating and some vertex v >= s has no pair to S in G: one
-    count over the graphs below 2**b, times the 2**(pairs - b) repetitions
-    (see ``_closure_count``)."""
-    b = _prefix_pairs(t.order, s)
-    # Of v's pairs to S, one below 6 is a bit inside each word, and one
-    # above, p, is bit p - 6 of the word's index: axis b - 1 - p of the
-    # words read as one axis of length 2 for each index bit.
-    flags = _period(t.conn, b, b)
-    lonely = np.zeros_like(flags)
-    by_bit = lonely.reshape((2,) * max(0, b - 6))
+    connected dominating and some vertex v >= s has no pair to S in G,
+    counted on S's plane as in ``_closure_count``."""
+    plane = _plane(t, (1 << s) - 1)
+    lonely = np.zeros_like(plane)
     for v in range(s, t.order):
-        word, index = ~np.uint64(0), [slice(None)] * by_bit.ndim
-        for u in range(s):
-            p = t.pairs.index((u, v))
+        # the graphs without v's pairs to S: in each word, the bits of
+        # _WITHOUT of its pairs below 6, in the words at index 0 of the axes
+        # of the others (none lies inside V - S, so none is fixed in plane)
+        to_s = [t.pairs.index((u, v)) for u in range(s)]
+        word = ~np.uint64(0)
+        for p in to_s:
             if p < 6:
                 word &= _WITHOUT[p]
-            else:
-                index[b - 1 - p] = 0
-        alone = by_bit[(..., *index)]
-        np.bitwise_or(alone, word, out=alone)
-    lonely &= flags
-    return _popcount(lonely) << (len(t.pairs) - b)
+        alone = _fix(lonely, [p - 6 for p in to_s if p >= 6], 0)
+        alone |= word
+    lonely &= plane
+    return _popcount(lonely) * (t.conn.size // lonely.size)
 
 
 def _canonical_violations(t: _DenseTables) -> tuple[int, int]:
@@ -472,17 +397,16 @@ def _canonical_violations(t: _DenseTables) -> tuple[int, int]:
     return closure, domination
 
 
-def _within(t: _DenseTables, blocks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
-    """The cumulative planes of the plane ``blocks``: within[g] holds the
-    graphs with gamma_w <= g, the OR of the planes of size <= g; within[k]
-    is the connected graphs."""
+def _within(t: _DenseTables) -> np.ndarray:
+    """The cumulative planes of ``t``: within[g] holds the graphs with
+    gamma_w <= g, the OR of the planes of size <= g; within[k] is the
+    connected graphs."""
     k = t.order
-    sizes = [[s for s in range(1 << k) if s.bit_count() == g] for g in range(k + 1)]
     within = np.zeros((k + 1, t.conn.size), dtype=np.uint64)
-    for j, planes in blocks:
-        words = planes.shape[1]
-        for g, rows in enumerate(sizes):
-            np.bitwise_or.reduce(planes[rows], axis=0, out=within[g, j * words : (j + 1) * words])
+    by_size = within.reshape(k + 1, *_words(t).shape)
+    for s in range(1, 1 << k):
+        row = by_size[s.bit_count(), ...]
+        row |= _plane(t, s)
     for g in range(1, k + 1):
         within[g] |= within[g - 1]
     return within
@@ -498,17 +422,16 @@ def _halves(words: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return words, words >> np.uint64(1 << b)
 
 
-def _deletion_counts(t: _DenseTables, blocks: Iterable[tuple[int, np.ndarray]]) -> tuple[int, int, int]:
-    """Single-edge deletions over the graphs of ``t``, in the plane
-    ``blocks`` of ``_plane_blocks``: G has a pair e and G - e is the same
-    graph without it. Returns the deletions with G and G - e connected where
-    gamma_w(G - e) is neither gamma_w(G) nor gamma_w(G) + 1, the deletions
-    with both connected, and those with G connected and G - e not. By the
-    relabelling lemma every pair has the same three counts, so they are
-    counted for the top pair (k - 2, k - 1), whose bit is the highest of G,
-    and multiplied by the number of pairs."""
+def _deletion_counts(t: _DenseTables) -> tuple[int, int, int]:
+    """Single-edge deletions over the graphs of ``t``: G has a pair e and
+    G - e is the same graph without it. Returns the deletions with G and
+    G - e connected where gamma_w(G - e) is neither gamma_w(G) nor
+    gamma_w(G) + 1, the deletions with both connected, and those with G
+    connected and G - e not. By the relabelling lemma every pair has the
+    same three counts, so they are counted for the top pair (k - 2, k - 1),
+    whose bit is the highest of G, and multiplied by the number of pairs."""
     k, b = t.order, len(t.pairs) - 1
-    within = _within(t, blocks)
+    within = _within(t)
     # where within[g - 2..g] are equal, level g repeats the test of level
     # g - 1 (at order 7, gamma_w is at most 3: levels 5..7 repeat level 4)
     same = [g > 0 and np.array_equal(within[g], within[g - 1]) for g in range(k + 1)]
@@ -559,7 +482,7 @@ def _suite_edge_deletion(max_n: int, **_) -> tuple[list[CheckRecord], int]:
     total_skipped = 0
     for k in range(2, max_n + 1):
         eng = _dense_tables(k)
-        bad, checked, skipped = _deletion_counts(eng, _plane_blocks(eng))
+        bad, checked, skipped = _deletion_counts(eng)
         total_skipped += skipped
         records.append(
             _check(

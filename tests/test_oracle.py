@@ -397,10 +397,11 @@ def _scalar_weak(adj):
 def test_weak_kernel_matches_the_definition_on_every_labelled_graph_to_order_five():
     for n in range(1, 6):
         adjs = [g.neighbor_masks() for g in _labelled_graphs(n)]
-        masks = np.arange(1, 1 << n, dtype=np.uint32)
+        masks = np.arange(1 << n, dtype=np.uint32)  # mask 0 too: neither kernel passes it
         stacked = oracle._stack_hits(adjs, oracle._weak_ok)
         for adj, hits in zip(adjs, stacked):
-            expected = _scalar_weak(adj)
+            expected = np.concatenate([[False], _scalar_weak(adj)])
+            assert not oracle._dom_ok(adj, masks)[0], adj
             assert np.array_equal(oracle._weak_ok(adj, masks), expected), adj
             assert np.array_equal(hits, masks[expected]), adj
 

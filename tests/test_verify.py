@@ -82,17 +82,13 @@ def _flag(planes, g, s):
     return _bit(planes[s], g)
 
 
-def _planes(blocks):
-    """Every subset's whole plane, from a stream of plane blocks."""
-    return np.concatenate([flags.copy() for _, flags in blocks], axis=1)
-
-
-def _blocks(t):
-    """The block sizes a stream of t's planes is checked at: the whole
-    planes as one block, and blocks small enough that the pairs from
-    6 + log2(block) up select the block of a graph (at least one such pair
-    from order 5 on)."""
-    return len(t.conn), max(1, len(t.conn) >> 6)
+def _planes(t):
+    """Every subset's whole plane, each ``_plane`` view broadcast back onto
+    conn's words; the empty set's row is 0, as it dominates no graph."""
+    planes = np.zeros((1 << t.order, t.conn.size), dtype=np.uint64)
+    for s in range(1, 1 << t.order):
+        planes[s].reshape(verify._words(t).shape)[...] = verify._plane(t, s)
+    return planes
 
 
 def _sample_graphs(k):
@@ -108,9 +104,17 @@ def test_connected_graph_counts_match_oeis_a001187():
     # connected labelled graphs on k nodes (Harary & Palmer, Graphical Enumeration)
     for k, connected in enumerate((1, 1, 4, 38, 728, 26704, 1866256), start=1):
         assert verify._popcount(verify._dense_tables(k).conn) == connected
-    # order 8 from order 7's table, uncached: 32 MiB, freed with the test
-    t = verify._dense_tables.__wrapped__(8)
+    # order 8 from order 7's table, uncached: 32 MiB, freed with the test.
+    # The build adds order 7's unpacked flags and a byte column of 2 MiB each
+    tracemalloc.start()
+    try:
+        t = verify._dense_tables.__wrapped__(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
     assert verify._popcount(t.conn) == 251548592
+    assert all(np.shares_memory(verify._plane(t, (1 << s) - 1), t.conn) for s in range(1, 9))
     assert verify._canonical_violations(t) == (0, 0)
 
 
@@ -118,12 +122,11 @@ def test_dense_tables_match_the_scalar_predicates():
     for k in range(1, 8):
         t = verify._dense_tables(k)
         assert t.pairs == tuple(combinations(range(k), 2))
-        planes = _planes(verify._plane_blocks(t, _blocks(t)[1]))
+        planes = _planes(t)
         for g in _sample_graphs(k):
             graph = make_graph(k, [(u + 1, v + 1) for b, (u, v) in enumerate(t.pairs) if g >> b & 1])
             connected = is_connected(graph)
             assert _bit(t.conn, g) == connected
-            assert not _flag(planes, g, 0)
             flagged = []
             for s in range(1, 1 << k):
                 members = [v + 1 for v in range(k) if s >> v & 1]
@@ -132,40 +135,34 @@ def test_dense_tables_match_the_scalar_predicates():
                     flagged.append(len(members))
             # the least flagged size is gamma_w; a disconnected graph has no flag
             assert min(flagged, default=None) == (gamma_w(graph) if connected else None)
+        # within[g] holds the graphs with gamma_w <= g: none at g = 0, and
+        # the connected graphs at g = k
+        within = verify._within(t)
+        assert not within[0].any()
+        assert np.array_equal(within[k], t.conn)
 
 
-def test_checks_do_not_depend_on_the_block_size():
+def test_cumulative_planes_are_the_or_of_the_planes_of_each_size():
+    # the planes that test_dense_tables_match_the_scalar_predicates checks
     for k in range(1, 8):
         t = verify._dense_tables(k)
-        one, small = _blocks(t)
-        # pairs from 6 + log2(small) up pick a block
-        assert k < 5 or small.bit_length() + 5 < len(t.pairs)
-        assert np.array_equal(_planes(verify._plane_blocks(t, one)), _planes(verify._plane_blocks(t, small)))
-        within = verify._within(t, verify._plane_blocks(t, one))
-        assert np.array_equal(within, verify._within(t, verify._plane_blocks(t, small)))
-        # within[g]: the graphs with gamma_w <= g
-        assert verify._popcount(within[k]) == verify._popcount(t.conn)
-        assert verify._popcount(within[0]) == 0
-        if k >= 2:
-            assert verify._deletion_counts(t, verify._plane_blocks(t, one)) == verify._deletion_counts(
-                t, verify._plane_blocks(t, small)
-            )
+        planes, within = _planes(t), verify._within(t)
+        sizes = np.bitwise_count(np.arange(1 << k))
+        for g in range(k + 1):
+            assert np.array_equal(within[g], np.bitwise_or.reduce(planes[sizes <= g], axis=0)), (k, g)
 
 
-def test_canonical_plane_is_the_plane_of_the_first_s_vertices():
-    # the plane of {0, ..., s - 1}, projected along every pair inside
-    # {s, ..., k - 1} by _plane_blocks at either block size, is conn below
-    # 2**b_s repeated
+def test_prefix_planes_are_views_of_conn():
+    # the plane of {0, ..., s - 1} fixes the axes of the pairs inside
+    # {s, ..., k - 1}, the last pairs: it is copied only when one of them is
+    # below 6, a bit inside each word. At order 8 none is, so the structural
+    # suite copies no plane there (see the order-8 test above)
     for k in range(1, 8):
         t = verify._dense_tables(k)
-        n_pairs = len(t.pairs)
-        for block in _blocks(t):
-            planes = _planes(verify._plane_blocks(t, block))
-            for s in range(1, k + 1):
-                b = verify._prefix_pairs(k, s)
-                assert t.pairs[b:] == tuple(combinations(range(s, k), 2))
-                period = verify._period(t.conn, b, n_pairs)
-                assert np.array_equal(np.tile(period, len(t.conn) // len(period)), planes[(1 << s) - 1]), (k, s)
+        for s in range(1, k + 1):
+            inside = [t.pairs.index(p) for p in combinations(range(s, k), 2)]
+            shared = np.shares_memory(verify._plane(t, (1 << s) - 1), t.conn)
+            assert shared == all(b >= 6 for b in inside), (k, s)
 
 
 def _with_conn(t, keep):
@@ -210,18 +207,18 @@ def test_packed_checks_count_planted_violations():
     # and every subset's projected plane
     for k in range(1, 7):
         t = verify._dense_tables(k)
-        assert verify._canonical_violations(t) == (0, 0) == _scalar_violations(t, _planes(verify._plane_blocks(t)))
+        assert verify._canonical_violations(t) == (0, 0) == _scalar_violations(t, _planes(t))
         mod_3, even = _with_conn(t, lambda e, c: e % 3 == 0), _with_conn(t, lambda e, c: (e >= k - 1) & (e % 2 == 0))
         for planted in (mod_3, even):
             counts = verify._canonical_violations(planted)
-            assert counts == _scalar_violations(planted, _planes(verify._plane_blocks(planted))), k
+            assert counts == _scalar_violations(planted, _planes(planted)), k
             assert k < 5 or counts[0] > 0 and counts[1] > 0
         assert k < 3 or min(verify._canonical_violations(mod_3)) > 0
     no_c6 = _without_copies_of_c6(verify._dense_tables(6))
     counts = verify._canonical_violations(no_c6)
-    assert counts == _scalar_violations(no_c6, _planes(verify._plane_blocks(no_c6)))
+    assert counts == _scalar_violations(no_c6, _planes(no_c6))
     assert counts[0] > 0
-    # the mod-3 property at order 7, where _plane_blocks streams 32 blocks
+    # the mod-3 property at order 7
     assert verify._canonical_violations(_with_conn(verify._dense_tables(7), lambda e, c: e % 3 == 0)) == (
         213483606,
         31454220,
@@ -235,7 +232,7 @@ def test_domination_check_finds_violations_that_keep_the_closure():
     for k in range(4, 7):
         planted = _with_conn(verify._dense_tables(k), lambda e, c: e >= k - 1)
         counts = verify._canonical_violations(planted)
-        assert counts == _scalar_violations(planted, _planes(verify._plane_blocks(planted)))
+        assert counts == _scalar_violations(planted, _planes(planted))
         assert counts[0] == 0 and counts[1] > 0
 
 
@@ -276,31 +273,31 @@ def test_deletion_counts_match_a_scalar_recount_on_planted_flags():
         for planted in plants:
             # each pair's window counts are the same, as relabelling maps any
             # pair onto any other, so the top pair's times the pairs is the total
-            per_pair = _scalar_deletion_counts(planted, _planes(verify._plane_blocks(planted)))
+            per_pair = _scalar_deletion_counts(planted, _planes(planted))
             assert len(set(per_pair)) == 1, (k, per_pair)
-            for block in _blocks(t):
-                counts = verify._deletion_counts(planted, verify._plane_blocks(planted, block))
-                assert counts == tuple(len(t.pairs) * x for x in per_pair[-1])
+            counts = verify._deletion_counts(planted)
+            assert counts == tuple(len(t.pairs) * x for x in per_pair[-1])
             # the planted properties break the window from order 4 on
             assert (counts[0] > 0) == (planted is not t and k >= 4)
 
 
 def test_dense_tables_and_checks_peak_under_5_mb():
     # 256 KiB of packed order-7 connectivity are kept. The canonical checks
-    # add one prefix-sized array at a time, at most that again; the deletion
-    # check holds a block's planes (1 MiB) and the 2 MiB of cumulative planes
+    # add one plane-sized array at a time, at most that again; the deletion
+    # check holds the 2 MiB of cumulative planes and at most one copied
+    # plane, and its window test a few half planes of 128 KiB
     tracemalloc.start()
     try:
         t = verify._dense_tables.__wrapped__(7)
         tracemalloc.reset_peak()
         verify._canonical_violations(t)
         canonical = tracemalloc.get_traced_memory()[1]
-        verify._deletion_counts(t, verify._plane_blocks(t))
+        verify._deletion_counts(t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert canonical < 2**20
-    assert peak < 5 * 10**6
+    assert peak < 3.5 * 2**20
 
 
 # runs one wcds command in this interpreter, then prints its peak RSS in kB
