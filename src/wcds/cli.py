@@ -1,21 +1,25 @@
 """Command-line front end.
 
-Five subcommands: gamma, count, enumerate, table, verify. Graphs come
-either from a named family (--family with --n) or from an edge-list file
-(--input, "-" for stdin). All data goes to stdout and is byte-stable for
-fixed arguments and seed; wall-clock timings go to stderr only.
+Five subcommands: gamma, count, enumerate, table, verify. One option table,
+``COMMANDS``, declares each one's handler and options; ``_parse`` reads argv
+by it and ``_help`` renders ``--help`` from it. Graphs come either from a
+named family (--family with --n) or from an edge-list file (--input, "-" for
+stdin). All data goes to stdout and is byte-stable for fixed arguments and
+seed; wall-clock timings go to stderr only.
 
 Exit status: 0 success / all checks pass, 1 verification failure, 2 usage
-or input error, 3 order cap or frontier-width bound exceeded.
+or input error (every ValueError, from the parser or a command, leaves
+through one branch of ``run``), 3 order cap or frontier-width bound exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .frontier import _frontier_rows, frontier_order, projected_states
 from .graph import FAMILIES, Graph, build_family, family_label, family_order, read_edge_list
@@ -40,67 +44,7 @@ from .verify import (
 )
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=FAMILIES, help="named graph family")
-    p.add_argument("--n", type=int, help="family size parameter")
-    p.add_argument("--input", metavar="FILE", help="edge-list file, '-' for stdin")
-
-
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle order cap override")
-    p.add_argument(
-        "--format",
-        choices=("md", "csv", "json"),
-        default="md",
-        dest="fmt",
-        help="output format for tables and reports",
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wcds",
-        description="Count, enumerate and verify weakly connected dominating sets.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gamma", help="weakly connected domination number")
-    _add_source_args(p)
-    _add_common_args(p)
-    p.add_argument("--with-gamma", action="store_true", help="also print the domination number")
-
-    p = sub.add_parser("count", help="count sets of one cardinality, or the full table")
-    _add_source_args(p)
-    _add_common_args(p)
-    p.add_argument("--i", type=int, default=None, help="cardinality; omit for the full table")
-    p.add_argument(
-        "--method",
-        choices=METHODS,
-        default="oracle",
-        help="counting method: oracle (subset sweep), frontier (frontier DP); "
-        "formula and recurrence need a recognized family",
-    )
-
-    p = sub.add_parser("enumerate", help="list every set of one cardinality")
-    _add_source_args(p)
-    _add_common_args(p)
-    p.add_argument("--i", type=int, required=True, help="cardinality")
-
-    p = sub.add_parser("table", help="count tables for a family over a range of sizes")
-    _add_common_args(p)
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--max-n", type=int, default=10, dest="max_n")
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    _add_common_args(p)
-    p.add_argument("--suite", required=True, choices=tuple(SUITES))
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--random-count", type=int, default=None, dest="random_count")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    return parser
-
-
-def _family_source(args: argparse.Namespace) -> tuple[str, int] | None:
+def _family_source(args: SimpleNamespace) -> tuple[str, int] | None:
     """The (family, n) of a --family source, None for --input; ValueError
     unless exactly one source is given."""
     if args.input is not None and args.family is not None:
@@ -114,7 +58,7 @@ def _family_source(args: argparse.Namespace) -> tuple[str, int] | None:
     return args.family, args.n
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
+def _load_graph(args: SimpleNamespace) -> Graph:
     source = _family_source(args)
     if source is None:
         if args.input == "-":
@@ -163,7 +107,7 @@ def _render_rows(rows: list[tuple[int, tuple[int, ...]]], fmt: str, label: str) 
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_gamma(args: argparse.Namespace, cap: int) -> int:
+def _cmd_gamma(args: SimpleNamespace, cap: int) -> int:
     g = _load_graph(args)
     print(f"gamma_w {gamma_w(g, cap)}")
     if args.with_gamma:
@@ -171,7 +115,7 @@ def _cmd_gamma(args: argparse.Namespace, cap: int) -> int:
     return 0
 
 
-def _cmd_count(args: argparse.Namespace, cap: int) -> int:
+def _cmd_count(args: SimpleNamespace, cap: int) -> int:
     source = _family_source(args)
     if source is not None and args.method in ("formula", "recurrence"):
         # these read (family, n) alone, so no graph is built
@@ -194,7 +138,7 @@ def _cmd_count(args: argparse.Namespace, cap: int) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace, cap: int) -> int:
+def _cmd_enumerate(args: SimpleNamespace, cap: int) -> int:
     g = _load_graph(args)
     for s in enumerate_wcds(g, args.i, cap):
         print(" ".join(str(v) for v in s))
@@ -213,7 +157,7 @@ def _table_rows(graphs: list[Graph], cap: int) -> list[tuple[int, ...]]:
     return [next(dp).counts if use else count_table(g, cap).counts for g, use in zip(graphs, by_dp)]
 
 
-def _cmd_table(args: argparse.Namespace, cap: int) -> int:
+def _cmd_table(args: SimpleNamespace, cap: int) -> int:
     start = 4 if args.family == "wheel" else 1
     if args.max_n < start:
         raise ValueError(f"--max-n must be at least {start} for family {args.family}")
@@ -227,7 +171,7 @@ def _cmd_table(args: argparse.Namespace, cap: int) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
+def _cmd_verify(args: SimpleNamespace, cap: int) -> int:
     report = verify_formula_suite(
         args.suite, max_n=args.max_n, random_count=args.random_count, seed=args.seed, cap=cap
     )
@@ -241,22 +185,93 @@ def _cmd_verify(args: argparse.Namespace, cap: int) -> int:
     return 0 if report.all_passed() else 1
 
 
+_COMMON = {
+    "--cap": (int, DEFAULT_CAP, False, "oracle order cap override"),
+    "--format": (("md", "csv", "json"), "md", False, "output format for tables and reports"),
+}
+_SOURCE = {
+    "--family": (FAMILIES, None, False, "named graph family"),
+    "--n": (int, None, False, "family size parameter"),
+    "--input": (str, None, False, "edge-list file, '-' for stdin"),
+    **_COMMON,
+}
+# subcommand -> (handler, help, option -> (int, str, a choices tuple or bool for a flag; default; required; help))
+COMMANDS = {
+    "gamma": (_cmd_gamma, "weakly connected domination number", {
+        **_SOURCE, "--with-gamma": (bool, False, False, "also print the domination number")}),
+    "count": (_cmd_count, "count sets of one cardinality, or the full table", {
+        **_SOURCE, "--i": (int, None, False, "cardinality; omit for the full table"),
+        "--method": (METHODS, "oracle", False, "counting method: oracle (subset sweep), frontier (frontier DP); "
+                     "formula and recurrence need a recognized family")}),
+    "enumerate": (_cmd_enumerate, "list every set of one cardinality", {**_SOURCE, "--i": (int, None, True, "cardinality")}),
+    "table": (_cmd_table, "count tables for a family over a range of sizes", {
+        **_COMMON, "--family": (FAMILIES, None, True, "named graph family"),
+        "--max-n": (int, 10, False, "largest size parameter, one row per size")}),
+    "verify": (_cmd_verify, "run a named verification suite", {
+        **_COMMON, "--suite": (tuple(SUITES), None, True, "suite name"),
+        "--max-n": (int, None, False, "largest size the suite checks; omit for the suite's default"),
+        "--random-count": (int, None, False, "random instances drawn; omit for the suite's default"),
+        "--seed": (int, DEFAULT_SEED, False, "seed of the random instances")}),
+}
+# the next token is an option's value unless it reads as one (argparse's rule: '-', -1, 'a b' are values)
+_OPTION_LIKE = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+")
+
+
+def _help(names) -> str:
+    """Each subcommand of ``names`` with its options: value or choices, default or required, and help."""
+    lines = ["usage: wcds SUBCOMMAND [OPTION [VALUE]]...", "Count, enumerate and verify weakly connected dominating sets."]
+    for name in names:
+        lines.append(f"\nwcds {name}: {COMMANDS[name][1]}")
+        for option, (kind, default, required, about) in COMMANDS[name][2].items():
+            value = " {" + ",".join(kind) + "}" if isinstance(kind, tuple) else {bool: "", int: " INT", str: " FILE"}[kind]
+            note = " (required)" if required else "" if default is None or kind is bool else f" (default {default})"
+            lines.append(f"  {option}{value}  {about}{note}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The values of ``argv`` under the attribute names of ``COMMANDS``. Option names
+    match whole, a value is the next token or follows "=", and a repeated option's last
+    value wins. A usage error raises ValueError."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"the subcommand is one of {', '.join(COMMANDS)}" + (f", not {argv[0]!r}" if argv else ""))
+    sub, tokens, options = argv[0], iter(argv[1:]), COMMANDS[argv[0]][2]
+    values = {option: spec[1] for option, spec in options.items()}
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option not in options:
+            near = " or ".join(o for o in options if o.startswith(option) and option.startswith("--"))
+            hint = f"; options are not abbreviated, did you mean {near}?" if near else ""
+            what = f"option {option}" if token[:1] == "-" else f"argument {token!r}"
+            raise ValueError(f"unknown {what} for {sub}{hint}")
+        kind = options[option][0]
+        if kind is bool and eq:
+            raise ValueError(f"{option} takes no value")
+        if kind is not bool and not eq:
+            value = next(tokens, None)
+            if value is None or _OPTION_LIKE.fullmatch(value):
+                raise ValueError(f"{option} needs a value")
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{option} is one of {', '.join(kind)}, not {value!r}")
+        try:
+            values[option] = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            raise ValueError(f"{option} needs an integer, not {value!r}") from None
+    missing = [option for option, spec in options.items() if spec[2] and values[option] is None]
+    if missing:
+        raise ValueError(f"{sub} needs {' and '.join(missing)}")
+    return SimpleNamespace(subcommand=sub, **{o[2:].replace("-", "_").replace("format", "fmt"): v for o, v in values.items()})
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help([argv[0]] if argv[0] in COMMANDS else COMMANDS))
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    dispatch = {
-        "gamma": _cmd_gamma,
-        "count": _cmd_count,
-        "enumerate": _cmd_enumerate,
-        "table": _cmd_table,
-        "verify": _cmd_verify,
-    }
-    try:
+        args = _parse(argv)
         check_hard_limit(args.cap)  # every subcommand, whether or not it reads the cap
-        return dispatch[args.subcommand](args, args.cap)
+        return COMMANDS[args.subcommand][0](args, args.cap)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,7 +1,14 @@
+import argparse
+import contextlib
+import importlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import wcds.cli as cli
 import wcds.oracle as oracle
@@ -9,7 +16,10 @@ import wcds.verify as verify
 from wcds.cli import run
 from wcds.frontier import count_table_frontier
 from wcds.graph import FAMILIES, build_family
-from wcds.verify import SUITES
+from wcds.oracle import DEFAULT_CAP
+from wcds.verify import DEFAULT_SEED, METHODS, SUITES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_count_single_cell(capsys):
@@ -344,3 +354,249 @@ def test_count_frontier_method_agrees_with_oracle(capsys, argv):
     frontier_out = capsys.readouterr().out
     assert run(["count", *argv, "--method", "oracle", "--format", "json"]) == 0
     assert frontier_out == capsys.readouterr().out
+
+
+# The argparse parser that ``cli.COMMANDS`` replaced, kept verbatim as the
+# reference of the differential checks below.
+def _add_source_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=FAMILIES, help="named graph family")
+    p.add_argument("--n", type=int, help="family size parameter")
+    p.add_argument("--input", metavar="FILE", help="edge-list file, '-' for stdin")
+
+
+def _add_common_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle order cap override")
+    p.add_argument(
+        "--format",
+        choices=("md", "csv", "json"),
+        default="md",
+        dest="fmt",
+        help="output format for tables and reports",
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wcds",
+        description="Count, enumerate and verify weakly connected dominating sets.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("gamma", help="weakly connected domination number")
+    _add_source_args(p)
+    _add_common_args(p)
+    p.add_argument("--with-gamma", action="store_true", help="also print the domination number")
+
+    p = sub.add_parser("count", help="count sets of one cardinality, or the full table")
+    _add_source_args(p)
+    _add_common_args(p)
+    p.add_argument("--i", type=int, default=None, help="cardinality; omit for the full table")
+    p.add_argument(
+        "--method",
+        choices=METHODS,
+        default="oracle",
+        help="counting method: oracle (subset sweep), frontier (frontier DP); "
+        "formula and recurrence need a recognized family",
+    )
+
+    p = sub.add_parser("enumerate", help="list every set of one cardinality")
+    _add_source_args(p)
+    _add_common_args(p)
+    p.add_argument("--i", type=int, required=True, help="cardinality")
+
+    p = sub.add_parser("table", help="count tables for a family over a range of sizes")
+    _add_common_args(p)
+    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--max-n", type=int, default=10, dest="max_n")
+
+    p = sub.add_parser("verify", help="run a named verification suite")
+    _add_common_args(p)
+    p.add_argument("--suite", required=True, choices=tuple(SUITES))
+    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.add_argument("--random-count", type=int, default=None, dest="random_count")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    return parser
+
+
+def _quiet(call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _reference(argv):
+    """The reference's attributes for ``argv``, or its (exit status, stdout) when it refuses."""
+    result, out, _ = _quiet(lambda: vars(_build_parser().parse_args(argv)))
+    return result if isinstance(result, dict) else (result, out)
+
+
+def _parsed(argv):
+    """``cli._parse``'s attributes for ``argv``, or ``run``'s (exit status, stdout) when it refuses."""
+    try:
+        return vars(cli._parse(argv))
+    except ValueError:
+        status, out, err = _quiet(lambda: run(argv))
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return status, out
+
+
+def _readme_command_lines():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line\n\n```\n")[1].split("```")[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+_CORPUS = (
+    ["count", "--family=cycle", "--n=12", "--i=6"],
+    ["verify", "--suite=join", "--seed=-5", "--format=json", "--max-n=4", "--random-count=0"],
+    ["gamma", "--family", "path", "--n", "5", "--cap", "-1"],
+    ["count", "--family", "path", "--n", "-3"],
+    ["gamma", "--input", "-", "--with-gamma", "--with-gamma"],
+    ["enumerate", "--input=-", "--i", "2"],
+    ["table", "--family", "path", "--max-n", "3", "--family", "star", "--max-n", "4"],
+    ["count", "--family", "path", "--n", "5", "--method", "formula", "--method", "oracle", "--format", "csv"],
+    ["gamma", "--input", "-1.5"],
+    ["gamma", "--input", "-x y"],
+    ["gamma", "--input", ""],
+    ["count", "--family", "path", "--n", " 7 ", "--i", "+2"],
+    # refused by both
+    [],
+    ["frobnicate"],
+    ["--family", "path"],
+    ["gamma", "--bogus"],
+    ["gamma", "--n"],
+    ["gamma", "--n", "--family", "path"],
+    ["gamma", "--input", "-x"],
+    ["gamma", "--n", "-1.5"],
+    ["gamma", "--n", "five"],
+    ["gamma", "--n="],
+    ["gamma", "--with-gamma=yes"],
+    ["gamma", "--with-gamma="],
+    ["gamma", "--family", "dodecahedron"],
+    ["gamma", "--format", "xml"],
+    ["gamma", "stray"],
+    ["gamma", "--family", "path", "5"],
+    ["enumerate", "--family", "path", "--n", "4"],
+    ["table", "--max-n", "4"],
+    ["verify"],
+    ["verify", "--suite", "join", "--n", "3"],
+    ["table", "--family", "path", "--i", "3"],
+)
+
+
+def test_readme_and_corpus_command_lines_parse_as_the_reference_does():
+    lines = _readme_command_lines()
+    assert len(lines) == 9 and all(lines)
+    for argv in (*lines, *_CORPUS):
+        assert _parsed(argv) == _reference(argv), argv
+
+
+def test_benchmark_command_lines_parse_as_the_reference_does(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for make in workloads.WORKLOADS.values():
+        for command in make(1, tmp_path):
+            parsed = _parsed(command.argv)
+            assert isinstance(parsed, dict) and parsed == _reference(command.argv), command.argv
+
+
+_OPTIONS = {option: spec for _, _, options in cli.COMMANDS.values() for option, spec in options.items()}
+
+
+def _valid(kind):
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    return st.integers(-3, 30).map(str) if kind is int else st.sampled_from(["-", "g.edges"])
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed command lines: a subcommand's own options and values,
+    with some junk values, options of other subcommands, missing values and
+    stray tokens."""
+    sub = draw(st.sampled_from([*cli.COMMANDS, "frobnicate"]))
+    known = cli.COMMANDS.get(sub, (None, None, {}))[2]
+    junk = st.one_of(st.sampled_from(["-", "-1", "", "x"]), st.text("abz019_.-= ", max_size=5))
+    argv = [sub]
+    for option, (kind, _, required, _) in known.items():
+        if required and draw(st.integers(0, 5)):
+            argv += [option, draw(_valid(kind))]
+    for _ in range(draw(st.integers(0, 4))):
+        option = draw(st.sampled_from(sorted(known) * 3 + sorted(_OPTIONS)))
+        kind = _OPTIONS[option][0]
+        value = draw(st.one_of(_valid(kind), junk) if draw(st.integers(0, 3)) == 0 else _valid(kind))
+        form = draw(st.sampled_from(("next",) * 5 + ("=",) * 3 + ("missing", "stray")))
+        if kind is bool and form in ("next", "="):
+            form = draw(st.sampled_from(("missing",) * 4 + (form,)))
+        argv += {"next": [option, value], "=": [f"{option}={value}"], "missing": [option], "stray": [value]}[form]
+    # the reference reads '--' as the end of options and a prefix of an option
+    # name as that option; abbreviations are refused on purpose
+    assume("--" not in argv)
+    names = [t.partition("=")[0] for t in argv if t.startswith("--")]
+    assume(not any(t not in known and any(o.startswith(t) for o in known) for t in names))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_parse_equals_the_reference_or_both_refuse(argv):
+    assert _parsed(argv) == _reference(argv)
+
+
+@pytest.mark.parametrize(
+    "argv,near",
+    (
+        (["gamma", "--family", "path", "--n", "5", "--i", "3"], "--input"),
+        (["verify", "--suite", "path_table", "--s", "3"], "--suite or --seed"),
+        (["table", "--fam=path"], "--family"),
+    ),
+)
+def test_abbreviated_options_are_refused(capsys, argv, near):
+    # the reference read the first --i as --input, so the source check failed far from the typo
+    assert run(argv) == 2
+    option = argv[-1 if "=" in argv[-1] else -2].partition("=")[0]
+    message = f"unknown option {option} for {argv[0]}; options are not abbreviated, did you mean {near}?"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", (["--help"], ["-h"], *([s, "--help"] for s in cli.COMMANDS), ["gamma", "--n", "5", "-h"]))
+def test_help_lists_every_option_with_its_help_and_choices(capsys, argv):
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: wcds SUBCOMMAND")
+    subs = list(cli.COMMANDS) if argv[0].startswith("-") else [argv[0]]
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("wcds ")] == [f"wcds {s}" for s in subs]
+    for sub in subs:
+        _, about, options = cli.COMMANDS[sub]
+        section = out.split(f"\nwcds {sub}: ")[1].split("\n\n")[0].splitlines()
+        assert section[0] == about
+        assert [line.split()[0] for line in section[1:]] == list(options)
+        for line, (kind, default, required, text) in zip(section[1:], options.values()):
+            assert text in line
+            assert not isinstance(kind, tuple) or "{" + ",".join(kind) + "}" in line
+            assert ("(required)" in line) == required
+
+
+def _flag_cells(kind, default, required):
+    value = ", ".join(kind) if isinstance(kind, tuple) else {bool: "flag", int: "integer", str: "file"}[kind]
+    return value, "—" if default is None or kind is bool else str(default), "yes" if required else "no"
+
+
+def test_readme_flag_table_lists_exactly_the_options_of_the_cli():
+    text = (ROOT / "README.md").read_text()
+    rows = text.split("| option | subcommands | value | default | required |\n| --- | --- | --- | --- | --- |\n")[1]
+    listed = {}
+    for row in rows.split("\n\n")[0].splitlines():
+        option, subs, *cells = (cell.strip() for cell in row.strip("|").split("|"))
+        for sub in subs.split(", "):
+            assert (sub, option.strip("`")) not in listed, row
+            listed[sub, option.strip("`")] = tuple(cells)
+    assert listed == {
+        (sub, option): _flag_cells(*spec[:3])
+        for sub, (_, _, options) in cli.COMMANDS.items()
+        for option, spec in options.items()
+    }
