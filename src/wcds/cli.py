@@ -21,7 +21,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .frontier import _frontier_rows, frontier_order, projected_states
+from .frontier import MAX_FRONTIER_STATES, _frontier_rows, _plan
 from .graph import FAMILIES, Graph, build_family, family_label, family_order, read_edge_list
 from .oracle import (
     CapacityError,
@@ -145,16 +145,22 @@ def _cmd_enumerate(args: SimpleNamespace, cap: int) -> int:
     return 0
 
 
+# a count_table call costs 90-105 us before its first mask, 3,000-4,500 masks at the 24-31 ns
+# a mask of orders 16-20 (in-process, 2-core x86 VM); above 1,168 K5 takes the DP, where every
+# width-4 transition is new, and at 2,048 the K1..K12 rows ran 0-0.26 ms slower (medians of 40)
+SWEEP_CALL_MASKS = 1024
+
+
 def _table_rows(graphs: list[Graph], cap: int) -> list[tuple[int, ...]]:
     """The count rows of ``graphs``, in order. A row goes to the frontier DP
     when its projected work, order * 2^w * Bell(w) states, is below the
-    sweep's 2^order masks, else to the sweep. The DP rows run as one
-    sequence through ``_frontier_rows``, so each resumes from the steps it
-    shares with the DP row before it."""
-    planned = [(g, frontier_order(g)) for g in graphs]
-    by_dp = [g.order * projected_states(plan[1]) < 1 << g.order for g, plan in planned]
-    dp = _frontier_rows([row for row, use in zip(planned, by_dp) if use])
-    return [next(dp).counts if use else count_table(g, cap).counts for g, use in zip(graphs, by_dp)]
+    sweep's 2^order masks plus ``SWEEP_CALL_MASKS``, else to the sweep. The
+    greedy plan stops at the first width that rules the DP out. The DP rows
+    run as one sequence through ``_frontier_rows``, so each resumes from the
+    steps it shares with the DP row before it."""
+    plans = [_plan(g, min(MAX_FRONTIER_STATES, ((1 << g.order) + SWEEP_CALL_MASKS - 1) // g.order)) for g in graphs]
+    dp = _frontier_rows([plan for plan in plans if plan])
+    return [next(dp).counts if plan else count_table(g, cap).counts for g, plan in zip(graphs, plans)]
 
 
 def _cmd_table(args: SimpleNamespace, cap: int) -> int:
@@ -185,30 +191,28 @@ def _cmd_verify(args: SimpleNamespace, cap: int) -> int:
     return 0 if report.all_passed() else 1
 
 
-_COMMON = {
-    "--cap": (int, DEFAULT_CAP, False, "oracle order cap override"),
-    "--format": (("md", "csv", "json"), "md", False, "output format for tables and reports"),
-}
+_CAP = {"--cap": (int, DEFAULT_CAP, False, "oracle order cap override")}
+_FORMAT = {"--format": (("md", "csv", "json"), "md", False, "output format for tables and reports")}
 _SOURCE = {
     "--family": (FAMILIES, None, False, "named graph family"),
     "--n": (int, None, False, "family size parameter"),
     "--input": (str, None, False, "edge-list file, '-' for stdin"),
-    **_COMMON,
+    **_CAP,
 }
 # subcommand -> (handler, help, option -> (int, str, a choices tuple or bool for a flag; default; required; help))
 COMMANDS = {
     "gamma": (_cmd_gamma, "weakly connected domination number", {
         **_SOURCE, "--with-gamma": (bool, False, False, "also print the domination number")}),
     "count": (_cmd_count, "count sets of one cardinality, or the full table", {
-        **_SOURCE, "--i": (int, None, False, "cardinality; omit for the full table"),
+        **_SOURCE, **_FORMAT, "--i": (int, None, False, "cardinality; omit for the full table"),
         "--method": (METHODS, "oracle", False, "counting method: oracle (subset sweep), frontier (frontier DP); "
                      "formula and recurrence need a recognized family")}),
     "enumerate": (_cmd_enumerate, "list every set of one cardinality", {**_SOURCE, "--i": (int, None, True, "cardinality")}),
     "table": (_cmd_table, "count tables for a family over a range of sizes", {
-        **_COMMON, "--family": (FAMILIES, None, True, "named graph family"),
+        **_CAP, **_FORMAT, "--family": (FAMILIES, None, True, "named graph family"),
         "--max-n": (int, 10, False, "largest size parameter, one row per size")}),
     "verify": (_cmd_verify, "run a named verification suite", {
-        **_COMMON, "--suite": (tuple(SUITES), None, True, "suite name"),
+        **_CAP, **_FORMAT, "--suite": (tuple(SUITES), None, True, "suite name"),
         "--max-n": (int, None, False, "largest size the suite checks; omit for the suite's default"),
         "--random-count": (int, None, False, "random instances drawn; omit for the suite's default"),
         "--seed": (int, DEFAULT_SEED, False, "seed of the random instances")}),

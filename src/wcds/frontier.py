@@ -5,22 +5,25 @@ S is a weakly connected dominating set iff the spanning subgraph of the
 edges that meet S is connected; such an S dominates, because every vertex
 outside S keeps an edge, and that edge's other end is in S. The DP places
 the vertices one at a time. After each step the frontier is the placed
-vertices that still have an unplaced neighbour. A state records, for each
-frontier vertex, whether it is in S and a canonical label of its component
-in the kept edges placed so far; each state carries the polynomial in x
-that counts the partial sets reaching it by size, as a list of Python ints.
-A component with no frontier vertex can never grow again, so it kills the
-state unless it is the whole graph.
+vertices that still have an unplaced neighbour. A state's key is one flat
+tuple: for each frontier vertex whether it is in S, then for each a
+canonical label of its component in the kept edges placed so far. Each
+state carries the polynomial in x that counts the partial sets reaching it
+by size, as a list of Python ints. A component with no frontier vertex can
+never grow again, so it kills the state unless it is the whole graph.
 
 States are keyed by frontier position, not by vertex label, so a step
-reads only its signature (:func:`_steps`): the frontier width, the
+reads only its signature (:func:`_plan`): the frontier width, the
 positions the new vertex links to, the positions of frontier + [v] that
 stay, and whether any vertex is left unplaced. Two graphs whose first k
 signatures are equal therefore have equal state tables after k steps.
 :func:`_frontier_rows` counts a sequence of graphs in one pass on that
 lemma: each row resumes from a snapshot of the row before, taken where
 their signatures part, so C_{n+1} runs 2 steps after C_n instead of
-n + 1. It holds the live state table and at most one snapshot.
+n + 1. Equal signatures also apply the same map to each state key, so
+each step is compiled: a state key's two successors are worked out once
+per signature and then read. The pass holds the live state table, at most
+one snapshot, and the maps of signatures that run next.
 
 With frontier width w there are at most 2^w * Bell(w) states, so work and
 memory follow the width of the order, not 2^order. Kawahara et al.,
@@ -32,16 +35,18 @@ Cygan et al., *Parameterized Algorithms* (2015), ch. 7.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import add
 
-from .graph import Graph, is_connected
+from .graph import Graph
 from .oracle import CapacityError, CountTable
 
 # 2**7 * Bell(7) = 112 256 states fit, width 8 (1 059 840) does not; at
 # order 30 a state holds at most 31 coefficients
 MAX_FRONTIER_STATES = 1 << 17
 
-# a plan is what frontier_order returns: the vertex order and its width
-Plan = tuple[tuple[int, ...], int]
+# a plan is what _plan returns: the vertex order, its width, and the
+# signature of each step, None for a disconnected graph
+Plan = tuple[tuple[int, ...], int, list[tuple] | None]
 
 
 def bell(k: int) -> int:
@@ -60,7 +65,7 @@ def projected_states(width: int) -> int:
     return (1 << width) * bell(width)
 
 
-def frontier_order(g: Graph) -> Plan:
+def frontier_order(g: Graph) -> tuple[tuple[int, ...], int]:
     """A vertex order for the DP and its width, the largest frontier it leaves.
 
     Greedy: place next the unplaced vertex that leaves the smallest
@@ -77,10 +82,20 @@ def frontier_order(g: Graph) -> Plan:
     while F is empty every unplaced vertex is scored, an isolated one
     leaves 0 and any other 1, so the isolated vertices come first.
     """
+    return _plan(g)[:2]
+
+
+def _plan(g: Graph, budget: int | None = None) -> Plan | None:
+    """The order of :func:`frontier_order`, its width, and the signature of
+    each step along it; in the positions that stay, v is position w. A graph
+    is disconnected iff its frontier empties while vertices are unplaced;
+    its signatures are None. With a ``budget``, None as soon as the width's
+    projected states exceed it, since the width never shrinks."""
     adj = g.neighbor_masks()
     unplaced = (1 << g.order) - 1
     frontier: list[int] = []
     order: list[int] = []
+    steps: list[tuple] = []
     width = 0
     for _ in range(g.order):
         # frontier vertices whose last unplaced neighbour is v leave with v
@@ -103,59 +118,59 @@ def frontier_order(g: Graph) -> Plan:
             if best is None or key < best:
                 best = key
         size, _, v = best
+        if size > width:
+            width = size
+            if budget is not None and projected_states(width) > budget:
+                return None
         unplaced &= ~(1 << v)
-        frontier = [u for u in (*frontier, v) if adj[u] & unplaced]
-        order.append(v + 1)
-        width = max(width, size)
-    return tuple(order), width
-
-
-def _steps(g: Graph, order: tuple[int, ...]) -> list[tuple]:
-    """The signature of each DP step along ``order``: the frontier width w,
-    the frontier positions the new vertex links to, the positions of
-    frontier + [v] that stay (v is position w), and whether any vertex is
-    left unplaced. A step reads nothing else of g."""
-    adj = g.neighbor_masks()
-    unplaced = (1 << g.order) - 1
-    frontier: list[int] = []
-    steps = []
-    for label in order:
-        v = label - 1
-        unplaced &= ~(1 << v)
-        ext = [*frontier, v]
-        linked = tuple(i for i, u in enumerate(frontier) if adj[v] >> u & 1)
-        kept = tuple(i for i, u in enumerate(ext) if adj[u] & unplaced)
-        steps.append((len(frontier), linked, kept, unplaced != 0))
+        ext = (*frontier, v)
+        kept = tuple([i for i, u in enumerate(ext) if adj[u] & unplaced])
+        steps.append((len(frontier), tuple([i for i, u in enumerate(frontier) if adj[v] >> u & 1]), kept, unplaced != 0))
         frontier = [ext[i] for i in kept]
-    return steps
+        order.append(v + 1)
+    connected = all(kept or not more for _, _, kept, more in steps)
+    return tuple(order), width, steps if connected else None
 
 
-def _place(states: dict, step: tuple) -> dict:
-    """One DP step with signature ``step``: put the new vertex in or out of
-    S, keep its edges to the frontier, drop the positions that do not stay.
-    Builds a new table and leaves ``states`` as it was."""
+def _successors(step: tuple, key: tuple) -> tuple:
+    """The keys state ``key`` goes to in a step with signature ``step``, the
+    new vertex out of S and then in S; None where a component closed before
+    it spanned the graph."""
     w, linked, kept, more = step
-    nxt: dict = {}
-    for (members, comps), poly in states.items():
-        for inside in (0, 1):
-            ext_members = (*members, inside)
-            labels = [*comps, w]  # comps are canonical 0..w-1, so w is fresh
-            for i in linked:
-                if inside or members[i]:
-                    a, b = labels[i], labels[w]
-                    if a != b:
-                        labels = [a if x == b else x for x in labels]
-            every = set(labels)
-            if every != {labels[i] for i in kept} and (more or len(every) > 1):
-                continue  # a component closed before it spanned the graph
+    members, comps = key[:w], key[w:]
+    out = []
+    for inside in (0, 1):
+        ext_members = (*members, inside)
+        labels = [*comps, w]  # comps are canonical 0..w-1, so w is fresh
+        for i in linked:
+            if inside or members[i]:
+                a, b = labels[i], labels[w]
+                if a != b:
+                    labels = [a if x == b else x for x in labels]
+        stay = [labels[i] for i in kept]
+        every = set(labels)
+        if len(every) != len(set(stay)) and (more or len(every) > 1):
+            out.append(None)
+        else:
             canon: dict[int, int] = {}
-            key = (
-                tuple(ext_members[i] for i in kept),
-                tuple(canon.setdefault(labels[i], len(canon)) for i in kept),
-            )
-            grown = [0, *poly] if inside else [*poly, 0]
-            old = nxt.get(key)
-            nxt[key] = grown if old is None else [a + b for a, b in zip(old, grown)]
+            out.append(tuple([ext_members[i] for i in kept] + [canon.setdefault(x, len(canon)) for x in stay]))
+    return tuple(out)
+
+
+def _place(states: dict, step: tuple, compiled: dict) -> dict:
+    """One DP step with signature ``step``: a new table, ``states`` left as it
+    was. ``compiled`` maps the state keys met under this signature to their
+    :func:`_successors`; a key met for the first time is added."""
+    nxt: dict = {}
+    for key, poly in states.items():
+        # a pair of successors is never falsy, so each is worked out once
+        out, inside = compiled.get(key) or compiled.setdefault(key, _successors(step, key))
+        if out is not None:
+            old = nxt.get(out)
+            nxt[out] = [*poly, 0] if old is None else [*map(add, old, poly), old[-1]]
+        if inside is not None:
+            old = nxt.get(inside)
+            nxt[inside] = [0, *poly] if old is None else [old[0], *map(add, old[1:], poly)]
     return nxt
 
 
@@ -166,7 +181,7 @@ def count_table_frontier(g: Graph) -> CountTable:
     width whose projected states exceed :data:`MAX_FRONTIER_STATES` raises
     :class:`CapacityError` before any state is built. There is no order cap.
     """
-    return next(_frontier_rows([(g, frontier_order(g))]))
+    return next(_frontier_rows([_plan(g)]))
 
 
 def _shared(a: list[tuple] | None, b: list[tuple] | None) -> int:
@@ -179,35 +194,26 @@ def _shared(a: list[tuple] | None, b: list[tuple] | None) -> int:
     return k
 
 
-def _row_steps(row: tuple[Graph, Plan] | None) -> list[tuple] | None:
-    """The step signatures of a planned row; None for no row or a
-    disconnected graph, which runs no step."""
-    if row is None or not is_connected(row[0]):
-        return None
-    return _steps(row[0], row[1][0])
-
-
-def _frontier_rows(planned: Iterable[tuple[Graph, Plan]]) -> Iterator[CountTable]:
-    """Count tables of the graphs in ``planned``, pairs of a graph and the
-    plan :func:`frontier_order` gives for it, one at a time and in order.
+def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
+    """Count tables of the graphs whose plans by :func:`_plan` are
+    ``plans``, one at a time and in order.
 
     Each row resumes from a snapshot of the row before, taken after the k
     steps whose signatures the two rows share, and runs only the steps after
     it; the snapshot of a row that resumed past its successor's k is the
-    empty table. Only the live table and that one snapshot are held. A
-    row's width is checked against :data:`MAX_FRONTIER_STATES` when the row
-    is reached, so the rows before a refused one are yielded first.
+    empty table. A step's compiled map is kept only while the row's next
+    step or a step the next row runs has its signature. A row's width is
+    checked against :data:`MAX_FRONTIER_STATES` when the row is reached, so
+    the rows before a refused one are yielded first.
     """
-    rows = iter(planned)
+    rows = iter(plans)
     after = next(rows, None)
-    after_steps = _row_steps(after)
     start, resume = None, 0  # the table this row resumes from, after `resume` steps
+    compiled: dict[tuple, dict] = {}  # signature -> its map
     while after is not None:
-        (g, (_, width)), steps = after, after_steps
-        after = next(rows, None)
-        after_steps = _row_steps(after)
+        (order, width, steps), after = after, next(rows, None)
         if steps is None:
-            yield CountTable(g.order, (0,) * g.order, connected=False)
+            yield CountTable(len(order), (0,) * len(order), connected=False)
             start, resume = None, 0
             continue
         if projected_states(width) > MAX_FRONTIER_STATES:
@@ -215,17 +221,21 @@ def _frontier_rows(planned: Iterable[tuple[Graph, Plan]]) -> Iterator[CountTable
                 f"frontier width {width} allows up to 2**{width} * Bell({width}) = "
                 f"{projected_states(width)} DP states, above the bound of {MAX_FRONTIER_STATES}"
             )
+        after_steps = after and after[2]
         keep = _shared(steps, after_steps)
         if keep < resume:
             keep = 0  # the table after `keep` steps is gone; the next row starts afresh
-        states = start if resume else {((), ()): [1]}
+        wanted = set(after_steps[keep:] if after_steps else ())  # the steps the next row runs
+        states = start if resume else {(): [1]}
         start = snapshot = None
         for k in range(resume, len(steps)):
             if k == keep:
                 snapshot = states
-            states = _place(states, steps[k])
+            states = _place(states, steps[k], compiled.setdefault(steps[k], {}))
+            if steps[k] not in wanted and steps[k + 1 : k + 2] != steps[k : k + 1]:
+                del compiled[steps[k]]
         if keep == len(steps):
             snapshot = states
         (poly,) = states.values()
-        yield CountTable(g.order, tuple(poly[1:]), connected=True)
+        yield CountTable(len(order), tuple(poly[1:]), connected=True)
         start, resume = snapshot, keep

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wcds.cli as cli
+import wcds.frontier as frontier
 import wcds.oracle as oracle
 import wcds.verify as verify
 from wcds.cli import run
@@ -309,12 +310,12 @@ def test_wheel_formula_row_is_stated_with_a_note(capsys):
 
 @pytest.mark.parametrize("fmt", ("md", "csv", "json"))
 def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
-    dp_rows = []
+    dp_rows = {}
     real = cli._frontier_rows
 
-    def counted(planned):
-        dp_rows.extend(g.family for g, _ in planned)
-        return real(planned)
+    def counted(plans):
+        dp_rows[family] = len(plans)
+        return real(plans)
 
     monkeypatch.setattr(cli, "_frontier_rows", counted)
     for family in FAMILIES:
@@ -322,11 +323,41 @@ def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
         start = 4 if family == "wheel" else 1
         rows = [(n, oracle.count_table(build_family(family, n)).counts) for n in range(start, 13)]
         assert capsys.readouterr().out == cli._render_rows(rows, fmt, family)
-    # the DP takes a row when order * 2^w * Bell(w) < 2^order: every path but
-    # P2, cycles of order 1 and 6+, stars of order 3+, wheels of order 9+;
-    # complete graphs only at order 1, width 0, and sweep every other row
-    assert {f: dp_rows.count(f) for f in FAMILIES} == {
-        "path": 11, "cycle": 8, "complete": 1, "star": 11, "wheel": 4,
+    # the DP takes a row when order * 2^w * Bell(w) < 2^order + SWEEP_CALL_MASKS:
+    # every path, cycle, star and wheel, and complete graphs to order 4
+    assert dp_rows == {"path": 12, "cycle": 12, "complete": 4, "star": 12, "wheel": 9}
+
+
+def test_early_stopped_plans_pick_the_counter_of_the_full_plan(monkeypatch):
+    # every row of the five families to order 16: the budgeted plan is None,
+    # and the row goes to the sweep, exactly when the full plan's width
+    # projects more states than the budget; otherwise it is the full plan
+    plans = []
+    real = cli._plan
+
+    def recorded(g, budget):
+        plans.append((g, budget, real(g, budget)))
+        return plans[-1][2]
+
+    monkeypatch.setattr(cli, "_plan", recorded)
+    dp_orders = {}
+    for family in FAMILIES:
+        graphs = [build_family(family, n) for n in range(4 if family == "wheel" else 1, 16 if family == "star" else 17)]
+        plans.clear()
+        assert cli._table_rows(graphs, 16) == [oracle.count_table(g).counts for g in graphs]
+        assert [g for g, _, _ in plans] == graphs
+        for g, budget, plan in plans:
+            full = frontier._plan(g)
+            assert budget <= frontier.MAX_FRONTIER_STATES
+            assert (plan is None) == (frontier.projected_states(full[1]) > budget)
+            assert plan is None or plan == full
+        dp_orders[family] = [g.order for g, _, plan in plans if plan]
+    assert dp_orders == {
+        "path": list(range(1, 17)),
+        "cycle": list(range(1, 17)),
+        "complete": [1, 2, 3, 4],  # K5..K16 stay on the sweep
+        "star": list(range(2, 17)),
+        "wheel": list(range(4, 17)),
     }
 
 
@@ -429,9 +460,17 @@ def _quiet(call):
 
 
 def _reference(argv):
-    """The reference's attributes for ``argv``, or its (exit status, stdout) when it refuses."""
+    """The reference's attributes for ``argv``, or its (exit status, stdout) when it refuses.
+    Besides abbreviations (see ``_argvs``), one difference is deliberate: gamma and enumerate
+    take no --format, which they never read, so a --format there is a usage error."""
+    if argv[:1] in (["gamma"], ["enumerate"]) and any(t.partition("=")[0] == "--format" for t in argv):
+        return 2, ""
     result, out, _ = _quiet(lambda: vars(_build_parser().parse_args(argv)))
-    return result if isinstance(result, dict) else (result, out)
+    if not isinstance(result, dict):
+        return result, out
+    if result["subcommand"] in ("gamma", "enumerate"):
+        del result["fmt"]
+    return result
 
 
 def _parsed(argv):

@@ -197,13 +197,16 @@ def test_restricted_greedy_equals_the_full_scan_on_random_graphs_and_families():
 
 
 def _rows(graphs):
-    return list(frontier._frontier_rows([(g, frontier_order(g)) for g in graphs]))
+    return list(frontier._frontier_rows([frontier._plan(g) for g in graphs]))
 
 
 def test_a_row_sequence_equals_each_one_graph_dp():
     # repeats, a shorter cycle after a longer one, unrelated graphs, a
-    # disconnected graph and K1 in one pass: a snapshot that a later step
-    # changed, or one taken at the wrong step, gives a wrong row
+    # disconnected graph and K1 in one pass, and the cycle's repeated step
+    # coming back after an unrelated graph and after a disconnected one: a
+    # snapshot that a later step changed, one taken at the wrong step, or a
+    # transition read under another signature gives a wrong row
+    disconnected = make_graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
     seq = [
         build_family("cycle", 9),
         build_family("cycle", 12),
@@ -211,21 +214,26 @@ def test_a_row_sequence_equals_each_one_graph_dp():
         build_family("cycle", 12),
         build_family("path", 12),
         build_family("wheel", 10),
-        make_graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)]),
+        disconnected,
         make_graph(1, []),
         _random_graph(random.Random(7), 10, 0.3),
+        build_family("cycle", 11),
+        build_family("wheel", 9),
+        build_family("cycle", 10),
+        disconnected,
+        build_family("cycle", 13),
     ]
     rows = _rows(seq)
     assert len(rows) == len(seq)
     for g, row in zip(seq, rows):
         assert row == count_table_frontier(g) == count_table(g)
-    assert not rows[6].connected
+    assert not rows[6].connected and not rows[12].connected
 
 
 def test_shared_steps_are_run_once(monkeypatch):
     steps = []
     real = frontier._place
-    monkeypatch.setattr(frontier, "_place", lambda states, step: steps.append(step) or real(states, step))
+    monkeypatch.setattr(frontier, "_place", lambda states, step, compiled: steps.append(step) or real(states, step, compiled))
     c12 = build_family("cycle", 12)
     _rows([c12, c12, c12])
     # the second and third C12 read the first one's final table
@@ -237,39 +245,42 @@ def test_shared_steps_are_run_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family, top, start, steps",
-    (("path", 20, 1, 38), ("cycle", 20, 1, 35), ("star", 19, 1, 37), ("wheel", 20, 4, 31)),
+    "family, top, steps, state_steps, transitions",
+    (("path", 20, 39, 76, 6), ("cycle", 20, 39, 274, 22), ("star", 19, 38, 75, 5), ("wheel", 20, 36, 418, 41)),
 )
-def test_benchmark_tables_run_few_steps(capsys, monkeypatch, family, top, start, steps):
-    calls = []
-    real = frontier._place
-    monkeypatch.setattr(frontier, "_place", lambda states, step: calls.append(step) or real(states, step))
+def test_benchmark_tables_run_few_steps(capsys, monkeypatch, family, top, steps, state_steps, transitions):
+    # each row resumes from the row before, and a step whose signature ran
+    # just before, in this row or the last, reads its transitions instead
+    # of working them out
+    calls, worked = [], []
+    real, successors = frontier._place, frontier._successors
+    monkeypatch.setattr(frontier, "_place", lambda states, step, compiled: calls.append(len(states)) or real(states, step, compiled))
+    monkeypatch.setattr(frontier, "_successors", lambda step, key: worked.append(key) or successors(step, key))
     rows = []
     real_rows = frontier._frontier_rows
 
-    def counted(planned):
-        rows.extend(planned)
-        return real_rows(planned)
+    def counted(plans):
+        rows.extend(plans)
+        return real_rows(plans)
 
     monkeypatch.setattr("wcds.cli._frontier_rows", counted)
     assert run(["table", "--family", family, "--max-n", str(top)]) == 0
     capsys.readouterr()
     assert len(calls) == steps <= top + 2 * len(rows)
+    assert sum(calls) == state_steps and len(worked) <= transitions
     # one row at a time the DP runs every row's order in full
-    assert sum(g.order for g, _ in rows) > 4 * steps
+    assert sum(len(order) for order, _, _ in rows) > 4 * steps
 
 
 def test_wide_graph_in_a_sequence_is_refused_before_its_states(monkeypatch):
     before = [build_family("cycle", 9), build_family("wheel", 8)]
     calls = []
     real = frontier._place
-    monkeypatch.setattr(frontier, "_place", lambda states, step: calls.append(step) or real(states, step))
+    monkeypatch.setattr(frontier, "_place", lambda states, step, compiled: calls.append(step) or real(states, step, compiled))
     alone = _rows(before)
     ran = len(calls)
     calls.clear()
-    rows = frontier._frontier_rows(
-        [(g, frontier_order(g)) for g in (*before, build_family("complete", 9), build_family("cycle", 10))]
-    )
+    rows = frontier._frontier_rows([frontier._plan(g) for g in (*before, build_family("complete", 9), build_family("cycle", 10))])
     assert [next(rows), next(rows)] == alone == [count_table(g) for g in before]
     assert len(calls) == ran
     with pytest.raises(CapacityError, match="frontier width 8"):
@@ -302,3 +313,13 @@ def test_a_sequence_holds_at_most_one_snapshot():
     single = max(_peak(lambda: count_table_frontier(g)) for g in grids)
     assert _peak(lambda: _rows(grids)) < 2 * single
     assert _rows(grids) == [count_table_frontier(g) for g in grids]
+
+
+def test_a_lone_grid_holds_the_live_table_and_few_maps():
+    # the 7x7 grid runs at width 7 and works out most transitions afresh;
+    # a map outlives its step only while the next step shares its signature,
+    # so the traced peak stays within 1.5 times the 5.5 MiB the DP peaked at
+    # before it compiled its steps
+    g = _grid(7, 7)
+    assert frontier_order(g)[1] == 7
+    assert _peak(lambda: count_table_frontier(g)) < 1.5 * 5.5 * 2**20
