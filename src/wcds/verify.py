@@ -241,11 +241,11 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
 # (every (S, v) with v outside S, every pair) has the same counts over all
 # graphs, and the checks count one of each, scaled by how many there are.
 
-# the largest order of the packed connectivity table (32 MiB at order 8),
-# and of the subsets' planes: ``_within`` holds order + 1 whole planes, which
-# would be 9 x 32 MiB at order 8
+# the largest order of the packed connectivity table, 32 MiB at order 8, and
+# the most bytes of it the checks read at once: they walk it in slices
+# (``_slices``), so below order 8 one slice is the whole table
 _DENSE_MAX_ORDER = 8
-_PLANES_MAX_ORDER = 7
+_SLICE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -261,19 +261,14 @@ class _DenseTables:
     conn: np.ndarray  # packed 64-bit words, at least one; the bits past the last graph are 0
 
 
-def _check_dense_order(max_order: int, planes: bool) -> None:
-    """Refuse all-graphs tables above ``_DENSE_MAX_ORDER``, or above
-    ``_PLANES_MAX_ORDER`` if every subset's plane is needed, before
-    allocating any."""
-    limit = _PLANES_MAX_ORDER if planes else _DENSE_MAX_ORDER
-    if max_order > limit:
+def _check_dense_order(max_order: int) -> None:
+    """Refuse all-graphs tables above ``_DENSE_MAX_ORDER`` before allocating
+    any: the checks read them a slice at a time, but conn is built whole."""
+    if max_order > _DENSE_MAX_ORDER:
         graphs = 1 << (max_order * (max_order - 1) // 2)
-        # every graph has one bit in each of the 2**order planes, and the
-        # cumulative planes of every size are kept whole
-        projected = f"{graphs << max_order} plane bits projected from " if planes else ""
         raise CapacityError(
             f"order {max_order} needs all-graphs tables over {graphs} labelled graphs: "
-            f"{projected}{graphs // 8} bytes of packed connectivity; the limit is order {limit}"
+            f"{graphs // 8} bytes of packed connectivity; the limit is order {_DENSE_MAX_ORDER}"
         )
 
 
@@ -302,14 +297,29 @@ def _words(t: _DenseTables) -> np.ndarray:
     return t.conn.reshape((2,) * max(0, len(t.pairs) - 6))
 
 
-def _plane(t: _DenseTables, s: int) -> np.ndarray:
-    """The plane of the non-empty subset S, mask ``s``, with one axis per
-    pair from 6 on. S is weakly connected dominating in G iff G minus the
-    pairs inside T = V - S is connected, so the plane is conn with the axes
-    of T's pairs fixed at 0: a view, copied only when a pair below 6 lies
-    inside T, and then projected along it inside each word."""
+def _slices(t: _DenseTables) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The slices the checks walk ``t`` in, each at most ``_SLICE_BYTES`` of
+    conn: every setting of the axes of the pairs just below the top pair,
+    as (bit of the word index, index) of each. The top pair (k - 2, k - 1)
+    keeps its axis, as the deletion check pairs G - e with G along it."""
+    top = len(t.pairs) - 7  # the top pair's bit of the word index
+    axes = min(max(0, top), ((t.conn.nbytes - 1) // _SLICE_BYTES).bit_length())
+    for i in range(1 << axes):
+        yield tuple((top - 1 - j, i >> j & 1) for j in range(axes))
+
+
+def _plane(t: _DenseTables, s: int, cut: tuple[tuple[int, int], ...] = ()) -> np.ndarray:
+    """The plane of the non-empty subset S, mask ``s``, over the graphs of
+    the slice ``cut`` (all of them by default), with one axis per pair from
+    6 on. S is weakly connected dominating in G iff G minus the pairs inside
+    T = V - S is connected, so the plane is conn with the axes of T's pairs
+    fixed at 0 and the other axes of the slice at its indices: a view,
+    copied only when a pair below 6 lies inside T, and then projected along
+    it inside each word."""
     inside = [b for b, (u, v) in enumerate(t.pairs) if not (s >> u | s >> v) & 1]
-    plane = _fix(_words(t), [b - 6 for b in inside if b >= 6], 0)
+    high = [b - 6 for b in inside if b >= 6]
+    plane = _fix(_words(t), [a for a, at in cut if at and a not in high], 1)
+    plane = _fix(plane, [*high, *(a for a, at in cut if not at)], 0)
     low = [b for b in inside if b < 6]
     if low:
         plane = plane.copy()
@@ -351,35 +361,31 @@ def _dense_tables(k: int) -> _DenseTables:
     return _DenseTables(k, pairs, conn)
 
 
-def _closure_count(t: _DenseTables, s: int) -> int:
-    """The graphs G of ``t`` in which S = {0, ..., s - 1} is weakly
-    connected dominating and S + s is not. S's plane fixes every axis that
-    the plane of S + s fixes, so their difference has the shape of the
-    latter, and each of its words stands for conn.size / its size words."""
-    apart = ~_plane(t, (1 << s + 1) - 1)
-    apart &= _plane(t, (1 << s) - 1)
-    return _popcount(apart) * (t.conn.size // apart.size)
-
-
-def _domination_count(t: _DenseTables, s: int) -> int:
-    """The graphs G of ``t`` in which S = {0, ..., s - 1} is weakly
-    connected dominating and some vertex v >= s has no pair to S in G,
-    counted on S's plane as in ``_closure_count``."""
-    plane = _plane(t, (1 << s) - 1)
+def _violations(t: _DenseTables, s: int, cut: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """The graphs G of the slice ``cut`` of ``t`` in which S = {0, ..., s - 1}
+    is weakly connected dominating and S + s is not, and those in which S is
+    and some vertex v >= s has no pair to S. S's plane fixes every axis that
+    the plane of S + s fixes, so their difference has the latter's shape. A
+    view with fixed axes is constant along them: each word of an array
+    stands for the slice's words over its size."""
+    words = t.conn.size >> len(cut)
+    plane = _plane(t, (1 << s) - 1, cut)
+    apart = ~_plane(t, (1 << s + 1) - 1, cut)
+    apart &= plane
+    closure = _popcount(apart) * words // apart.size
+    del apart  # freed before the lonely mask is built
     lonely = np.zeros_like(plane)
     for v in range(s, t.order):
-        # the graphs without v's pairs to S: in each word, the bits of
-        # _WITHOUT of its pairs below 6, in the words at index 0 of the axes
-        # of the others (none lies inside V - S, so none is fixed in plane)
         to_s = [t.pairs.index((u, v)) for u in range(s)]
-        word = ~np.uint64(0)
-        for p in to_s:
-            if p < 6:
-                word &= _WITHOUT[p]
+        if any((p - 6, 1) in cut for p in to_s):
+            continue  # every graph of the slice has a pair from v to S
+        # the graphs without v's pairs to S: the bits of _WITHOUT of its pairs
+        # below 6, in the words at index 0 of the axes of the others (none
+        # lies inside V - S, so only the slice fixes one, at 0)
         alone = _fix(lonely, [p - 6 for p in to_s if p >= 6], 0)
-        alone |= word
+        alone |= np.bitwise_and.reduce([~np.uint64(0), *(_WITHOUT[p] for p in to_s if p < 6)])
     lonely &= plane
-    return _popcount(lonely) * (t.conn.size // lonely.size)
+    return closure, _popcount(lonely) * words // lonely.size
 
 
 def _canonical_violations(t: _DenseTables) -> tuple[int, int]:
@@ -388,38 +394,56 @@ def _canonical_violations(t: _DenseTables) -> tuple[int, int]:
     outside S and S + v not; domination counts the (S, G) with S weakly
     connected dominating in G and some vertex outside S undominated. By the
     relabelling lemma (see above), every (S, v) with |S| = s counts as
-    S = {0, ..., s - 1} and v = s do, and every S as {0, ..., s - 1}: closure
-    is the sum over s of C(k, s) * (k - s) * ``_closure_count(t, s)``, and
-    domination the sum of C(k, s) * ``_domination_count(t, s)``."""
+    S = {0, ..., s - 1} and v = s do, and every S as {0, ..., s - 1}: summed
+    over s and the slices, closure is C(k, s) * (k - s) times the first of
+    ``_violations``, and domination C(k, s) times the second."""
     k = t.order
-    closure = sum(comb(k, s) * (k - s) * _closure_count(t, s) for s in range(1, k))
-    domination = sum(comb(k, s) * _domination_count(t, s) for s in range(1, k))
+    closure = domination = 0
+    for cut in _slices(t):
+        for s in range(1, k):
+            apart, lonely = _violations(t, s, cut)
+            closure += comb(k, s) * (k - s) * apart
+            domination += comb(k, s) * lonely
     return closure, domination
 
 
-def _within(t: _DenseTables) -> np.ndarray:
-    """The cumulative planes of ``t``: within[g] holds the graphs with
-    gamma_w <= g, the OR of the planes of size <= g; within[k] is the
-    connected graphs."""
+def _within(t: _DenseTables, cut: tuple[tuple[int, int], ...] = ()) -> np.ndarray:
+    """The cumulative planes of ``t`` over the slice ``cut``, flat: within[g]
+    holds the graphs with gamma_w <= g, the OR of the planes of size <= g;
+    within[k] is the connected graphs. Adding pairs keeps a graph connected,
+    so every plane lies inside conn: once a row is conn, so is every later
+    row, and the planes of the larger sizes are not read."""
     k = t.order
-    within = np.zeros((k + 1, t.conn.size), dtype=np.uint64)
-    by_size = within.reshape(k + 1, *_words(t).shape)
-    for s in range(1, 1 << k):
-        row = by_size[s.bit_count(), ...]
-        row |= _plane(t, s)
+    conn = _plane(t, (1 << k) - 1, cut)
+    within = np.zeros((k + 1, conn.size), dtype=np.uint64)
+    by_size = within.reshape(k + 1, *conn.shape)
     for g in range(1, k + 1):
-        within[g] |= within[g - 1]
+        row = by_size[g, ...]
+        row[...] = by_size[g - 1]
+        if not np.array_equal(row, conn):
+            for members in combinations(range(k), g):
+                row |= _plane(t, sum(1 << v for v in members), cut)
     return within
 
 
-def _halves(words: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flags in one plane's 64-bit words of the graphs without the top
-    pair b and of the same graphs with it, aligned: for b < 6 at the bits
-    of the graphs without it, ``_WITHOUT[b]`` (the other bits pair nothing),
-    for b >= 6 as the two halves of the words."""
-    if b >= 6:
-        return words[: words.size // 2], words[words.size // 2 :]
-    return words, words >> np.uint64(1 << b)
+def _window_counts(t: _DenseTables, cut: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    """``_deletion_counts`` of the top pair over the slice ``cut`` of ``t``."""
+    b = len(t.pairs) - 1
+    aligned = _WITHOUT[b] if b < 6 else ~np.uint64(0)  # the bits of (G - e, G) pairs
+    # a deletion breaks the window where, at some g, G - e is within g and G
+    # is not, or G is within g - 1 and G - e is not within g. As G within
+    # g - 1 implies G within g, that is where (G - e within g or G within
+    # g - 1) differs from (G - e and G within g).
+    broken = below = 0  # below: G within g - 1
+    for row in _within(t, cut)[1:]:
+        # the graphs without the top pair and the same graphs with it, aligned:
+        # for b >= 6 the two halves, for b < 6 at _WITHOUT[b]'s bits
+        half = row.size // 2
+        without, with_ = (row[:half], row[half:]) if b >= 6 else (row, row >> np.uint64(1 << b))
+        broken |= (without | below) ^ (without & with_)
+        below = with_
+    valid = without & with_ & aligned  # G and G - e connected, from within[k]
+    return _popcount(broken & valid), _popcount(valid), _popcount(with_ & ~without & aligned)
 
 
 def _deletion_counts(t: _DenseTables) -> tuple[int, int, int]:
@@ -429,35 +453,19 @@ def _deletion_counts(t: _DenseTables) -> tuple[int, int, int]:
     gamma_w(G) + 1, the deletions with both connected, and those with G
     connected and G - e not. By the relabelling lemma every pair has the
     same three counts, so they are counted for the top pair (k - 2, k - 1),
-    whose bit is the highest of G, and multiplied by the number of pairs."""
-    k, b = t.order, len(t.pairs) - 1
-    within = _within(t)
-    # where within[g - 2..g] are equal, level g repeats the test of level
-    # g - 1 (at order 7, gamma_w is at most 3: levels 5..7 repeat level 4)
-    same = [g > 0 and np.array_equal(within[g], within[g - 1]) for g in range(k + 1)]
-    levels = [g for g in range(1, k + 1) if not (same[g] and same[g - 1])]
-    # a deletion breaks the window where, at some g, G - e is within g and
-    # G is not, or G is within g - 1 and G - e is not within g. As G within
-    # g - 1 implies G within g, that is where (G - e within g or G within
-    # g - 1) differs from (G - e and G within g).
-    broken = below = 0  # below: G within g - 1
-    for g in levels:
-        without, with_ = _halves(within[g], b)
-        broken |= (without | below) ^ (without & with_)
-        below = with_
-    without, with_ = _halves(within[k], b)
-    aligned = _WITHOUT[b] if b < 6 else ~np.uint64(0)  # the bits of (G - e, G) pairs
-    valid = without & with_ & aligned  # G and G - e connected
-    counts = _popcount(broken & valid), _popcount(valid), _popcount(with_ & ~without & aligned)
-    return tuple(len(t.pairs) * count for count in counts)
+    whose bit is the highest of G, a slice at a time, and multiplied by the
+    number of pairs."""
+    bad, checked, skipped = zip(*(_window_counts(t, cut) for cut in _slices(t)))
+    return tuple(len(t.pairs) * sum(counts) for counts in (bad, checked, skipped))
 
 
 def _suite_structural(max_n: int, **_) -> list[CheckRecord]:
     """Two definitional consequences swept over every connected labeled graph
     up to order ``max_n``: supersets of a weakly connected dominating set
     stay in the family, and membership implies ordinary domination (order
-    >= 2). Orders above 8 raise :class:`CapacityError`."""
-    _check_dense_order(max_n, planes=False)
+    >= 2). Orders above ``_DENSE_MAX_ORDER`` (8) raise
+    :class:`CapacityError`."""
+    _check_dense_order(max_n)
     records: list[CheckRecord] = []
     for k in range(1, max_n + 1):
         eng = _dense_tables(k)
@@ -474,26 +482,17 @@ def _suite_structural(max_n: int, **_) -> list[CheckRecord]:
 def _suite_edge_deletion(max_n: int, **_) -> tuple[list[CheckRecord], int]:
     """Deleting an edge that keeps a labeled graph of order 2..``max_n``
     connected never lowers gamma_w and raises it by at most one. Also
-    returns the number of disconnecting deletions skipped. Orders above 7
-    raise :class:`CapacityError`: gamma_w of every graph needs every
-    subset's plane."""
-    _check_dense_order(max_n, planes=True)
+    returns the number of disconnecting deletions skipped. Orders above
+    ``_DENSE_MAX_ORDER`` (8) raise :class:`CapacityError`; the cumulative
+    planes are held a slice at a time."""
+    _check_dense_order(max_n)
     records: list[CheckRecord] = []
     total_skipped = 0
     for k in range(2, max_n + 1):
-        eng = _dense_tables(k)
-        bad, checked, skipped = _deletion_counts(eng)
+        bad, checked, skipped = _deletion_counts(_dense_tables(k))
         total_skipped += skipped
-        records.append(
-            _check(
-                f"order {k} deletion bounds",
-                "single-edge stability window",
-                0,
-                bad,
-                f"{checked} connectivity-preserving deletions checked, "
-                f"{skipped} disconnecting deletions skipped",
-            )
-        )
+        detail = f"{checked} connectivity-preserving deletions checked, {skipped} disconnecting deletions skipped"
+        records.append(_check(f"order {k} deletion bounds", "single-edge stability window", 0, bad, detail))
     return records, total_skipped
 
 

@@ -3,6 +3,7 @@ its up-front refusal, and row sequences that resume from shared steps."""
 
 import random
 import tracemalloc
+import weakref
 from itertools import combinations
 from unittest import mock
 
@@ -304,15 +305,31 @@ def _peak(f):
         tracemalloc.stop()
 
 
-def test_a_sequence_holds_at_most_one_snapshot():
+class _Table(dict):
+    """A state table that a weak reference can follow."""
+
+
+def test_a_sequence_holds_at_most_one_snapshot(monkeypatch):
     # grids with four columns and a growing number of rows share most of
-    # their steps; the pass holds the live table and one snapshot, so its
-    # peak stays within twice the largest one-graph peak
+    # their steps; the pass holds the live table and at most one snapshot,
+    # so each step starts with at most two state tables alive. Tables are
+    # counted, not their bytes, so the bound does not move when a state
+    # gets smaller
     grids = [_grid(k, 4) for k in range(4, 9)]
     assert {frontier_order(g)[1] for g in grids} == {4}
-    single = max(_peak(lambda: count_table_frontier(g)) for g in grids)
-    assert _peak(lambda: _rows(grids)) < 2 * single
-    assert _rows(grids) == [count_table_frontier(g) for g in grids]
+    expected = [count_table_frontier(g) for g in grids]
+    tables, alive = [], []
+    place = frontier._place
+
+    def counted(states, step, compiled):
+        alive.append(sum(ref() is not None for ref in tables))
+        table = _Table(place(states, step, compiled))
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(frontier, "_place", counted)
+    assert _rows(grids) == expected
+    assert max(alive) == 2
 
 
 def test_a_lone_grid_holds_the_live_table_and_few_maps():

@@ -58,17 +58,15 @@ def test_structural_small():
 
 def test_all_graphs_suites_refuse_orders_above_their_tables_before_building(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_dense_tables", partial(pytest.fail, "_dense_tables reached"))
-    # edge deletion needs every subset's plane: 2**28 graphs at order 8, a
-    # bit in each of 256 planes, from 32 MiB of packed connectivity
-    refusal = r"order 8 .* 268435456 labelled graphs: 68719476736 plane bits .* 33554432 bytes .* limit is order 7$"
-    with pytest.raises(CapacityError, match=refusal):
-        verify_formula_suite("edge_deletion_bounds", max_n=8)
-    # structural needs packed connectivity alone: 2**33 bytes at order 9
+    # both suites read packed connectivity a slice at a time, but build it
+    # whole: 2**36 graphs at order 9, 2**33 bytes
     refusal = r"order 9 .* 68719476736 labelled graphs: 8589934592 bytes of packed connectivity; the limit is order 8$"
     with pytest.raises(CapacityError, match=refusal):
+        verify_formula_suite("edge_deletion_bounds", max_n=9)
+    with pytest.raises(CapacityError, match=refusal):
         verify_structural(9)
-    for suite, order in (("structural", "9"), ("edge_deletion_bounds", "8")):
-        assert run(["verify", "--suite", suite, "--max-n", order]) == 3
+    for suite in ("structural", "edge_deletion_bounds"):
+        assert run(["verify", "--suite", suite, "--max-n", "9"]) == 3
         assert capsys.readouterr().out == ""
 
 
@@ -150,6 +148,30 @@ def test_cumulative_planes_are_the_or_of_the_planes_of_each_size():
         sizes = np.bitwise_count(np.arange(1 << k))
         for g in range(k + 1):
             assert np.array_equal(within[g], np.bitwise_or.reduce(planes[sizes <= g], axis=0)), (k, g)
+
+
+def test_cumulative_rows_hold_the_gamma_w_distribution(monkeypatch):
+    # every plane lies inside conn, as adding pairs keeps a graph connected:
+    # the premise of the stop in _within
+    for k in range(1, 8):
+        t = verify._dense_tables(k)
+        assert not any((verify._plane(t, s) & ~verify._words(t)).any() for s in range(1, 1 << k)), k
+    # the graphs with gamma_w = g are those in within[g] and not in
+    # within[g - 1], summed over the slices
+    for k in range(1, 7):
+        t = verify._dense_tables(k)
+        flags = np.unpackbits(t.conn.view(np.uint8), count=1 << len(t.pairs), bitorder="little")
+        edges = [[(u + 1, v + 1) for b, (u, v) in enumerate(t.pairs) if g >> b & 1] for g in np.flatnonzero(flags)]
+        gammas = oracle.gamma_w_stack(make_graph(k, e) for e in edges)
+        expected = [gammas.count(g) for g in range(1, k + 1)]
+        assert sum(expected) == (1, 1, 4, 38, 728, 26704)[k - 1]
+        for slices in (1, 4):
+            rows = np.zeros(k, dtype=np.int64)
+            monkeypatch.setattr(verify, "_SLICE_BYTES", t.conn.nbytes // slices)
+            for cut in verify._slices(t):
+                within = verify._within(t, cut)
+                rows += [verify._popcount(within[g] & ~within[g - 1]) for g in range(1, k + 1)]
+            assert rows.tolist() == expected, (k, slices)
 
 
 def test_prefix_planes_are_views_of_conn():
@@ -279,6 +301,65 @@ def test_deletion_counts_match_a_scalar_recount_on_planted_flags():
             assert counts == tuple(len(t.pairs) * x for x in per_pair[-1])
             # the planted properties break the window from order 4 on
             assert (counts[0] > 0) == (planted is not t and k >= 4)
+
+
+def _plants(k):
+    """Order k's tables and every planted table of this module at order k,
+    by name."""
+    t = verify._dense_tables(k)
+    plants = {
+        "real": t,
+        "mod_3": _with_conn(t, lambda e, c: e % 3 == 0),
+        "even": _with_conn(t, lambda e, c: (e >= k - 1) & (e % 2 == 0)),
+        "min_edges": _with_conn(t, lambda e, c: e >= k - 1),
+        "not_mod_3": _with_conn(t, lambda e, c: c & (e % 3 != 0)),
+    }
+    if k == 6:
+        plants["no_c6"] = _without_copies_of_c6(t)
+    return plants
+
+
+# (closure, domination) and (bad, checked, skipped) of order 7's plants as
+# the checks count them over whole planes; no scalar recount runs there
+_ORDER_7 = {
+    "real": ((0, 0), (0, 18926544, 1338288)),
+    "mod_3": ((213483606, 31454220), (895965, 22020096, 0)),
+    "even": ((177306192, 27662411), (59577, 21564396, 325584)),
+    "min_edges": ((0, 46045692), (0, 21564396, 325584)),
+    "not_mod_3": ((105589512, 0), (33180, 18674439, 1489551)),
+}
+
+
+def test_checks_do_not_depend_on_the_slice_count(monkeypatch):
+    for k in range(1, 8):
+        for name, t in _plants(k).items():
+            if k < 7:
+                planes = _planes(t)
+                per_pair = _scalar_deletion_counts(t, planes)[-1] if k >= 2 else None
+                expected = _scalar_violations(t, planes), per_pair and tuple(len(t.pairs) * x for x in per_pair)
+            else:
+                expected = _ORDER_7[name]
+            for slices in (1, 2, 4, 8):
+                monkeypatch.setattr(verify, "_SLICE_BYTES", t.conn.nbytes // slices)
+                # only the axes of the pairs from 6 on below the top pair are cut
+                assert len(list(verify._slices(t))) == min(slices, 1 << max(0, len(t.pairs) - 7)), (k, slices)
+                counts = verify._canonical_violations(t), verify._deletion_counts(t) if k >= 2 else None
+                assert counts == expected, (k, name, slices)
+
+
+def test_order_eight_deletion_check_holds_one_slice_at_a_time():
+    # 2**28 graphs: 32 MiB of packed connectivity, read 512 KiB at a time.
+    # Whole, the cumulative planes would be nine of 32 MiB; a slice holds
+    # nine rows of 512 KiB, one copied plane and a few half rows
+    t = verify._dense_tables.__wrapped__(8)
+    tracemalloc.start()
+    try:
+        counts = verify._deletion_counts(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == (0, 3463311488, 116737600)
+    assert peak < 8 * 2**20
 
 
 def test_dense_tables_and_checks_peak_under_5_mb():
