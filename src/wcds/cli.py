@@ -9,7 +9,8 @@ seed; wall-clock timings go to stderr only.
 
 Exit status: 0 success / all checks pass, 1 verification failure, 2 usage
 or input error (every ValueError, from the parser or a command, leaves
-through one branch of ``run``), 3 order cap or frontier-width bound exceeded.
+through one branch of ``run``), 3 order cap, frontier-width bound or
+listing bound (``oracle.LISTING_MAX`` sets) exceeded.
 """
 
 from __future__ import annotations
@@ -119,18 +120,18 @@ def _cmd_count(args: SimpleNamespace, cap: int) -> int:
     source = _family_source(args)
     if source is not None and args.method in ("formula", "recurrence"):
         # these read (family, n) alone, so no graph is built
-        family, order, label = source[0], family_order(*source), family_label(*source)
+        order, label = family_order(*source), family_label(*source)
         counts = family_table(*source, args.method, cap)
+        if args.method == "formula" and source[0] == "wheel":
+            print(
+                "note: the formula method follows the stated wheel composition, which the sweep refutes; "
+                "`wcds verify --suite wheel` shows the counterexamples",
+                file=sys.stderr,
+            )
     else:
         g = _load_graph(args)
-        family, order, label = g.family, g.order, g.label()
+        order, label = g.order, g.label()
         counts = table_by_method(g, args.method, cap)
-    if args.method == "formula" and family == "wheel":
-        print(
-            "note: the formula method follows the stated wheel composition, which the sweep refutes; "
-            "`wcds verify --suite wheel` shows the counterexamples",
-            file=sys.stderr,
-        )
     if args.i is not None:
         print(counts[args.i - 1] if 1 <= args.i <= order else 0)
         return 0

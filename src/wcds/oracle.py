@@ -17,8 +17,9 @@ Minimum queries sweep cardinality layers instead: :func:`_layer` makes the
 masks of one popcount, and :func:`_least_layers` tests layer after layer,
 upward from a degree bound below which no subset can pass, and stops at the
 first layer with a hit. gamma_w of K_n tests n masks, not 2**n. Listing
-sets of size i sweeps layer i alone, and membership in a minimum set reads
-the hits of the least layer alone.
+sets of size i sweeps layer i alone, and refuses more than ``LISTING_MAX``
+sets before it builds a tuple; membership in a minimum set reads the hits
+of the least layer alone.
 
 Many small graphs are queried as stacks: graphs of one order n form a
 stack, each vertex's neighbour masks become a (graphs, 1) column, and the
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -50,6 +52,9 @@ from .graph import Graph, is_connected, weak_reach
 
 DEFAULT_CAP = 24
 HARD_CAP = 30
+# the most sets one listing holds: they are built whole as tuples, and C28's
+# 1,027,208 sets of size 19 peaked at 488 MiB, where K30's C(30, 15) would need tens of GB
+LISTING_MAX = 1 << 20
 # 2**16 masks (256 KiB per working buffer) stay in cache; 2**20 ran half as fast
 _CHUNK_BITS = 16
 _DISCONNECTED = "gamma_w undefined: graph is disconnected"
@@ -57,7 +62,7 @@ _DISCONNECTED = "gamma_w undefined: graph is disconnected"
 
 class CapacityError(Exception):
     """Raised when a graph exceeds the subset-sweep cap or the frontier DP's
-    width bound."""
+    width bound, or a listing exceeds ``LISTING_MAX`` sets."""
 
 
 @dataclass(frozen=True)
@@ -279,10 +284,17 @@ def _least_dom(adjs: list[list[int]]) -> list[int]:
     return _least_layers(adjs, _dom_ok, len(adjs[0]), 1)
 
 
-def _layer_hits(adj: list[int], pred: Callable, k: int) -> np.ndarray:
+def _layer_hits(adj: list[int], pred: Callable, k: int, most: float = float("inf")) -> np.ndarray:
     """Every k-subset passing ``pred``, as a fresh array, in no particular
-    order."""
-    return np.concatenate([masks[pred(adj, masks)] for masks in _layer(len(adj), k)])
+    order. :class:`CapacityError` as soon as the chunks' hits pass ``most``."""
+    hits, found = [], 0
+    for masks in _layer(len(adj), k):
+        hits.append(masks[pred(adj, masks)])
+        found += hits[-1].size
+        if found > most:
+            n = len(adj)
+            raise CapacityError(f"more than {most} sets of size {k} to list, of C({n}, {k}) = {comb(n, k)}; the listing bound is {most}")
+    return np.concatenate(hits)
 
 
 def _stack_calls(adjs: list[list[int]], pred: Callable) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -430,11 +442,13 @@ def _as_tuples(sets: np.ndarray, i: int) -> list[tuple[int, ...]]:
 
 def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """All weakly connected dominating sets of cardinality i, as sorted
-    tuples in lexicographic order. Empty outside 1..order."""
+    tuples in lexicographic order. Empty outside 1..order. More than
+    ``LISTING_MAX`` sets raise :class:`CapacityError`, counted chunk by
+    chunk before any tuple is built."""
     check_cap(g.order, cap)
     if i < 1 or i > g.order:
         return []
-    return _as_tuples(_layer_hits(g.neighbor_masks(), _weak_ok, i), i)
+    return _as_tuples(_layer_hits(g.neighbor_masks(), _weak_ok, i, LISTING_MAX), i)
 
 
 def _check_connected(g: Graph, cap: int) -> None:

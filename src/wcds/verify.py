@@ -21,7 +21,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations, groupby, islice
+from itertools import chain, combinations, islice
 from math import comb
 from typing import NamedTuple
 
@@ -188,11 +188,10 @@ def _suite_path_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     for n in range(1, max_n + 1):
         actual = count_table(build_family("path", n), cap)
-        rec = formulas.count_path_recurrence(n)
+        closed, rec = (family_table("path", n, method, cap) for method in ("formula", "recurrence"))
         for j in range(1, n + 1):
-            o = actual.count(j)
-            c = formulas.count_path_closed(n, j)
-            values = {"exhaustive": o, "closed form": c, "recurrence": rec.count(j)}
+            o, c = actual.count(j), closed[j - 1]
+            values = {"exhaustive": o, "closed form": c, "recurrence": rec[j - 1]}
             if n <= 10:
                 ref = REFERENCE_PATH_TABLE[n][j - 1]
                 source = "reference row + closed form + recurrence"
@@ -505,20 +504,14 @@ def _named_family_graphs(
 ) -> list[tuple[str, Graph]]:
     """Distinct labeled graphs from the named families up to ``max_order``,
     first label wins on duplicates (C_3 and K_3 are the same graph)."""
-    out: list[tuple[str, Graph]] = []
-    seen: set[tuple[int, frozenset]] = set()
+    out: dict[Graph, str] = {}
     for fam in families:
-        start = 4 if fam == "wheel" else 1
-        for n in range(start, max_order + 1):
+        for n in range(4 if fam == "wheel" else 1, max_order + 1):
             g = build_family(fam, n)
             if g.order > max_order:
                 break
-            fp = (g.order, g.edges)
-            if fp in seen:
-                continue
-            seen.add(fp)
-            out.append((g.label(), g))
-    return out
+            out.setdefault(g, g.label())  # graphs compare by order and edges alone
+    return [(label, g) for g, label in out.items()]
 
 
 def _random_connected(rng: random.Random, max_order: int, min_order: int = 2) -> Graph:
@@ -568,19 +561,23 @@ def _join_instances(max_order: int, random_count: int, seed: int) -> Iterator[tu
 _LENGTHS = range(2, 7)
 
 
-def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, RootedGraph, range]]:
-    """The instances of the three extension suites: every named base of
-    order <= 5 and ``random_count`` random connected ones, every root, and
-    pendant paths of length m = 2..6. Yields the record key, the rooted
-    graph and the cardinalities checked on G(m); cardinality 1 is left out
-    on a single-vertex base, where the recurrence is not stated for it."""
+def _extension_chains(random_count: int, seed: int) -> Iterator[tuple[list[tuple[str, RootedGraph, range]], tuple[Graph, ...]]]:
+    """The instances of the three extension suites by chain: every named
+    base of order <= 5 and ``random_count`` random connected ones, drawn one
+    at a time, and every root. Yields each (base, root) chain's instances,
+    pendant paths of length m = 2..6 ascending, with its G(0)..G(6), which
+    they share. An instance is its record key, its rooted graph and the
+    cardinalities checked on G(m); cardinality 1 is left out on a
+    single-vertex base, where the recurrence is not stated for it."""
     rng = random.Random(seed)
     randoms = ((f"random{i + 1}", _random_connected(rng, 5, min_order=2)) for i in range(random_count))
     for label, base in chain(_named_family_graphs(5), randoms):
+        least = 1 if base.order >= 2 else 2
         for root in range(1, base.order + 1):
-            for m in _LENGTHS:
-                cards = range(1 if base.order >= 2 else 2, base.order + m + 1)
-                yield f"{label} root={root} m={m}", RootedGraph(base, root, m), cards
+            instances = [
+                (f"{label} root={root} m={m}", RootedGraph(base, root, m), range(least, base.order + m + 1)) for m in _LENGTHS
+            ]
+            yield instances, tuple(realize_extension(RootedGraph(base, root, k)) for k in range(_LENGTHS[-1] + 1))
 
 
 # instances per window (stacked sweep, least-layer pass), so that the suites'
@@ -588,30 +585,19 @@ def _extension_instances(random_count: int, seed: int) -> Iterator[tuple[str, Ro
 _WINDOW = 256
 
 
-def _prefixes(rg: RootedGraph) -> tuple[Graph, ...]:
-    """G(0)..G(m) of ``rg``."""
-    return tuple(realize_extension(RootedGraph(rg.base, rg.root, k)) for k in range(rg.extension_length + 1))
+def _windows(items: Iterable, size: int) -> Iterator[list]:
+    """``items`` ``size`` at a time, drawn one window at a time."""
+    items = iter(items)
+    while window := list(islice(items, size)):
+        yield window
 
 
 def _extension_windows(random_count: int, seed: int, cap: int) -> Iterator[tuple[list[tuple], dict[Graph, np.ndarray]]]:
-    """``_extension_instances`` by chain: the instances of one base and root
-    share G(0)..G(6), realized once. Yields the chains of up to ``_WINDOW``
-    instances at a time, each as its instances, m ascending, and its graphs
-    G(0)..G(6), with the weakly connected dominating sets of every graph in
-    the window from one stacked sweep per order."""
-    # an instance's key without its " m=..." names its chain
-    runs = groupby(_extension_instances(random_count, seed), key=lambda instance: instance[0].rpartition(" m=")[0])
-    chains = (list(run) for _, run in runs)
-    while window := list(islice(chains, _WINDOW // len(_LENGTHS))):
-        window = [(instances, _prefixes(instances[-1][1])) for instances in window]
+    """``_extension_chains`` up to ``_WINDOW`` instances at a time, with the
+    weakly connected dominating sets of every graph in the window from one
+    stacked sweep per order."""
+    for window in _windows(_extension_chains(random_count, seed), _WINDOW // len(_LENGTHS)):
         yield window, sweep_stack(chain.from_iterable(graphs for _, graphs in window), cap=cap)
-
-
-def _join_windows(max_order: int, random_count: int, seed: int) -> Iterator[list[tuple[str, Graph, Graph]]]:
-    """``_join_instances`` ``_WINDOW`` at a time."""
-    instances = _join_instances(max_order, random_count, seed)
-    while window := list(islice(instances, _WINDOW)):
-        yield window
 
 
 def _per_part(window: list[tuple[str, Graph, Graph]], query: Callable[[list[Graph]], list]) -> dict[Graph, object]:
@@ -624,7 +610,7 @@ def _per_part(window: list[tuple[str, Graph, Graph]], query: Callable[[list[Grap
 
 
 # the closed form (size parameter, cardinality) -> count of each family whose
-# full row has one; the wheel's needs its rim table, see ``table_by_method``
+# full row has one; the wheel's needs its rim table. Only ``family_table`` reads them
 _CLOSED_FORMS: dict[str, Callable[[int, int], int]] = {
     "path": formulas.count_path_closed,
     "complete": formulas.count_complete,
@@ -634,26 +620,21 @@ _CLOSED_FORMS: dict[str, Callable[[int, int], int]] = {
 
 def _family_cells(family: str, size: str, source: str, *, max_n: int, cap: int, **_) -> list[CheckRecord]:
     """Every cell of the count rows of ``family`` at sizes 1..``max_n``
-    against the family's closed form in ``_CLOSED_FORMS``."""
-    claim = _CLOSED_FORMS[family]
+    against the family's closed-form row (:func:`family_table`)."""
     records = []
     for n in range(1, max_n + 1):
-        g = build_family(family, n)
-        actual = count_table(g, cap)
-        for i in range(1, g.order + 1):
-            records.append(_check(f"{family} {size}={n} i={i}", source, claim(n, i), actual.count(i)))
+        actual = count_table(build_family(family, n), cap)
+        for i, claimed in enumerate(family_table(family, n, "formula", cap), start=1):
+            records.append(_check(f"{family} {size}={n} i={i}", source, claimed, actual.count(i)))
     return records
 
 
 def _suite_wheel(max_n: int, cap: int, **_) -> list[CheckRecord]:
     records = []
     for n in range(4, max_n + 1):
-        rim = build_family("cycle", n - 1)
-        rim_table = count_table(rim, cap)
-        dom_rim = dominating_counts(rim, cap)
+        dom_rim = dominating_counts(build_family("cycle", n - 1), cap)
         actual = count_table(build_family("wheel", n), cap)
-        for i in range(1, n + 1):
-            claimed = formulas.count_wheel(n, i, rim_table)
+        for i, claimed in enumerate(family_table("wheel", n, "formula", cap), start=1):
             o = actual.count(i)
             detail = ""
             if claimed != o:
@@ -670,7 +651,7 @@ def _suite_wheel(max_n: int, cap: int, **_) -> list[CheckRecord]:
 
 def _suite_join(max_n: int, random_count: int, seed: int, cap: int) -> list[CheckRecord]:
     records = []
-    for window in _join_windows(max_n, random_count, seed):
+    for window in _windows(_join_instances(max_n, random_count, seed), _WINDOW):
         # the count rows of the window's parts and joins and the parts'
         # dominating rows, each from stacked sweeps of one order; the joins
         # are built on the fly, and only their neighbour masks are kept
@@ -707,7 +688,7 @@ def _suite_corona_gamma(cap: int, **_) -> list[CheckRecord]:
 
 def _suite_join_gamma(max_n: int, random_count: int, seed: int, cap: int) -> list[CheckRecord]:
     records = []
-    for window in _join_windows(max_n, random_count, seed):
+    for window in _windows(_join_instances(max_n, random_count, seed), _WINDOW):
         gam = _per_part(window, partial(gamma_stack, cap=cap))
         gw = gamma_w_stack((join(g, h) for _, g, h in window), cap)
         records += [
@@ -974,7 +955,8 @@ def family_table(family: str, n: int, method: str, cap: int = DEFAULT_CAP) -> tu
     (paths), from ``(family, n)`` alone: the family graph is never built.
     A method that does not cover the family raises
     :class:`UnsupportedMethodError`, and a size above ``FORMULA_MAX_N``
-    :class:`CapacityError`, both before any count."""
+    :class:`CapacityError`, both before any count. The suites read every
+    stated family row they check from here."""
     order = family_order(family, n)
     covered = family == "path" if method == "recurrence" else family in _CLOSED_FORMS or family == "wheel"
     if not covered:

@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -16,8 +17,8 @@ import wcds.oracle as oracle
 import wcds.verify as verify
 from wcds.cli import run
 from wcds.frontier import count_table_frontier
-from wcds.graph import FAMILIES, build_family
-from wcds.oracle import DEFAULT_CAP
+from wcds.graph import FAMILIES, build_family, make_graph
+from wcds.oracle import DEFAULT_CAP, count_table
 from wcds.verify import DEFAULT_SEED, METHODS, SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +92,28 @@ def test_gamma_disconnected_input_fails_with_usage_status(capsys, monkeypatch):
 def test_enumerate_prints_sorted_sets(capsys):
     assert run(["enumerate", "--family", "path", "--n", "4", "--i", "2"]) == 0
     assert capsys.readouterr().out == "1 3\n2 3\n2 4\n"
+
+
+def test_a_listing_above_the_bound_is_refused_before_any_tuple(capsys, monkeypatch):
+    # K8 has C(8, 4) = 70 sets of size 4: listed under a bound of 70, refused under 69
+    argv = ["enumerate", "--family", "complete", "--n", "8", "--i", "4"]
+    monkeypatch.setattr(oracle, "LISTING_MAX", 70)
+    assert run(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 70
+    monkeypatch.setattr(oracle, "LISTING_MAX", 69)
+    monkeypatch.setattr(oracle, "_as_tuples", lambda *args: pytest.fail("tuples built"))
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", "error: more than 69 sets of size 4 to list, of C(8, 4) = 70; the listing bound is 69\n")
+
+
+def test_the_benchmark_listings_stay_under_the_listing_bound(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for seed in (1, 2, 3):
+        for command in workloads.graph_queries(seed, tmp_path):
+            if command.kind == "enumerate":
+                row = count_table(make_graph(*command.graph), command.graph[0]).counts
+                assert row[command.info["i"] - 1] <= oracle.LISTING_MAX, command.argv
 
 
 def test_exactly_one_source_required(capsys, tmp_path):
@@ -627,10 +650,27 @@ def _flag_cells(kind, default, required):
 
 def test_readme_flag_table_lists_exactly_the_options_of_the_cli():
     text = (ROOT / "README.md").read_text()
-    rows = text.split("| option | subcommands | value | default | required |\n| --- | --- | --- | --- | --- |\n")[1]
+    rows = text.split("| option | subcommands | value | default | required | bound |\n| --- | --- | --- | --- | --- | --- |\n")[1]
+    width = max(w for w in range(16) if frontier.projected_states(w) <= frontier.MAX_FRONTIER_STATES)
+    # the largest random pool of the join suites and of the extension suites, one each
+    pools = [{s.random_max for name, s in SUITES.items() if name.startswith(kind)} for kind in ("join", "extension")]
+    assert [len(pool) for pool in pools] == [1, 1] and sum(s.random_max is not None for s in SUITES.values()) == 5
+    # the numbers each row's bound quotes, besides its exit statuses, and the constants they are
+    quoted = {
+        ("--n", "gamma"): [DEFAULT_CAP, verify.FORMULA_MAX_N],
+        ("--input", "gamma"): [DEFAULT_CAP],
+        ("--cap", "gamma"): [1, oracle.HARD_CAP],
+        ("--i", "enumerate"): [oracle.LISTING_MAX],
+        ("--method", "count"): [width],
+        ("--max-n", "verify"): [verify._DENSE_MAX_ORDER],
+        ("--random-count", "verify"): [pool.pop() for pool in pools],
+    }
     listed = {}
     for row in rows.split("\n\n")[0].splitlines():
-        option, subs, *cells = (cell.strip() for cell in row.strip("|").split("|"))
+        option, subs, *cells, bound = (cell.strip() for cell in row.strip("|").split("|"))
+        assert re.search(r"exit [23]", bound), row
+        numbers = [int(x) for x in re.findall(r"\d+", re.sub(r"exit [23]", "", bound))]
+        assert numbers == quoted.pop((option.strip("`"), subs.split(", ")[0]), []), row
         for sub in subs.split(", "):
             assert (sub, option.strip("`")) not in listed, row
             listed[sub, option.strip("`")] = tuple(cells)
@@ -639,3 +679,4 @@ def test_readme_flag_table_lists_exactly_the_options_of_the_cli():
         for sub, (_, _, options) in cli.COMMANDS.items()
         for option, spec in options.items()
     }
+    assert not quoted, quoted

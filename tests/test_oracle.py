@@ -502,6 +502,17 @@ def test_enumerate_sweeps_only_its_layer(monkeypatch):
         assert {int(k) for masks in seen for k in np.bitwise_count(masks)} == {i}, i
 
 
+def test_enumerate_refuses_a_listing_at_the_chunk_that_passes_the_bound(monkeypatch):
+    # K20 has C(20, 10) = 184,756 sets of size 10, several chunks of 2**16 masks
+    calls = []
+    real = oracle._weak_ok
+    monkeypatch.setattr(oracle, "_weak_ok", lambda adj, masks: calls.append(masks.size) or real(adj, masks))
+    monkeypatch.setattr(oracle, "LISTING_MAX", 1)
+    with pytest.raises(CapacityError, match=r"more than 1 sets of size 10 to list, of C\(20, 10\) = 184756"):
+        enumerate_wcds(build_family("complete", 20), 10)
+    assert len(calls) == 1 and calls[0] < comb(20, 10)
+
+
 def test_enumerate_peaks_with_its_layer_not_the_graph():
     # K22 has 2**22 - 1 weakly connected dominating sets; its 3-sets are 1,540
     g = build_family("complete", 22)

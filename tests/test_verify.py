@@ -459,7 +459,8 @@ def test_random_pools_are_drawn_lazily():
     tracemalloc.start()
     try:
         joins = list(islice(verify._join_instances(5, 10**5, 1), 125))  # 100 named pairs, 25 random
-        first_random_base = next(key for key, _, _ in verify._extension_instances(10**5, 1) if key.startswith("random"))
+        chains = verify._extension_chains(10**5, 1)
+        first_random_base = next(instances[0][0] for instances, _ in chains if instances[0][0].startswith("random"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -478,19 +479,20 @@ def test_extension_recurrence_tallies_its_rows_from_the_stacked_hits(monkeypatch
         report = verify_formula_suite("extension_recurrence")
     assert sweep_calls == []
     # each claimed row is the last row of the public extension table
-    instances = verify._extension_instances(verify.SUITES["extension_recurrence"].random_count, DEFAULT_SEED)
+    chains = verify._extension_chains(verify.SUITES["extension_recurrence"].random_count, DEFAULT_SEED)
+    instances = (instance for chain, _ in chains for instance in chain)
     for r, (key, rg, _) in zip(report.records, instances, strict=True):
         assert r.key == key and r.claimed_value == str(count_extension_table(rg)[-1].counts), key
 
 
 def test_extension_suites_sweep_a_window_before_drawing_more(monkeypatch):
     drawn = []
-    real = verify._extension_instances
+    real = verify._extension_chains
 
     def spy(random_count, seed):
-        for instance in real(random_count, seed):
-            drawn.append(instance)
-            yield instance
+        for instances, graphs in real(random_count, seed):
+            drawn.extend(instances)
+            yield instances, graphs
 
     class FirstSweep(Exception):
         pass
@@ -498,7 +500,7 @@ def test_extension_suites_sweep_a_window_before_drawing_more(monkeypatch):
     def first_sweep(*args, **kwargs):
         raise FirstSweep(len(drawn))
 
-    monkeypatch.setattr(verify, "_extension_instances", spy)
+    monkeypatch.setattr(verify, "_extension_chains", spy)
     monkeypatch.setattr(verify, "sweep_stack", first_sweep)
     for suite in ("extension_recurrence", "extension_constructive", "extension_gamma"):
         drawn.clear()
