@@ -22,7 +22,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .frontier import MAX_FRONTIER_STATES, _frontier_rows, _plan
+from .frontier import MAX_FRONTIER_STATES, _frontier_rows, _plan, family_plan
 from .graph import FAMILIES, Graph, build_family, family_label, family_order, read_edge_list
 from .oracle import (
     CapacityError,
@@ -153,12 +153,14 @@ SWEEP_CALL_MASKS = 1024
 
 
 def _table_rows(graphs: list[Graph], cap: int) -> list[tuple[int, ...]]:
-    """The count rows of ``graphs``, in order. A row goes to the frontier DP
-    when its projected work, order * 2^w * Bell(w) states, is below the
-    sweep's 2^order masks plus ``SWEEP_CALL_MASKS``, else to the sweep. The
-    greedy plan stops at the first width that rules the DP out. The DP rows
-    run as one sequence through ``_frontier_rows``, so each resumes from the
-    steps it shares with the DP row before it."""
+    """The count rows of ``graphs``, in order; ``wcds table --family
+    complete`` is the one caller, as path, cycle, star and wheel tables are
+    planned by ``family_plan``. A row goes to the frontier DP when its
+    projected work, order * 2^w * Bell(w) states, is below the sweep's
+    2^order masks plus ``SWEEP_CALL_MASKS``, else to the sweep. The greedy
+    plan stops at the first width that rules the DP out. The DP rows run as
+    one sequence through ``_frontier_rows``, so each resumes from the steps
+    it shares with the DP row before it."""
     plans = [_plan(g, min(MAX_FRONTIER_STATES, ((1 << g.order) + SWEEP_CALL_MASKS - 1) // g.order)) for g in graphs]
     dp = _frontier_rows([plan for plan in plans if plan])
     return [next(dp).counts if plan else count_table(g, cap).counts for g, plan in zip(graphs, plans)]
@@ -168,13 +170,15 @@ def _cmd_table(args: SimpleNamespace, cap: int) -> int:
     start = 4 if args.family == "wheel" else 1
     if args.max_n < start:
         raise ValueError(f"--max-n must be at least {start} for family {args.family}")
-    graphs = []
-    for n in range(start, args.max_n + 1):
-        g = build_family(args.family, n)
-        check_cap(g.order, cap)  # refuse before sweeping any row
-        graphs.append(g)
-    rows = zip(range(start, args.max_n + 1), _table_rows(graphs, cap))
-    sys.stdout.write(_render_rows(list(rows), args.fmt, args.family))
+    sizes = range(start, args.max_n + 1)
+    for n in sizes:
+        check_cap(family_order(args.family, n), cap)  # refuse before counting any row
+    if args.family == "complete":
+        counts = _table_rows([build_family(args.family, n) for n in sizes], cap)
+    else:
+        # on these families the DP always wins _table_rows' budget rule, at widths 1, 2, 1 and 3
+        counts = [t.counts for t in _frontier_rows([family_plan(args.family, n) for n in sizes])]
+    sys.stdout.write(_render_rows(list(zip(sizes, counts)), args.fmt, args.family))
     return 0
 
 

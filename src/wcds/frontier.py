@@ -25,6 +25,12 @@ each step is compiled: a state key's two successors are worked out once
 per signature and then read. The pass holds the live state table, at most
 one snapshot, and the maps of signatures that run next.
 
+The named sparse families need no search for their order.
+:func:`family_plan` writes the plan of a path, cycle, star or wheel from
+(family, n) alone as a word, prefix · bulk^k · suffix, over shared
+signature tuples; it equals ``_plan(build_family(family, n))``, which
+stays the reference and serves every other graph.
+
 With frontier width w there are at most 2^w * Bell(w) states, so work and
 memory follow the width of the order, not 2^order. Kawahara et al.,
 "Frontier-based search for enumerating all constrained subgraphs with
@@ -37,15 +43,15 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from operator import add
 
-from .graph import Graph
+from .graph import Graph, family_order
 from .oracle import CapacityError, CountTable
 
 # 2**7 * Bell(7) = 112 256 states fit, width 8 (1 059 840) does not; at
 # order 30 a state holds at most 31 coefficients
 MAX_FRONTIER_STATES = 1 << 17
 
-# a plan is what _plan returns: the vertex order, its width, and the
-# signature of each step, None for a disconnected graph
+# a plan is what _plan and family_plan return: the vertex order, its width,
+# and the signature of each step, None for a disconnected graph
 Plan = tuple[tuple[int, ...], int, list[tuple] | None]
 
 
@@ -130,6 +136,49 @@ def _plan(g: Graph, budget: int | None = None) -> Plan | None:
         order.append(v + 1)
     connected = all(kept or not more for _, _, kept, more in steps)
     return tuple(order), width, steps if connected else None
+
+
+# the step signatures of the family words (see _plan): the first and the last
+# vertex, then a path, a star leaf, a cycle and a wheel's hub and rim
+_ALONE = (0, (), (), False)
+_FIRST = (0, (), (0,), True)
+_LAST = (1, (0,), (), False)
+_PATH = (1, (0,), (1,), True)
+_LEAF = (1, (0,), (0,), True)
+_OPEN = (1, (0,), (0, 1), True)
+_ARC = (2, (1,), (0, 2), True)
+_CLOSE = (2, (0, 1), (), False)
+_HUB = (2, (0, 1), (0, 1, 2), True)
+_RIM_FIRST = (3, (1, 2), (0, 2, 3), True)
+_RIM = (3, (1, 2), (0, 1, 3), True)
+_SPOKE_LAST = (3, (0, 1, 2), (), False)
+# family -> (width, prefix, bulk, suffix), for orders 2.., 2.., 3.. and 5..
+_WORDS = {
+    "path": (1, (_FIRST,), _PATH, (_LAST,)),
+    "star": (1, (_FIRST,), _LEAF, (_LAST,)),
+    "cycle": (2, (_FIRST, _OPEN), _ARC, (_CLOSE,)),
+    "wheel": (3, (_FIRST, _OPEN, _HUB, _RIM_FIRST), _RIM, (_SPOKE_LAST,)),
+}
+
+
+def family_plan(family: str, n: int) -> Plan:
+    """``_plan(build_family(family, n))`` for a path, cycle, star or wheel,
+    written from (family, n) alone: no graph is built and no vertex scored.
+    The order is 1..order, except W_n = (1, 2, n, 3, ..., n - 1) for n >= 5
+    (the hub third); W_4 = K_4 drops the wheel prefix's rim step. ValueError
+    for any other family and for n below the family's start."""
+    if family not in _WORDS:
+        raise ValueError(f"family_plan covers {', '.join(_WORDS)}, not {family!r}")
+    order = family_order(family, n)
+    if order == 1:
+        return (1,), 0, [_ALONE]
+    if family == "cycle" and n < 3:
+        family = "path"  # C_2 = P_2
+    width, prefix, bulk, suffix = _WORDS[family]
+    if family == "wheel" and n == 4:
+        prefix = prefix[:3]
+    vertices = (1, 2, n, *range(3, n)) if family == "wheel" and n > 4 else tuple(range(1, order + 1))
+    return vertices, width, [*prefix, *[bulk] * (order - len(prefix) - len(suffix)), *suffix]
 
 
 def _successors(step: tuple, key: tuple) -> tuple:

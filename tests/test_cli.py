@@ -351,6 +351,46 @@ def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
     assert dp_rows == {"path": 12, "cycle": 12, "complete": 4, "star": 12, "wheel": 9}
 
 
+def test_sparse_family_tables_build_no_graph_and_run_no_greedy(capsys, monkeypatch):
+    expected = {}
+    for family in ("path", "cycle", "star", "wheel", "complete"):
+        assert run(["table", "--family", family, "--max-n", "14", "--format", "csv"]) == 0
+        expected[family] = capsys.readouterr().out
+
+    def refused(*args):
+        raise AssertionError("a sparse family table built a graph or ran the greedy")
+
+    for name in ("_plan", "build_family"):
+        monkeypatch.setattr(cli, name, refused)
+    monkeypatch.setattr(frontier, "_plan", refused)
+    monkeypatch.setattr(cli, "_table_rows", refused)
+    for family in ("path", "cycle", "star", "wheel"):
+        assert run(["table", "--family", family, "--max-n", "14", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == expected[family]
+    monkeypatch.undo()
+    table_rows = cli._table_rows
+    calls = []
+    monkeypatch.setattr(cli, "_table_rows", lambda graphs, cap: calls.append(len(graphs)) or table_rows(graphs, cap))
+    assert run(["table", "--family", "complete", "--max-n", "14", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected["complete"] and calls == [14]
+
+
+@pytest.mark.parametrize("family, top", (("star", 24), ("wheel", 25), ("path", 25), ("complete", 25)))
+def test_table_over_the_cap_is_refused_before_any_row(capsys, monkeypatch, family, top):
+    monkeypatch.setattr(cli, "_frontier_rows", lambda plans: pytest.fail("a row was counted"))
+    monkeypatch.setattr(cli, "_table_rows", lambda graphs, cap: pytest.fail("a row was counted"))
+    assert run(["table", "--family", family, "--max-n", str(top)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 25 exceeds the subset-sweep cap 24 (2**25 subsets); raise the cap up to 30 to proceed\n"
+
+
+def test_a_raised_cap_prints_the_order_25_wheel_row(capsys):
+    assert run(["table", "--family", "wheel", "--max-n", "25", "--cap", "30", "--format", "csv"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "25," + ",".join(map(str, count_table_frontier(build_family("wheel", 25)).counts))
+
+
 def test_early_stopped_plans_pick_the_counter_of_the_full_plan(monkeypatch):
     # every row of the five families to order 16: the budgeted plan is None,
     # and the row goes to the sweep, exactly when the full plan's width

@@ -197,6 +197,20 @@ def test_restricted_greedy_equals_the_full_scan_on_random_graphs_and_families():
             assert frontier_order(g) == _greedy_over_every_vertex(g), (family, n)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_WIDTH))
+def test_family_plans_equal_the_greedy_plans_to_n_200(family):
+    # the greedy stays the reference: same order, width and signatures
+    for n in range(4 if family == "wheel" else 1, 201):
+        assert frontier.family_plan(family, n) == frontier._plan(build_family(family, n)), (family, n)
+    assert frontier.family_plan(family, 30)[1] == FAMILY_WIDTH[family]
+
+
+@pytest.mark.parametrize("family, n", (("complete", 5), ("path", 0), ("cycle", 0), ("star", 0), ("wheel", 3), ("grid", 4)))
+def test_family_plan_refuses_other_families_and_small_sizes(family, n):
+    with pytest.raises(ValueError):
+        frontier.family_plan(family, n)
+
+
 def _rows(graphs):
     return list(frontier._frontier_rows([frontier._plan(g) for g in graphs]))
 
