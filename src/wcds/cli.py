@@ -22,8 +22,8 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .frontier import MAX_FRONTIER_STATES, _frontier_rows, _plan, family_plan
-from .graph import FAMILIES, Graph, build_family, family_label, family_order, read_edge_list
+from .frontier import _frontier_rows, family_plan
+from .graph import FAMILIES, Graph, build_family, family_label, family_order, family_start, read_edge_list
 from .oracle import (
     CapacityError,
     DEFAULT_CAP,
@@ -38,7 +38,6 @@ from .verify import (
     DEFAULT_SEED,
     METHODS,
     SUITES,
-    UnsupportedMethodError,
     family_table,
     table_by_method,
     verify_formula_suite,
@@ -47,16 +46,12 @@ from .verify import (
 
 def _family_source(args: SimpleNamespace) -> tuple[str, int] | None:
     """The (family, n) of a --family source, None for --input; ValueError
-    unless exactly one source is given."""
-    if args.input is not None and args.family is not None:
+    unless exactly one source is given, and --n comes with --family."""
+    if (args.input is None) == (args.family is None):
         raise ValueError("give exactly one graph source: --family with --n, or --input")
-    if args.input is not None:
-        return None
-    if args.family is None:
-        raise ValueError("give exactly one graph source: --family with --n, or --input")
-    if args.n is None:
-        raise ValueError("--family needs --n")
-    return args.family, args.n
+    if (args.family is None) != (args.n is None):
+        raise ValueError("--family needs --n" if args.n is None else "--n needs --family")
+    return None if args.family is None else (args.family, args.n)
 
 
 def _load_graph(args: SimpleNamespace) -> Graph:
@@ -146,37 +141,16 @@ def _cmd_enumerate(args: SimpleNamespace, cap: int) -> int:
     return 0
 
 
-# a count_table call costs 90-105 us before its first mask, 3,000-4,500 masks at the 24-31 ns
-# a mask of orders 16-20 (in-process, 2-core x86 VM); above 1,168 K5 takes the DP, where every
-# width-4 transition is new, and at 2,048 the K1..K12 rows ran 0-0.26 ms slower (medians of 40)
-SWEEP_CALL_MASKS = 1024
-
-
-def _table_rows(graphs: list[Graph], cap: int) -> list[tuple[int, ...]]:
-    """The count rows of ``graphs``, in order; ``wcds table --family
-    complete`` is the one caller, as path, cycle, star and wheel tables are
-    planned by ``family_plan``. A row goes to the frontier DP when its
-    projected work, order * 2^w * Bell(w) states, is below the sweep's
-    2^order masks plus ``SWEEP_CALL_MASKS``, else to the sweep. The greedy
-    plan stops at the first width that rules the DP out. The DP rows run as
-    one sequence through ``_frontier_rows``, so each resumes from the steps
-    it shares with the DP row before it."""
-    plans = [_plan(g, min(MAX_FRONTIER_STATES, ((1 << g.order) + SWEEP_CALL_MASKS - 1) // g.order)) for g in graphs]
-    dp = _frontier_rows([plan for plan in plans if plan])
-    return [next(dp).counts if plan else count_table(g, cap).counts for g, plan in zip(graphs, plans)]
-
-
 def _cmd_table(args: SimpleNamespace, cap: int) -> int:
-    start = 4 if args.family == "wheel" else 1
+    start = family_start(args.family)
     if args.max_n < start:
         raise ValueError(f"--max-n must be at least {start} for family {args.family}")
     sizes = range(start, args.max_n + 1)
     for n in sizes:
         check_cap(family_order(args.family, n), cap)  # refuse before counting any row
     if args.family == "complete":
-        counts = _table_rows([build_family(args.family, n) for n in sizes], cap)
+        counts = [count_table(build_family("complete", n), cap).counts for n in sizes]
     else:
-        # on these families the DP always wins _table_rows' budget rule, at widths 1, 2, 1 and 3
         counts = [t.counts for t in _frontier_rows([family_plan(args.family, n) for n in sizes])]
     sys.stdout.write(_render_rows(list(zip(sizes, counts)), args.fmt, args.family))
     return 0
@@ -284,7 +258,7 @@ def run(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, UnsupportedMethodError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

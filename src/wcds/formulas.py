@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, RootedGraph, is_connected, realize_extension
+from .graph import Graph, RootedGraph, family_start, is_connected, realize_extension
 from .oracle import DEFAULT_CAP, CountTable, _as_tuples, _count_row, count_table, sweep_stack
 
 
@@ -169,8 +169,8 @@ def count_wheel(n: int, i: int, cycle_table: CountTable) -> int:
     should count dominating rim sets); the verify module reports where it
     diverges from the exhaustive counter.
     """
-    if n < 4:
-        raise ValueError("wheel order must be at least 4")
+    if n < family_start("wheel"):
+        raise ValueError(f"wheel order must be at least {family_start('wheel')}")
     if cycle_table.order != n - 1:
         raise ValueError(f"cycle table has order {cycle_table.order}, expected {n - 1}")
     if i < 1 or i > n:

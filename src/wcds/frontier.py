@@ -91,12 +91,11 @@ def frontier_order(g: Graph) -> tuple[tuple[int, ...], int]:
     return _plan(g)[:2]
 
 
-def _plan(g: Graph, budget: int | None = None) -> Plan | None:
+def _plan(g: Graph) -> Plan:
     """The order of :func:`frontier_order`, its width, and the signature of
     each step along it; in the positions that stay, v is position w. A graph
     is disconnected iff its frontier empties while vertices are unplaced;
-    its signatures are None. With a ``budget``, None as soon as the width's
-    projected states exceed it, since the width never shrinks."""
+    its signatures are None."""
     adj = g.neighbor_masks()
     unplaced = (1 << g.order) - 1
     frontier: list[int] = []
@@ -124,10 +123,7 @@ def _plan(g: Graph, budget: int | None = None) -> Plan | None:
             if best is None or key < best:
                 best = key
         size, _, v = best
-        if size > width:
-            width = size
-            if budget is not None and projected_states(width) > budget:
-                return None
+        width = max(width, size)
         unplaced &= ~(1 << v)
         ext = (*frontier, v)
         kept = tuple([i for i, u in enumerate(ext) if adj[u] & unplaced])

@@ -97,15 +97,19 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, frozenset(canon))
 
 
+def family_start(family: str) -> int:
+    """The least size of a named family: 4 for the wheel, 1 for the rest."""
+    return 4 if family == "wheel" else 1
+
+
 def family_order(family: str, n: int) -> int:
     """The order of ``build_family(family, n)``, without building it:
     ValueError for an unknown family or a size out of range."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family == "wheel" and n < 4:
-        raise ValueError(f"wheel requires n >= 4, got {n}")
-    if n < 1:
-        raise ValueError(f"family size must be >= 1, got {n}")
+    start = family_start(family)
+    if n < start:
+        raise ValueError(f"wheel requires n >= {start}, got {n}" if family == "wheel" else f"family size must be >= {start}, got {n}")
     return n + 1 if family == "star" else n
 
 
@@ -232,7 +236,10 @@ def read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
         if not seen_any and parts[0] == "n":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: malformed order header")
-            header = int(parts[1])
+            try:
+                header = int(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer order in {line!r}") from None
             seen_any = True
             continue
         seen_any = True

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import formulas
 from .frontier import count_table_frontier
-from .graph import Graph, RootedGraph, build_family, corona, family_label, family_order, join, make_graph, realize_extension
+from .graph import Graph, RootedGraph, build_family, corona, family_label, family_order, family_start, join, make_graph, realize_extension
 from .oracle import (
     DEFAULT_CAP,
     CapacityError,
@@ -86,7 +86,7 @@ REFERENCE_CYCLE_TABLE: dict[int, tuple[int, ...]] = {
 }
 
 
-class UnsupportedMethodError(Exception):
+class UnsupportedMethodError(ValueError):
     """Requested counting method does not apply to the given graph."""
 
 
@@ -506,7 +506,7 @@ def _named_family_graphs(
     first label wins on duplicates (C_3 and K_3 are the same graph)."""
     out: dict[Graph, str] = {}
     for fam in families:
-        for n in range(4 if fam == "wheel" else 1, max_order + 1):
+        for n in range(family_start(fam), max_order + 1):
             g = build_family(fam, n)
             if g.order > max_order:
                 break

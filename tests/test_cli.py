@@ -126,6 +126,23 @@ def test_exactly_one_source_required(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sub", (["gamma"], ["count"], ["enumerate", "--i", "2"]))
+def test_n_without_family_is_refused(capsys, tmp_path, sub):
+    # --n sizes a named family; an edge list has its own order, so --n beside --input is an error
+    f = tmp_path / "g.edges"
+    f.write_text("1 2\n2 3\n")
+    assert run([*sub, "--input", str(f), "--n", "7"]) == 2
+    assert capsys.readouterr() == ("", "error: --n needs --family\n")
+
+
+def test_an_unsupported_method_is_a_usage_error(capsys, tmp_path):
+    assert issubclass(verify.UnsupportedMethodError, ValueError)
+    f = tmp_path / "g.edges"
+    f.write_text("1 2\n2 3\n")
+    assert run(["count", "--input", str(f), "--method", "formula"]) == 2
+    assert capsys.readouterr() == ("", "error: no closed form covers the full table of G(n=3,m=2)\n")
+
+
 def test_capacity_exit_status(capsys):
     assert run(["gamma", "--family", "path", "--n", "9", "--cap", "6"]) == 3
     capsys.readouterr()
@@ -346,39 +363,42 @@ def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
         start = 4 if family == "wheel" else 1
         rows = [(n, oracle.count_table(build_family(family, n)).counts) for n in range(start, 13)]
         assert capsys.readouterr().out == cli._render_rows(rows, fmt, family)
-    # the DP takes a row when order * 2^w * Bell(w) < 2^order + SWEEP_CALL_MASKS:
-    # every path, cycle, star and wheel, and complete graphs to order 4
-    assert dp_rows == {"path": 12, "cycle": 12, "complete": 4, "star": 12, "wheel": 9}
+    # every path, cycle, star and wheel row comes from the DP, every complete row from the sweep
+    assert dp_rows == {"path": 12, "cycle": 12, "star": 12, "wheel": 9}
 
 
 def test_sparse_family_tables_build_no_graph_and_run_no_greedy(capsys, monkeypatch):
     expected = {}
-    for family in ("path", "cycle", "star", "wheel", "complete"):
+    for family in ("path", "cycle", "star", "wheel"):
         assert run(["table", "--family", family, "--max-n", "14", "--format", "csv"]) == 0
         expected[family] = capsys.readouterr().out
 
     def refused(*args):
-        raise AssertionError("a sparse family table built a graph or ran the greedy")
+        raise AssertionError("a table row took a path its family does not take")
 
-    for name in ("_plan", "build_family"):
-        monkeypatch.setattr(cli, name, refused)
+    monkeypatch.setattr(cli, "build_family", refused)
     monkeypatch.setattr(frontier, "_plan", refused)
-    monkeypatch.setattr(cli, "_table_rows", refused)
     for family in ("path", "cycle", "star", "wheel"):
         assert run(["table", "--family", family, "--max-n", "14", "--format", "csv"]) == 0
         assert capsys.readouterr().out == expected[family]
     monkeypatch.undo()
-    table_rows = cli._table_rows
+    # a complete table sweeps every row: no plan, no DP, one count_table call per row
+    monkeypatch.setattr(frontier, "_plan", refused)
+    monkeypatch.setattr(cli, "_frontier_rows", refused)
     calls = []
-    monkeypatch.setattr(cli, "_table_rows", lambda graphs, cap: calls.append(len(graphs)) or table_rows(graphs, cap))
-    assert run(["table", "--family", "complete", "--max-n", "14", "--format", "csv"]) == 0
-    assert capsys.readouterr().out == expected["complete"] and calls == [14]
+    monkeypatch.setattr(cli, "count_table", lambda g, cap: calls.append(g.order) or count_table(g, cap))
+    for fmt in ("md", "csv", "json"):
+        calls.clear()
+        assert run(["table", "--family", "complete", "--max-n", "16", "--format", fmt]) == 0
+        rows = [(n, count_table(build_family("complete", n)).counts) for n in range(1, 17)]
+        assert capsys.readouterr().out == cli._render_rows(rows, fmt, "complete")
+        assert calls == list(range(1, 17))
 
 
 @pytest.mark.parametrize("family, top", (("star", 24), ("wheel", 25), ("path", 25), ("complete", 25)))
 def test_table_over_the_cap_is_refused_before_any_row(capsys, monkeypatch, family, top):
     monkeypatch.setattr(cli, "_frontier_rows", lambda plans: pytest.fail("a row was counted"))
-    monkeypatch.setattr(cli, "_table_rows", lambda graphs, cap: pytest.fail("a row was counted"))
+    monkeypatch.setattr(cli, "count_table", lambda g, cap: pytest.fail("a row was counted"))
     assert run(["table", "--family", family, "--max-n", str(top)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -389,39 +409,6 @@ def test_a_raised_cap_prints_the_order_25_wheel_row(capsys):
     assert run(["table", "--family", "wheel", "--max-n", "25", "--cap", "30", "--format", "csv"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "25," + ",".join(map(str, count_table_frontier(build_family("wheel", 25)).counts))
-
-
-def test_early_stopped_plans_pick_the_counter_of_the_full_plan(monkeypatch):
-    # every row of the five families to order 16: the budgeted plan is None,
-    # and the row goes to the sweep, exactly when the full plan's width
-    # projects more states than the budget; otherwise it is the full plan
-    plans = []
-    real = cli._plan
-
-    def recorded(g, budget):
-        plans.append((g, budget, real(g, budget)))
-        return plans[-1][2]
-
-    monkeypatch.setattr(cli, "_plan", recorded)
-    dp_orders = {}
-    for family in FAMILIES:
-        graphs = [build_family(family, n) for n in range(4 if family == "wheel" else 1, 16 if family == "star" else 17)]
-        plans.clear()
-        assert cli._table_rows(graphs, 16) == [oracle.count_table(g).counts for g in graphs]
-        assert [g for g, _, _ in plans] == graphs
-        for g, budget, plan in plans:
-            full = frontier._plan(g)
-            assert budget <= frontier.MAX_FRONTIER_STATES
-            assert (plan is None) == (frontier.projected_states(full[1]) > budget)
-            assert plan is None or plan == full
-        dp_orders[family] = [g.order for g, _, plan in plans if plan]
-    assert dp_orders == {
-        "path": list(range(1, 17)),
-        "cycle": list(range(1, 17)),
-        "complete": [1, 2, 3, 4],  # K5..K16 stay on the sweep
-        "star": list(range(2, 17)),
-        "wheel": list(range(4, 17)),
-    }
 
 
 @pytest.mark.parametrize("family, top", (("path", 24), ("cycle", 24), ("star", 23), ("wheel", 24)))

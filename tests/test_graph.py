@@ -135,6 +135,15 @@ def test_edge_list_rejects_garbage():
             read_edge_list(text)
 
 
+def test_edge_list_names_the_line_of_a_non_integer_order():
+    with pytest.raises(ValueError) as exc:
+        read_edge_list("n abc\n1 2\n")
+    assert str(exc.value) == "line 1: non-integer order in 'n abc'"
+    with pytest.raises(ValueError) as exc:
+        read_edge_list("# order first\n\nn 2.5  # two and a half\n")
+    assert str(exc.value) == "line 3: non-integer order in 'n 2.5'"
+
+
 @given(st.sampled_from(["path", "cycle", "complete", "star"]), st.integers(1, 9))
 def test_family_graphs_are_connected(family, n):
     assert is_connected(build_family(family, n))
