@@ -9,8 +9,9 @@ seed; wall-clock timings go to stderr only.
 
 Exit status: 0 success / all checks pass, 1 verification failure, 2 usage
 or input error (every ValueError, from the parser or a command, leaves
-through one branch of ``run``), 3 order cap, frontier-width bound or
-listing bound (``oracle.LISTING_MAX`` sets) exceeded.
+through one branch of ``run``), 3 order cap, frontier-width bound, listing
+bound (``oracle.LISTING_MAX`` sets), family size bound
+(``verify.FORMULA_MAX_N``) or all-graphs order limit (order 8) exceeded.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _cmd_count(args: SimpleNamespace, cap: int) -> int:
     if source is not None and args.method in ("formula", "recurrence"):
         # these read (family, n) alone, so no graph is built
         order, label = family_order(*source), family_label(*source)
-        counts = family_table(*source, args.method, cap)
+        counts = family_table(*source, args.method)
         if args.method == "formula" and source[0] == "wheel":
             print(
                 "note: the formula method follows the stated wheel composition, which the sweep refutes; "

@@ -46,8 +46,8 @@ from operator import add
 from .graph import Graph, family_order
 from .oracle import CapacityError, CountTable
 
-# 2**7 * Bell(7) = 112 256 states fit, width 8 (1 059 840) does not; at
-# order 30 a state holds at most 31 coefficients
+# 2**7 * Bell(7) = 112 256 states fit, width 8 (1 059 840) does not; a state
+# holds at most order + 1 coefficients, 2000 on W_2000's width-2 rim (8 states)
 MAX_FRONTIER_STATES = 1 << 17
 
 # a plan is what _plan and family_plan return: the vertex order, its width,

@@ -220,9 +220,10 @@ def read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
 
     An optional first line ``n <order>`` fixes the order; otherwise the order
     is the largest label seen. Lines are ``u v`` pairs, ``#`` starts a
-    comment, blank lines are skipped. Labels must be non-negative; files that
-    use label 0 are renumbered to 1..k in sorted label order. Returns the
-    graph and the original-to-normalized label mapping.
+    comment, blank lines are skipped. Labels must be non-negative; without
+    a header, files that use label 0 are renumbered to 1..k in sorted label
+    order, and with one, labels must lie in 1..order. Returns the graph and
+    the original-to-normalized label mapping.
     """
     header: int | None = None
     pairs: list[tuple[int, int]] = []

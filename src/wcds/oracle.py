@@ -23,9 +23,10 @@ of the least layer alone.
 
 Many small graphs are queried as stacks: graphs of one order n form a
 stack, each vertex's neighbour masks become a (graphs, 1) column, and the
-same kernel tests a (graphs, masks) array, at most 2**16 (graph, mask)
-pairs a call, where one graph alone would pay the per-call overhead for a
-few masks. :func:`sweep_stack` returns each graph's hits (the extension
+same kernel tests a (graphs, masks) array, where one graph alone would pay
+the per-call overhead for a few masks. One loop, :func:`_calls`, makes
+every kernel call of every query, at most 2**16 (graph, mask) pairs a
+call. :func:`sweep_stack` returns each graph's hits (the extension
 suites of the verify module), :func:`count_stack` tallies its count row
 call by call (the join suite), and :func:`gamma_w_stack` and
 :func:`gamma_stack` run one least-layer pass per stack, where a graph
@@ -33,9 +34,8 @@ retires at its first layer with a hit (the join, corona and path/cycle
 minimum suites). A query on one graph is the one-graph case of the same
 routines: :func:`count_table`, :func:`sweep_counts` and
 :func:`dominating_counts` tally a stack of one graph, whose calls popcount
-their hits alone, and a kernel call on one graph takes its int neighbour
-masks and a flat chunk of masks. No query result is memoised; a caller
-that needs a row twice keeps it.
+their hits alone. No query result is memoised; a caller that needs a row
+twice keeps it.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ _DISCONNECTED = "gamma_w undefined: graph is disconnected"
 
 
 class CapacityError(Exception):
-    """Raised when a graph exceeds the subset-sweep cap or the frontier DP's
-    width bound, or a listing exceeds ``LISTING_MAX`` sets."""
+    """Raised past one of five bounds: the subset-sweep cap, the frontier
+    DP's width bound, ``LISTING_MAX`` listed sets, the stated family rows'
+    ``verify.FORMULA_MAX_N`` and the all-graphs order limit of 8."""
 
 
 @dataclass(frozen=True)
@@ -230,14 +231,23 @@ def _layer_floor(adj: list[int], need: int, reach: int) -> int:
     return k
 
 
-def _batch_ok(adjs: list[list[int]], pred: Callable, masks: np.ndarray) -> np.ndarray:
-    """``pred`` on the same masks in each graph of a batch of one order, as a
-    (graphs, masks) array. One graph passes its int neighbour masks, as a
-    lone query does; more pass (graphs, 1) columns and a row of masks each."""
-    if len(adjs) == 1:
-        return pred(adjs[0], masks)[None]
-    cols = np.array(adjs, dtype=np.uint32).T[:, :, None].copy()
-    return pred(list(cols), np.tile(masks, (len(adjs), 1)))
+def _calls(adjs: list[list[int]], pred: Callable, chunks: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The kernel calls that test ``pred`` on each chunk of masks in each
+    graph of a stack of one order, given by its neighbour masks, chunk by
+    chunk. Yields the index of the call's first graph, the chunk and its
+    flags, one row per graph. A call takes at most 2**_CHUNK_BITS (graph,
+    mask) pairs and at least one graph. One graph passes its int neighbour
+    masks and the flat chunk, as a lone query does; more pass (graphs, 1)
+    columns and a row of the chunk each."""
+    for masks in chunks:
+        per_call = max(1, (1 << _CHUNK_BITS) // masks.size)
+        for first in range(0, len(adjs), per_call):
+            batch = adjs[first : first + per_call]
+            if len(batch) == 1:
+                yield first, masks, pred(batch[0], masks)[None]
+            else:
+                cols = np.array(batch, dtype=np.uint32).T[:, :, None].copy()
+                yield first, masks, pred(list(cols), np.tile(masks, (len(batch), 1)))
 
 
 def _least_layers(adjs: list[list[int]], pred: Callable, need: int, reach: int) -> list[int]:
@@ -245,21 +255,18 @@ def _least_layers(adjs: list[list[int]], pred: Callable, need: int, reach: int) 
     the least k such that some k-subset passes ``pred``. The layers of
     :func:`_layer` are tested upward from the least :func:`_layer_floor` in
     the stack (a graph tested below its own floor finds nothing), each chunk
-    against the graphs without a hit yet, at most 2**_CHUNK_BITS (graph,
-    mask) pairs a call. A graph retires at its first layer with a hit, and
-    the pass stops when every graph has; a stack of one graph is a lone
-    query. The callers' graphs always pass with S = V, so some layer up to
-    n hits each. The floors are :func:`_least_weak` and :func:`_least_dom`.
-    """
+    against the graphs without a hit yet. A graph retires at its first layer
+    with a hit, and the pass stops when every graph has; a stack of one
+    graph is a lone query. The callers' graphs always pass with S = V, so
+    some layer up to n hits each. The floors are :func:`_least_weak` and
+    :func:`_least_dom`."""
     n = len(adjs[0])
     least = [0] * len(adjs)
     todo = list(range(len(adjs)))
     for k in range(min(_layer_floor(adj, need, reach) for adj in adjs), n + 1):
         for masks in _layer(n, k):
-            per_call = max(1, (1 << _CHUNK_BITS) // masks.size)
-            for lo in range(0, len(todo), per_call):
-                batch = todo[lo : lo + per_call]
-                for i, hit in zip(batch, _batch_ok([adjs[i] for i in batch], pred, masks).any(axis=1)):
+            for first, _, ok in _calls([adjs[i] for i in todo], pred, (masks,)):
+                for i, hit in zip(todo[first:], ok.any(axis=1)):
                     if hit:
                         least[i] = k
             todo = [i for i in todo if not least[i]]
@@ -288,8 +295,8 @@ def _layer_hits(adj: list[int], pred: Callable, k: int, most: float = float("inf
     """Every k-subset passing ``pred``, as a fresh array, in no particular
     order. :class:`CapacityError` as soon as the chunks' hits pass ``most``."""
     hits, found = [], 0
-    for masks in _layer(len(adj), k):
-        hits.append(masks[pred(adj, masks)])
+    for _, masks, ok in _calls([adj], pred, _layer(len(adj), k)):
+        hits.append(masks[ok[0]])
         found += hits[-1].size
         if found > most:
             n = len(adj)
@@ -297,28 +304,25 @@ def _layer_hits(adj: list[int], pred: Callable, k: int, most: float = float("inf
     return np.concatenate(hits)
 
 
-def _stack_calls(adjs: list[list[int]], pred: Callable) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The kernel calls that sweep every subset of each graph of a stack of
-    one order n, given by its neighbour masks. Yields the index of the
-    call's first graph, the masks tested and their flags, one row per graph
-    (the empty set never passes: its least intersection in :func:`_dom_ok`
-    is 0, and :func:`_weak_ok` keeps only masks that pass ``_dom_ok``). A
-    call takes at most 2**_CHUNK_BITS (graph, mask) pairs: 2**(_CHUNK_BITS
-    - n) whole graphs, or above order _CHUNK_BITS one chunk of one graph."""
+def _sweep(adjs: list[list[int]], pred: Callable) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """:func:`_calls` over every subset of each graph of a stack of one
+    order n, ascending, the empty set included (it never passes: its least
+    intersection in :func:`_dom_ok` is 0, and :func:`_weak_ok` keeps only
+    masks that pass ``_dom_ok``); above order _CHUNK_BITS a chunk fills a
+    call, and each graph is swept whole before the next."""
     n = len(adjs[0])
     step = 1 << min(n, _CHUNK_BITS)
-    per_call = (1 << _CHUNK_BITS) // step
-    for first in range(0, len(adjs), per_call):
-        for lo in range(0, 1 << n, step):
-            masks = np.arange(lo, lo + step, dtype=np.uint32)
-            yield first, masks, _batch_ok(adjs[first : first + per_call], pred, masks)
+    for s, stack in enumerate([adjs] if n <= _CHUNK_BITS else [[adj] for adj in adjs]):
+        chunks = (np.arange(lo, lo + step, dtype=np.uint32) for lo in range(0, 1 << n, step))
+        for first, masks, ok in _calls(stack, pred, chunks):
+            yield s + first, masks, ok
 
 
 def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:
     """The non-empty subsets passing ``pred``, ascending, of each graph of a
-    stack of one order (:func:`_stack_calls`)."""
+    stack of one order (:func:`_sweep`)."""
     hits: list[list[np.ndarray]] = [[] for _ in adjs]
-    for first, masks, ok in _stack_calls(adjs, pred):
+    for first, masks, ok in _sweep(adjs, pred):
         for i, row in enumerate(ok, first):
             hits[i].append(masks[row])
     return [np.concatenate(h) for h in hits]
@@ -326,11 +330,11 @@ def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:
 
 def _stack_rows(adjs: list[list[int]], pred: Callable) -> list[tuple[int, ...]]:
     """Per graph of a stack of one order n, counts[k - 1] = number of
-    k-subsets passing ``pred``, tallied call by call (:func:`_stack_calls`),
+    k-subsets passing ``pred``, tallied call by call (:func:`_sweep`),
     so no hit outlives its call."""
     n = len(adjs[0])
     counts = np.zeros((len(adjs), n + 1), dtype=np.int64)
-    for first, masks, ok in _stack_calls(adjs, pred):
+    for first, masks, ok in _sweep(adjs, pred):
         if len(ok) == 1:  # one graph: popcount its hits alone
             counts[first, 1:] += _count_row(n, masks[ok[0]])
             continue
@@ -451,14 +455,6 @@ def enumerate_wcds(g: Graph, i: int, cap: int = DEFAULT_CAP) -> list[tuple[int, 
     return _as_tuples(_layer_hits(g.neighbor_masks(), _weak_ok, i, LISTING_MAX), i)
 
 
-def _check_connected(g: Graph, cap: int) -> None:
-    """The cap check, then ValueError when g is disconnected, where no set
-    weakly connects it."""
-    check_cap(g.order, cap)
-    if not is_connected(g):
-        raise ValueError(_DISCONNECTED)
-
-
 def gamma_w(g: Graph, cap: int = DEFAULT_CAP) -> int:
     """Minimum size of a weakly connected dominating set.
 
@@ -485,7 +481,9 @@ def dominating_counts(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
 def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether some minimum-size weakly connected dominating set contains v.
     ValueError for v outside 1..order."""
-    _check_connected(g, cap)
+    check_cap(g.order, cap)
+    if not is_connected(g):
+        raise ValueError(_DISCONNECTED)
     _member_mask(g, (v,))
     adj = g.neighbor_masks()
     return _in_a_minimum(_layer_hits(adj, _weak_ok, _least_weak([adj])[0]), v)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import formulas
-from .frontier import count_table_frontier
+from .frontier import _frontier_rows, count_table_frontier, family_plan
 from .graph import Graph, RootedGraph, build_family, corona, family_label, family_order, family_start, join, make_graph, realize_extension
 from .oracle import (
     DEFAULT_CAP,
@@ -188,7 +188,7 @@ def _suite_path_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     for n in range(1, max_n + 1):
         actual = count_table(build_family("path", n), cap)
-        closed, rec = (family_table("path", n, method, cap) for method in ("formula", "recurrence"))
+        closed, rec = (family_table("path", n, method) for method in ("formula", "recurrence"))
         for j in range(1, n + 1):
             o, c = actual.count(j), closed[j - 1]
             values = {"exhaustive": o, "closed form": c, "recurrence": rec[j - 1]}
@@ -624,7 +624,7 @@ def _family_cells(family: str, size: str, source: str, *, max_n: int, cap: int, 
     records = []
     for n in range(1, max_n + 1):
         actual = count_table(build_family(family, n), cap)
-        for i, claimed in enumerate(family_table(family, n, "formula", cap), start=1):
+        for i, claimed in enumerate(family_table(family, n, "formula"), start=1):
             records.append(_check(f"{family} {size}={n} i={i}", source, claimed, actual.count(i)))
     return records
 
@@ -634,7 +634,7 @@ def _suite_wheel(max_n: int, cap: int, **_) -> list[CheckRecord]:
     for n in range(4, max_n + 1):
         dom_rim = dominating_counts(build_family("cycle", n - 1), cap)
         actual = count_table(build_family("wheel", n), cap)
-        for i, claimed in enumerate(family_table("wheel", n, "formula", cap), start=1):
+        for i, claimed in enumerate(family_table("wheel", n, "formula"), start=1):
             o = actual.count(i)
             detail = ""
             if claimed != o:
@@ -933,12 +933,12 @@ def table_by_method(g: Graph, method: str, cap: int = DEFAULT_CAP) -> tuple[int,
         return count_table_frontier(g).counts
     if g.family is None:
         raise UnsupportedMethodError(_unsupported(method, g.label()))
-    return family_table(g.family, g.family_n, method, cap)
+    return family_table(g.family, g.family_n, method)
 
 
 # the largest family size that ``family_table`` evaluates: K_2000's closed
-# row, 2000 binomials of up to 600 digits, takes about 0.2 s, and the path
-# recurrence to 2000 about 0.2 s (README)
+# row, 2000 binomials of up to 600 digits, takes about 0.2 s, the path
+# recurrence to 2000 about 0.2 s and W_2000 with its rim's DP about 0.8 s (README)
 FORMULA_MAX_N = 2000
 
 
@@ -948,15 +948,15 @@ def _unsupported(method: str, label: str) -> str:
     return f"no closed form covers the full table of {label}"
 
 
-def family_table(family: str, n: int, method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+def family_table(family: str, n: int, method: str) -> tuple[int, ...]:
     """Full count row of ``build_family(family, n)`` by ``formula`` (the
     closed forms of paths, complete graphs and stars, and the stated wheel
-    composition, whose rim table the sweep gives) or ``recurrence``
-    (paths), from ``(family, n)`` alone: the family graph is never built.
-    A method that does not cover the family raises
-    :class:`UnsupportedMethodError`, and a size above ``FORMULA_MAX_N``
-    :class:`CapacityError`, both before any count. The suites read every
-    stated family row they check from here."""
+    composition, whose rim table the frontier DP gives from the cycle's
+    :func:`family_plan`) or ``recurrence`` (paths), from ``(family, n)``
+    alone: no graph is built and no subset swept. A method that does not
+    cover the family raises :class:`UnsupportedMethodError`, and a size
+    above ``FORMULA_MAX_N`` :class:`CapacityError`, both before any count.
+    The suites read every stated family row they check from here."""
     order = family_order(family, n)
     covered = family == "path" if method == "recurrence" else family in _CLOSED_FORMS or family == "wheel"
     if not covered:
@@ -966,7 +966,7 @@ def family_table(family: str, n: int, method: str, cap: int = DEFAULT_CAP) -> tu
     if method == "recurrence":
         return formulas.count_path_recurrence(n).counts
     if family == "wheel":
-        rim_table = count_table(build_family("cycle", n - 1), cap)
+        (rim_table,) = _frontier_rows([family_plan("cycle", n - 1)])
         return tuple(formulas.count_wheel(n, i, rim_table) for i in range(1, n + 1))
     closed = _CLOSED_FORMS[family]
     return tuple(closed(n, i) for i in range(1, order + 1))

@@ -3,8 +3,11 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +146,42 @@ def test_an_unsupported_method_is_a_usage_error(capsys, tmp_path):
     assert capsys.readouterr() == ("", "error: no closed form covers the full table of G(n=3,m=2)\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    (
+        ("n 4 5\n1 2\n", "line 1: malformed order header"),
+        ("1 -2\n", "line 1: negative label"),
+        ("# only a comment\n", "no edges and no order header"),
+        # with a header, labels are not renumbered: 0 lies outside 1..order
+        ("n 4\n0 1\n", "edge (0, 1) outside 1..4"),
+    ),
+    ids=("malformed-header", "negative-label", "comment-only", "label-0-with-a-header"),
+)
+def test_a_malformed_edge_list_file_is_refused_with_its_reason(capsys, tmp_path, text, message):
+    f = tmp_path / "g.edges"
+    f.write_text(text)
+    assert run(["count", "--input", str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: bad edge list: {message}\n")
+
+
+def test_renumbered_labels_print_a_note_and_the_same_row(capsys, tmp_path):
+    zero, one = tmp_path / "zero.edges", tmp_path / "one.edges"
+    zero.write_text("0 1\n1 2\n")
+    one.write_text("1 2\n2 3\n")
+    assert run(["count", "--input", str(one)]) == 0
+    expected = capsys.readouterr()
+    assert expected.err == ""
+    assert run(["count", "--input", str(zero)]) == 0
+    assert capsys.readouterr() == (expected.out, "note: input labels renumbered to 1..3\n")
+
+
+def test_python_dash_m_wcds_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "wcds", "--help"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == cli._help(cli.COMMANDS)
+
+
 def test_capacity_exit_status(capsys):
     assert run(["gamma", "--family", "path", "--n", "9", "--cap", "6"]) == 3
     capsys.readouterr()
@@ -199,6 +238,7 @@ def test_formula_and_recurrence_counts_build_no_family_graph(capsys, monkeypatch
         ["count", "--family", "star", "--n", "1000000000", "--method", "formula", "--i", "2"],
         ["count", "--family", "path", "--n", "2001", "--method", "recurrence"],
         ["count", "--family", "wheel", "--n", "5000", "--method", "formula"],
+        ["count", "--family", "wheel", "--n", "2001", "--method", "formula"],
     ),
 )
 def test_formula_and_recurrence_refuse_a_size_above_the_bound(capsys, monkeypatch, argv):
@@ -208,6 +248,17 @@ def test_formula_and_recurrence_refuse_a_size_above_the_bound(capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"exceeds {verify.FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate" in captured.err
+
+
+@pytest.mark.parametrize("n", (25, 26, 2000))
+def test_the_stated_wheel_row_takes_no_cap(capsys, n):
+    # the rim row comes from the frontier DP, so only FORMULA_MAX_N bounds n,
+    # not the default cap 24 (the rim of W_26 has order 25)
+    assert run(["count", "--family", "wheel", "--n", str(n), "--method", "formula", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == ",".join(["n", *map(str, range(1, n + 1))])
+    cells = row.split(",")
+    assert cells[:2] == [str(n), "1"] and cells[-2:] == [str(n), "1"]
 
 
 def test_formula_and_recurrence_refuse_an_uncovered_family_of_any_size(capsys):

@@ -694,6 +694,24 @@ def test_table_by_method_wheel_wires_its_own_rim():
     assert row == (1, 10, 10, 5, 1)
 
 
+def test_the_stated_wheel_row_reads_its_rim_from_the_frontier_dp(monkeypatch):
+    # the row equals the composition over the swept rim, and past the sweep's
+    # cap it still needs no graph, no count_table and no subset kernel
+    rims = {n: count_table(build_family("cycle", n - 1)) for n in range(4, 25)}
+    swept = {n: tuple(formulas.count_wheel(n, i, rim) for i in range(1, n + 1)) for n, rim in rims.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stated wheel row swept or built a graph")
+
+    for module, name in ((verify, "count_table"), (verify, "build_family"), (oracle, "_weak_ok"), (oracle, "_dom_ok")):
+        monkeypatch.setattr(module, name, refuse)
+    for n in range(4, 201):
+        row = verify.family_table("wheel", n, "formula")
+        assert len(row) == n
+        if n in swept:
+            assert row == swept[n], n
+
+
 def test_report_serializations():
     r = verify_formula_suite("complete", max_n=3)
     payload = json.loads(r.to_json())
