@@ -23,26 +23,9 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .frontier import _frontier_rows, family_plan
 from .graph import FAMILIES, Graph, build_family, family_label, family_order, family_start, read_edge_list
-from .oracle import (
-    CapacityError,
-    DEFAULT_CAP,
-    check_cap,
-    check_hard_limit,
-    count_table,
-    enumerate_wcds,
-    gamma,
-    gamma_w,
-)
-from .verify import (
-    DEFAULT_SEED,
-    METHODS,
-    SUITES,
-    family_table,
-    table_by_method,
-    verify_formula_suite,
-)
+from .oracle import CapacityError, DEFAULT_CAP, check_cap, check_hard_limit, enumerate_wcds, gamma, gamma_w
+from .verify import DEFAULT_SEED, METHODS, SUITES, family_rows, table_by_method, verify_formula_suite
 
 
 def _family_source(args: SimpleNamespace) -> tuple[str, int] | None:
@@ -55,24 +38,29 @@ def _family_source(args: SimpleNamespace) -> tuple[str, int] | None:
     return None if args.family is None else (args.family, args.n)
 
 
+def _read_input(path: str) -> Graph:
+    """The graph of the edge-list file ``path``, "-" for stdin."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: {exc.strerror}")
+    try:
+        g, mapping = read_edge_list(text)
+    except ValueError as exc:
+        raise ValueError(f"bad edge list: {exc}")
+    if any(old != new for old, new in mapping.items()):
+        print(f"note: input labels renumbered to 1..{g.order}", file=sys.stderr)
+    return g
+
+
 def _load_graph(args: SimpleNamespace) -> Graph:
     source = _family_source(args)
     if source is None:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            try:
-                with open(args.input, encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ValueError(f"cannot read {args.input}: {exc.strerror}")
-        try:
-            g, mapping = read_edge_list(text)
-        except ValueError as exc:
-            raise ValueError(f"bad edge list: {exc}")
-        if any(old != new for old, new in mapping.items()):
-            print(f"note: input labels renumbered to 1..{g.order}", file=sys.stderr)
-        return g
+        return _read_input(args.input)
     # refuse before building: K_n alone has n(n - 1)/2 edges
     check_cap(family_order(*source), args.cap)
     return build_family(*source)
@@ -113,25 +101,20 @@ def _cmd_gamma(args: SimpleNamespace, cap: int) -> int:
 
 
 def _cmd_count(args: SimpleNamespace, cap: int) -> int:
-    source = _family_source(args)
-    if source is not None and args.method in ("formula", "recurrence"):
-        # these read (family, n) alone, so no graph is built
-        order, label = family_order(*source), family_label(*source)
-        counts = family_table(*source, args.method)
-        if args.method == "formula" and source[0] == "wheel":
-            print(
-                "note: the formula method follows the stated wheel composition, which the sweep refutes; "
-                "`wcds verify --suite wheel` shows the counterexamples",
-                file=sys.stderr,
-            )
-    else:
-        g = _load_graph(args)
-        order, label = g.order, g.label()
-        counts = table_by_method(g, args.method, cap)
+    family = _family_source(args)
+    source = family or _read_input(args.input)
+    counts = table_by_method(source, args.method, cap)
+    if args.method == "formula" and family and family[0] == "wheel":
+        print(
+            "note: the formula method follows the stated wheel composition, which the sweep refutes; "
+            "`wcds verify --suite wheel` shows the counterexamples",
+            file=sys.stderr,
+        )
     if args.i is not None:
-        print(counts[args.i - 1] if 1 <= args.i <= order else 0)
+        print(counts[args.i - 1] if 1 <= args.i <= len(counts) else 0)
         return 0
-    sys.stdout.write(_render_rows([(order, counts)], args.fmt, label))
+    label = family_label(*family) if family else source.label()
+    sys.stdout.write(_render_rows([(len(counts), counts)], args.fmt, label))
     return 0
 
 
@@ -147,13 +130,9 @@ def _cmd_table(args: SimpleNamespace, cap: int) -> int:
     if args.max_n < start:
         raise ValueError(f"--max-n must be at least {start} for family {args.family}")
     sizes = range(start, args.max_n + 1)
-    for n in sizes:
-        check_cap(family_order(args.family, n), cap)  # refuse before counting any row
-    if args.family == "complete":
-        counts = [count_table(build_family("complete", n), cap).counts for n in sizes]
-    else:
-        counts = [t.counts for t in _frontier_rows([family_plan(args.family, n) for n in sizes])]
-    sys.stdout.write(_render_rows(list(zip(sizes, counts)), args.fmt, args.family))
+    # the sweep for complete rows, whose DP width grows with n; the DP for the rest
+    rows = family_rows(args.family, sizes, "oracle" if args.family == "complete" else "frontier", cap)
+    sys.stdout.write(_render_rows(list(zip(sizes, rows)), args.fmt, args.family))
     return 0
 
 

@@ -25,11 +25,12 @@ each step is compiled: a state key's two successors are worked out once
 per signature and then read. The pass holds the live state table, at most
 one snapshot, and the maps of signatures that run next.
 
-The named sparse families need no search for their order.
-:func:`family_plan` writes the plan of a path, cycle, star or wheel from
-(family, n) alone as a word, prefix · bulk^k · suffix, over shared
-signature tuples; it equals ``_plan(build_family(family, n))``, which
-stays the reference and serves every other graph.
+The named families need no search for their order. :func:`family_plan`
+writes the plan of a path, cycle, star or wheel from (family, n) alone as
+a word, prefix · bulk^k · suffix, over shared signature tuples, and that
+of K_n as its n steps; it equals ``_plan(build_family(family, n))``. So the
+DP counts no family row from a built graph or a greedy order: the greedy
+stays the reference and serves the graphs that are given as graphs.
 
 With frontier width w there are at most 2^w * Bell(w) states, so work and
 memory follow the width of the order, not 2^order. Kawahara et al.,
@@ -69,6 +70,16 @@ def bell(k: int) -> int:
 def projected_states(width: int) -> int:
     """Upper bound on live DP states at frontier width ``width``: 2^w * Bell(w)."""
     return (1 << width) * bell(width)
+
+
+def check_width(width: int) -> None:
+    """CapacityError when frontier width ``width`` allows more DP states
+    than :data:`MAX_FRONTIER_STATES`."""
+    if projected_states(width) > MAX_FRONTIER_STATES:
+        raise CapacityError(
+            f"frontier width {width} allows up to 2**{width} * Bell({width}) = "
+            f"{projected_states(width)} DP states, above the bound of {MAX_FRONTIER_STATES}"
+        )
 
 
 def frontier_order(g: Graph) -> tuple[tuple[int, ...], int]:
@@ -158,14 +169,17 @@ _WORDS = {
 
 
 def family_plan(family: str, n: int) -> Plan:
-    """``_plan(build_family(family, n))`` for a path, cycle, star or wheel,
-    written from (family, n) alone: no graph is built and no vertex scored.
-    The order is 1..order, except W_n = (1, 2, n, 3, ..., n - 1) for n >= 5
-    (the hub third); W_4 = K_4 drops the wheel prefix's rim step. ValueError
-    for any other family and for n below the family's start."""
-    if family not in _WORDS:
-        raise ValueError(f"family_plan covers {', '.join(_WORDS)}, not {family!r}")
+    """``_plan(build_family(family, n))`` for a named family member, written
+    from (family, n) alone: no graph is built and no vertex scored. The
+    order is 1..order, except W_n = (1, 2, n, 3, ..., n - 1) for n >= 5 (the
+    hub third); W_4 = K_4 drops the wheel prefix's rim step. Step i of K_n
+    links to the whole frontier of i and keeps it and the new vertex until
+    the last step, so its width is n - 1. ValueError for an unknown family
+    and for n below the family's start."""
     order = family_order(family, n)
+    if family == "complete":
+        steps = [(i, tuple(range(i)), tuple(range(i + 1)) if i < n - 1 else (), i < n - 1) for i in range(n)]
+        return tuple(range(1, n + 1)), n - 1, steps
     if order == 1:
         return (1,), 0, [_ALONE]
     if family == "cycle" and n < 3:
@@ -261,11 +275,7 @@ def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
             yield CountTable(len(order), (0,) * len(order), connected=False)
             start, resume = None, 0
             continue
-        if projected_states(width) > MAX_FRONTIER_STATES:
-            raise CapacityError(
-                f"frontier width {width} allows up to 2**{width} * Bell({width}) = "
-                f"{projected_states(width)} DP states, above the bound of {MAX_FRONTIER_STATES}"
-            )
+        check_width(width)
         after_steps = after and after[2]
         keep = _shared(steps, after_steps)
         if keep < resume:

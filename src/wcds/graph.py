@@ -2,14 +2,15 @@
 (join, corona, pendant-path extension, named families) that the counting and
 verification layers operate on.
 
-Graph values are immutable and hash by (order, edge set), so they can key
-caches. The optional family tag records how a graph was built; it never
-affects equality.
+A Graph is its order and its edges: values are immutable and hash by
+both, so they can key dicts. A named family member is named by (family, n);
+:func:`build_family` builds it, :func:`family_order` and
+:func:`family_label` give its order and display name without building it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -21,15 +22,11 @@ class Graph:
     """A finite simple graph on vertices 1..order.
 
     ``edges`` holds sorted 2-tuples (u, v) with u < v. Construct via
-    :func:`make_graph` unless the edges are already canonical. ``family`` and
-    ``family_n`` carry construction provenance for the named families and are
-    excluded from comparison, so a hand-built wheel equals a generated one.
+    :func:`make_graph` unless the edges are already canonical.
     """
 
     order: int
     edges: frozenset[tuple[int, int]]
-    family: str | None = field(default=None, compare=False)
-    family_n: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -49,17 +46,9 @@ class Graph:
             adj[v - 1] |= 1 << (u - 1)
         return adj
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.order
-        for u, v in self.edges:
-            deg[u - 1] += 1
-            deg[v - 1] += 1
-        return tuple(sorted(deg))
-
     def label(self) -> str:
-        """Short display name: family shorthand when tagged, else order/size."""
-        if self.family is not None:
-            return family_label(self.family, self.family_n)
+        """Short display name by order and size; a named family member's is
+        :func:`family_label`."""
         return f"G(n={self.order},m={len(self.edges)})"
 
 
@@ -128,20 +117,18 @@ def build_family(family: str, n: int) -> Graph:
     """
     family_order(family, n)  # the refusals
     if family == "wheel":
-        g = join(build_family("cycle", n - 1), build_family("complete", 1))
-        return Graph(g.order, g.edges, "wheel", n)
+        return join(build_family("cycle", n - 1), build_family("complete", 1))
     if family == "path":
-        edges = [(i, i + 1) for i in range(1, n)]
-        return Graph(n, frozenset(edges), "path", n)
+        return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
     if family == "cycle":
         edges = [(i, i + 1) for i in range(1, n)]
         if n >= 3:
             edges.append((1, n))
-        return Graph(n, frozenset(edges), "cycle", n)
+        return Graph(n, frozenset(edges))
     if family == "complete":
-        return Graph(n, frozenset(combinations(range(1, n + 1), 2)), "complete", n)
+        return Graph(n, frozenset(combinations(range(1, n + 1), 2)))
     # star: center 1, leaves 2..n+1
-    return Graph(n + 1, frozenset((1, leaf) for leaf in range(2, n + 2)), "star", n)
+    return Graph(n + 1, frozenset((1, leaf) for leaf in range(2, n + 2)))
 
 
 def join(g: Graph, h: Graph) -> Graph:

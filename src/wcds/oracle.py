@@ -18,8 +18,8 @@ masks of one popcount, and :func:`_least_layers` tests layer after layer,
 upward from a degree bound below which no subset can pass, and stops at the
 first layer with a hit. gamma_w of K_n tests n masks, not 2**n. Listing
 sets of size i sweeps layer i alone, and refuses more than ``LISTING_MAX``
-sets before it builds a tuple; membership in a minimum set reads the hits
-of the least layer alone.
+sets before it builds a tuple; membership in a minimum set lists layers
+upward from the same bound and reads the first with a hit, listed once.
 
 Many small graphs are queried as stacks: graphs of one order n form a
 stack, each vertex's neighbour masks become a (graphs, 1) column, and the
@@ -220,10 +220,20 @@ def _layer(n: int, k: int) -> Iterator[np.ndarray]:
             yield ((high[lo : lo + batch] << low_bits) | low).ravel()
 
 
-def _layer_floor(adj: list[int], need: int, reach: int) -> int:
-    """The least k >= 1 whose k largest values of degree + ``reach`` sum to
-    at least ``need``: when each member of S accounts for at most its
-    degree + ``reach`` of ``need`` things, no smaller S accounts for all."""
+def _layer_floor(adj: list[int], pred: Callable) -> int:
+    """The least layer that can hold a subset passing ``pred``: the least
+    k >= 1 whose k largest values of degree + ``reach`` sum to at least
+    ``need``, since when each member of S accounts for at most its
+    degree + ``reach`` of ``need`` things, no smaller S accounts for all.
+
+    For :func:`_weak_ok` on order n, ``need`` is n - 1 and ``reach`` 0: the
+    weakly induced subgraph of a hit S is connected and spans all n
+    vertices, so it has at least n - 1 edges; every kept edge meets S, so
+    the degrees over S sum to at least n - 1. For :func:`_dom_ok`, ``need``
+    is n and ``reach`` 1: the closed neighbourhood of v covers at most
+    deg v + 1 vertices, and S must cover all n. That floor is the lower of
+    the two, so any other kernel gets it."""
+    need, reach = (len(adj) - 1, 0) if pred is _weak_ok else (len(adj), 1)
     room = sorted((nbrs.bit_count() + reach for nbrs in adj), reverse=True)
     k = 1
     while k < len(adj) and sum(room[:k]) < need:
@@ -250,7 +260,7 @@ def _calls(adjs: list[list[int]], pred: Callable, chunks: Iterable[np.ndarray]) 
                 yield first, masks, pred(list(cols), np.tile(masks, (len(batch), 1)))
 
 
-def _least_layers(adjs: list[list[int]], pred: Callable, need: int, reach: int) -> list[int]:
+def _least_layers(adjs: list[list[int]], pred: Callable) -> list[int]:
     """Per graph of a stack of one order n, given by its neighbour masks,
     the least k such that some k-subset passes ``pred``. The layers of
     :func:`_layer` are tested upward from the least :func:`_layer_floor` in
@@ -258,12 +268,11 @@ def _least_layers(adjs: list[list[int]], pred: Callable, need: int, reach: int) 
     against the graphs without a hit yet. A graph retires at its first layer
     with a hit, and the pass stops when every graph has; a stack of one
     graph is a lone query. The callers' graphs always pass with S = V, so
-    some layer up to n hits each. The floors are :func:`_least_weak` and
-    :func:`_least_dom`."""
+    some layer up to n hits each."""
     n = len(adjs[0])
     least = [0] * len(adjs)
     todo = list(range(len(adjs)))
-    for k in range(min(_layer_floor(adj, need, reach) for adj in adjs), n + 1):
+    for k in range(min(_layer_floor(adj, pred) for adj in adjs), n + 1):
         for masks in _layer(n, k):
             for first, _, ok in _calls([adjs[i] for i in todo], pred, (masks,)):
                 for i, hit in zip(todo[first:], ok.any(axis=1)):
@@ -273,22 +282,6 @@ def _least_layers(adjs: list[list[int]], pred: Callable, need: int, reach: int) 
             if not todo:
                 return least
     raise ValueError("no subset passes")
-
-
-def _least_weak(adjs: list[list[int]]) -> list[int]:
-    """gamma_w of each graph of a stack of connected graphs of one order n.
-    The floor lemma, ``need`` n - 1 and ``reach`` 0: the weakly induced
-    subgraph of a hit S is connected and spans all n vertices, so it has at
-    least n - 1 edges; every kept edge meets S, so the degrees over S sum
-    to at least n - 1."""
-    return _least_layers(adjs, _weak_ok, len(adjs[0]) - 1, 0)
-
-
-def _least_dom(adjs: list[list[int]]) -> list[int]:
-    """gamma of each graph of a stack of one order n. The floor lemma,
-    ``need`` n and ``reach`` 1: the closed neighbourhood of v covers at
-    most deg v + 1 vertices, and S must cover all n."""
-    return _least_layers(adjs, _dom_ok, len(adjs[0]), 1)
 
 
 def _layer_hits(adj: list[int], pred: Callable, k: int, most: float = float("inf")) -> np.ndarray:
@@ -304,18 +297,25 @@ def _layer_hits(adj: list[int], pred: Callable, k: int, most: float = float("inf
     return np.concatenate(hits)
 
 
+def _least_hits(adj: list[int], pred: Callable) -> np.ndarray:
+    """Every subset passing ``pred`` of the least layer that holds one, from
+    one upward walk of :func:`_layer_hits` from :func:`_layer_floor`; the
+    callers' graphs pass with S = V."""
+    k = _layer_floor(adj, pred)
+    while not (hits := _layer_hits(adj, pred, k)).size:
+        k += 1
+    return hits
+
+
 def _sweep(adjs: list[list[int]], pred: Callable) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """:func:`_calls` over every subset of each graph of a stack of one
     order n, ascending, the empty set included (it never passes: its least
     intersection in :func:`_dom_ok` is 0, and :func:`_weak_ok` keeps only
     masks that pass ``_dom_ok``); above order _CHUNK_BITS a chunk fills a
-    call, and each graph is swept whole before the next."""
+    call, so each graph has its own."""
     n = len(adjs[0])
     step = 1 << min(n, _CHUNK_BITS)
-    for s, stack in enumerate([adjs] if n <= _CHUNK_BITS else [[adj] for adj in adjs]):
-        chunks = (np.arange(lo, lo + step, dtype=np.uint32) for lo in range(0, 1 << n, step))
-        for first, masks, ok in _calls(stack, pred, chunks):
-            yield s + first, masks, ok
+    return _calls(adjs, pred, (np.arange(lo, lo + step, dtype=np.uint32) for lo in range(0, 1 << n, step)))
 
 
 def _stack_hits(adjs: list[list[int]], pred: Callable) -> list[np.ndarray]:
@@ -422,7 +422,7 @@ def gamma_w_stack(graphs: Iterable[Graph], cap: int = DEFAULT_CAP) -> list[int]:
         full = (1 << len(adjs[0])) - 1
         if any(weak_reach(adj, full) != full for adj in adjs):
             raise ValueError(_DISCONNECTED)
-        return _least_weak(adjs)
+        return _least_layers(adjs, _weak_ok)
 
     return _stacked(graphs, cap, least)
 
@@ -430,7 +430,7 @@ def gamma_w_stack(graphs: Iterable[Graph], cap: int = DEFAULT_CAP) -> list[int]:
 def gamma_stack(graphs: Iterable[Graph], cap: int = DEFAULT_CAP) -> list[int]:
     """:func:`gamma` of each graph, in order, from one least-layer pass per
     stack of one order; the cap as for :func:`sweep_stack`."""
-    return _stacked(graphs, cap, _least_dom)
+    return _stacked(graphs, cap, lambda adjs: _least_layers(adjs, _dom_ok))
 
 
 def _as_tuples(sets: np.ndarray, i: int) -> list[tuple[int, ...]]:
@@ -485,8 +485,7 @@ def has_minimum_wcds_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> boo
     if not is_connected(g):
         raise ValueError(_DISCONNECTED)
     _member_mask(g, (v,))
-    adj = g.neighbor_masks()
-    return _in_a_minimum(_layer_hits(adj, _weak_ok, _least_weak([adj])[0]), v)
+    return _in_a_minimum(_least_hits(g.neighbor_masks(), _weak_ok), v)
 
 
 def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) -> bool:
@@ -494,5 +493,4 @@ def has_minimum_dominating_containing(g: Graph, v: int, cap: int = DEFAULT_CAP) 
     ValueError for v outside 1..order."""
     check_cap(g.order, cap)
     _member_mask(g, (v,))
-    adj = g.neighbor_masks()
-    return _in_a_minimum(_layer_hits(adj, _dom_ok, _least_dom([adj])[0]), v)
+    return _in_a_minimum(_least_hits(g.neighbor_masks(), _dom_ok), v)

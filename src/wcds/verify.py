@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import formulas
-from .frontier import _frontier_rows, count_table_frontier, family_plan
+from .frontier import _frontier_rows, check_width, count_table_frontier, family_plan
 from .graph import Graph, RootedGraph, build_family, corona, family_label, family_order, family_start, join, make_graph, realize_extension
 from .oracle import (
     DEFAULT_CAP,
@@ -49,7 +49,7 @@ from .oracle import (
 
 DEFAULT_SEED = 1729
 
-# the counting methods of ``table_by_method``, spelled as ``wcds count --method``
+# the counting methods of ``family_rows`` and ``table_by_method``, spelled as ``wcds count --method``
 METHODS = ("oracle", "frontier", "formula", "recurrence")
 
 # Frozen reference rows. Cardinalities run 1..n; zero entries are cells the
@@ -186,11 +186,10 @@ def _suite_path_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
     recurrence. Beyond the reference rows (n > 10) the comparison is
     three-way with the exhaustive counter as referee."""
     records: list[CheckRecord] = []
-    for n in range(1, max_n + 1):
-        actual = count_table(build_family("path", n), cap)
-        closed, rec = (family_table("path", n, method) for method in ("formula", "recurrence"))
+    sizes = range(1, max_n + 1)
+    for n, actual, closed, rec in zip(sizes, *(family_rows("path", sizes, m, cap) for m in ("oracle", "formula", "recurrence"))):
         for j in range(1, n + 1):
-            o, c = actual.count(j), closed[j - 1]
+            o, c = actual[j - 1], closed[j - 1]
             values = {"exhaustive": o, "closed form": c, "recurrence": rec[j - 1]}
             if n <= 10:
                 ref = REFERENCE_PATH_TABLE[n][j - 1]
@@ -205,20 +204,21 @@ def _suite_cycle_table(max_n: int, cap: int, **_) -> list[CheckRecord]:
     """Cycle counts against the reference rows (n <= 14), plus the top-cell
     closed forms and the one-step shift identity on exhaustive values."""
     records: list[CheckRecord] = []
-    tables = {n: count_table(build_family("cycle", n), cap) for n in range(1, max_n + 1)}
+    sizes = range(1, max_n + 1)
+    rows = dict(zip(sizes, family_rows("cycle", sizes, "oracle", cap)))
     for n in range(1, min(max_n, 14) + 1):
         for j in range(1, n + 1):
             ref = REFERENCE_CYCLE_TABLE[n][j - 1]
-            records.append(_check(f"cycle n={n} j={j}", "reference row", ref, tables[n].count(j)))
+            records.append(_check(f"cycle n={n} j={j}", "reference row", ref, rows[n][j - 1]))
     for n in range(4, max_n + 1):
         tops = ([n - 3] if n >= 6 else []) + [n - 2, n - 1, n]
         for i in tops:
             c = formulas.count_cycle_top(n, i)
-            records.append(_check(f"cycle n={n} i={i}", "top-cell closed form", c, tables[n].count(i)))
+            records.append(_check(f"cycle n={n} i={i}", "top-cell closed form", c, rows[n][i - 1]))
     for n in range(7, max_n + 1):
-        prev = tables[n - 1]
-        claimed = prev.count(n - 4) + prev.count(n - 3) - 1
-        records.append(_check(f"cycle n={n} shift", "one-step shift identity", claimed, tables[n].count(n - 3)))
+        prev = rows[n - 1]
+        claimed = prev[n - 5] + prev[n - 4] - 1
+        records.append(_check(f"cycle n={n} shift", "one-step shift identity", claimed, rows[n][n - 4]))
     return records
 
 
@@ -507,10 +507,9 @@ def _named_family_graphs(
     out: dict[Graph, str] = {}
     for fam in families:
         for n in range(family_start(fam), max_order + 1):
-            g = build_family(fam, n)
-            if g.order > max_order:
+            if family_order(fam, n) > max_order:
                 break
-            out.setdefault(g, g.label())  # graphs compare by order and edges alone
+            out.setdefault(build_family(fam, n), family_label(fam, n))  # C_3 equals K_3
     return [(label, g) for g, label in out.items()]
 
 
@@ -610,7 +609,8 @@ def _per_part(window: list[tuple[str, Graph, Graph]], query: Callable[[list[Grap
 
 
 # the closed form (size parameter, cardinality) -> count of each family whose
-# full row has one; the wheel's needs its rim table. Only ``family_table`` reads them
+# full row has one; the stated wheel row composes its rim's row instead. Only
+# ``family_rows`` reads them
 _CLOSED_FORMS: dict[str, Callable[[int, int], int]] = {
     "path": formulas.count_path_closed,
     "complete": formulas.count_complete,
@@ -620,22 +620,21 @@ _CLOSED_FORMS: dict[str, Callable[[int, int], int]] = {
 
 def _family_cells(family: str, size: str, source: str, *, max_n: int, cap: int, **_) -> list[CheckRecord]:
     """Every cell of the count rows of ``family`` at sizes 1..``max_n``
-    against the family's closed-form row (:func:`family_table`)."""
+    against the family's closed-form row (:func:`family_rows`)."""
     records = []
-    for n in range(1, max_n + 1):
-        actual = count_table(build_family(family, n), cap)
-        for i, claimed in enumerate(family_table(family, n, "formula"), start=1):
-            records.append(_check(f"{family} {size}={n} i={i}", source, claimed, actual.count(i)))
+    sizes = range(1, max_n + 1)
+    for n, actual, stated in zip(sizes, family_rows(family, sizes, "oracle", cap), family_rows(family, sizes, "formula")):
+        for i, (claimed, o) in enumerate(zip(stated, actual), start=1):
+            records.append(_check(f"{family} {size}={n} i={i}", source, claimed, o))
     return records
 
 
 def _suite_wheel(max_n: int, cap: int, **_) -> list[CheckRecord]:
     records = []
-    for n in range(4, max_n + 1):
+    sizes = range(4, max_n + 1)
+    for n, actual, stated in zip(sizes, family_rows("wheel", sizes, "oracle", cap), family_rows("wheel", sizes, "formula")):
         dom_rim = dominating_counts(build_family("cycle", n - 1), cap)
-        actual = count_table(build_family("wheel", n), cap)
-        for i, claimed in enumerate(family_table("wheel", n, "formula"), start=1):
-            o = actual.count(i)
+        for i, (claimed, o) in enumerate(zip(stated, actual), start=1):
             detail = ""
             if claimed != o:
                 # the wheel is the join of its rim with K1
@@ -676,13 +675,12 @@ def _suite_join(max_n: int, random_count: int, seed: int, cap: int) -> list[Chec
 
 
 def _suite_corona_gamma(cap: int, **_) -> list[CheckRecord]:
-    bases = [build_family(*b) for b in (("path", 2), ("path", 3), ("cycle", 3), ("cycle", 4), ("complete", 3))]
-    hats = [build_family(*h) for h in (("complete", 1), ("complete", 2), ("path", 3))]
-    pairs = [(bg, hg) for bg in bases for hg in hats]
-    gw = gamma_w_stack((corona(bg, hg) for bg, hg in pairs), cap)
+    bases = (("path", 2), ("path", 3), ("cycle", 3), ("cycle", 4), ("complete", 3))
+    pairs = [(b, h) for b in bases for h in (("complete", 1), ("complete", 2), ("path", 3))]
+    gw = gamma_w_stack((corona(build_family(*b), build_family(*h)) for b, h in pairs), cap)
     return [
-        _check(f"corona({bg.label()},{hg.label()})", "base-order rule", formulas.gamma_w_corona(bg), value)
-        for (bg, hg), value in zip(pairs, gw)
+        _check(f"corona({family_label(*b)},{family_label(*h)})", "base-order rule", formulas.gamma_w_corona(build_family(*b)), value)
+        for (b, h), value in zip(pairs, gw)
     ]
 
 
@@ -798,11 +796,11 @@ def _suite_extension_gamma(random_count: int, seed: int, cap: int, **_) -> list[
 
 def _suite_boxes(max_n: int, cap: int, **_) -> list[CheckRecord]:
     records = []
-    for n in range(1, max_n + 1):
-        path_table = count_table(build_family("path", n), cap)
+    sizes = range(1, max_n + 1)
+    for n, row in zip(sizes, family_rows("path", sizes, "oracle", cap)):
         for j in range(0, n + 1):
             closed = formulas.boxes_count(n, j)
-            dw = path_table.count(j)
+            dw = row[j - 1] if j else 0
             values = {"occupancy enumeration": formulas.boxes_brute(n, j), "binomial": closed, "path sets": dw}
             records.append(_agree(f"boxes n={n} j={j}", "occupancy identity", closed, dw, values))
     return records
@@ -917,28 +915,30 @@ def verify_structural(max_order: int | None = None) -> VerificationReport:
     return verify_formula_suite("structural", max_n=max_order)
 
 
-def table_by_method(g: Graph, method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
-    """Full count row of g by one of ``METHODS``: ``oracle`` (any graph,
-    the subset sweep), ``frontier`` (any graph, the frontier DP, refused
-    above its width bound), ``formula`` and ``recurrence`` (a named family
-    member, see :func:`family_table`). Family recognition uses
-    construction metadata, so graphs read from edge lists only support
-    ``oracle`` and ``frontier``."""
+def table_by_method(source: Graph | tuple[str, int], method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """Full count row of a graph or of a named family member ``(family,
+    n)`` by one of ``METHODS``: ``oracle`` (the subset sweep), ``frontier``
+    (the frontier DP, refused above its width bound), ``formula`` and
+    ``recurrence`` (the stated rows, see :func:`family_rows`). A pair's
+    row comes from :func:`family_rows`; a graph read as a graph, from an
+    edge list say, supports ``oracle`` and ``frontier`` only."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if not isinstance(source, Graph):
+        family, n = source
+        return family_rows(family, [n], method, cap)[0]
     if method == "oracle":
-        return count_table(g, cap).counts
+        return count_table(source, cap).counts
     if method == "frontier":
-        check_cap(g.order, cap)
-        return count_table_frontier(g).counts
-    if g.family is None:
-        raise UnsupportedMethodError(_unsupported(method, g.label()))
-    return family_table(g.family, g.family_n, method)
+        check_cap(source.order, cap)
+        return count_table_frontier(source).counts
+    raise UnsupportedMethodError(_unsupported(method, source.label()))
 
 
-# the largest family size that ``family_table`` evaluates: K_2000's closed
-# row, 2000 binomials of up to 600 digits, takes about 0.2 s, the path
-# recurrence to 2000 about 0.2 s and W_2000 with its rim's DP about 0.8 s (README)
+# the largest family size that ``family_rows`` evaluates by ``formula`` or
+# ``recurrence``: K_2000's closed row, 2000 binomials of up to 600 digits,
+# takes about 0.2 s, the path recurrence to 2000 about 0.2 s and W_2000 with
+# its rim's DP about 0.8 s (README)
 FORMULA_MAX_N = 2000
 
 
@@ -948,35 +948,59 @@ def _unsupported(method: str, label: str) -> str:
     return f"no closed form covers the full table of {label}"
 
 
-def family_table(family: str, n: int, method: str) -> tuple[int, ...]:
-    """Full count row of ``build_family(family, n)`` by ``formula`` (the
-    closed forms of paths, complete graphs and stars, and the stated wheel
-    composition, whose rim table the frontier DP gives from the cycle's
-    :func:`family_plan`) or ``recurrence`` (paths), from ``(family, n)``
-    alone: no graph is built and no subset swept. A method that does not
-    cover the family raises :class:`UnsupportedMethodError`, and a size
-    above ``FORMULA_MAX_N`` :class:`CapacityError`, both before any count.
-    The suites read every stated family row they check from here."""
-    order = family_order(family, n)
+def family_rows(family: str, sizes: Iterable[int], method: str, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """The full count row of ``build_family(family, n)`` for each n of
+    ``sizes``, in order, by one of ``METHODS``:
+
+    - ``oracle`` sweeps each built graph;
+    - ``frontier`` runs the frontier DP on the :func:`family_plan` of each
+      size in one pass, each row resumed from the row before;
+    - ``formula`` evaluates the closed forms of paths, complete graphs and
+      stars, and the stated wheel composition over its rim's row, all rims
+      from one resumed DP pass; ``recurrence`` the path recurrence.
+
+    Only ``oracle`` builds a graph, and none runs the greedy vertex order.
+    Every size is refused before any row is counted: ValueError for a size
+    below the family's start, :class:`UnsupportedMethodError` for a stated
+    method that does not cover the family, and :class:`CapacityError` for
+    an order above ``cap`` (``oracle``, ``frontier``), a width above the
+    DP's bound (``frontier``) or a size above ``FORMULA_MAX_N``
+    (``formula``, ``recurrence``)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    sizes = list(sizes)
+    stated = method in ("formula", "recurrence")
     covered = family == "path" if method == "recurrence" else family in _CLOSED_FORMS or family == "wheel"
-    if not covered:
-        raise UnsupportedMethodError(_unsupported(method, family_label(family, n)))
-    if n > FORMULA_MAX_N:
-        raise CapacityError(f"family size {n} exceeds {FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate")
+    for n in sizes:
+        order = family_order(family, n)
+        if not stated:
+            check_cap(order, cap)
+        elif not covered:
+            raise UnsupportedMethodError(_unsupported(method, family_label(family, n)))
+        elif n > FORMULA_MAX_N:
+            raise CapacityError(f"family size {n} exceeds {FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate")
+    if method == "oracle":
+        return [count_table(build_family(family, n), cap).counts for n in sizes]
+    if method == "frontier":
+        plans = [family_plan(family, n) for n in sizes]
+        for _, width, _ in plans:
+            check_width(width)
+        return [t.counts for t in _frontier_rows(plans)]
     if method == "recurrence":
-        return formulas.count_path_recurrence(n).counts
+        return [formulas.count_path_recurrence(n).counts for n in sizes]
     if family == "wheel":
-        (rim_table,) = _frontier_rows([family_plan("cycle", n - 1)])
-        return tuple(formulas.count_wheel(n, i, rim_table) for i in range(1, n + 1))
+        rims = _frontier_rows([family_plan("cycle", n - 1) for n in sizes])
+        return [tuple(formulas.count_wheel(n, i, rim) for i in range(1, n + 1)) for n, rim in zip(sizes, rims)]
     closed = _CLOSED_FORMS[family]
-    return tuple(closed(n, i) for i in range(1, order + 1))
+    return [tuple(closed(n, i) for i in range(1, family_order(family, n) + 1)) for n in sizes]
 
 
 def cross_check(
-    g: Graph, methods: tuple[str, ...] | list[str], cap: int = DEFAULT_CAP
+    source: Graph | tuple[str, int], methods: tuple[str, ...] | list[str], cap: int = DEFAULT_CAP
 ) -> VerificationReport:
-    """Compute g's full count table by each requested method and compare
-    cell for cell. See table_by_method for what each method covers."""
+    """Compute the full count table of a graph or of a named family member
+    ``(family, n)`` by each requested method and compare cell for cell.
+    See :func:`table_by_method` for what each method covers."""
     t0 = time.perf_counter()
     methods = tuple(methods)
     if not methods:
@@ -984,15 +1008,13 @@ def cross_check(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    n = g.order
-    tables = {method: table_by_method(g, method, cap) for method in methods}
+    label = source.label() if isinstance(source, Graph) else family_label(*source)
+    tables = {method: table_by_method(source, method, cap) for method in methods}
     records = []
-    for i in range(1, n + 1):
+    for i in range(1, len(tables[methods[0]]) + 1):
         vals = [(m, tables[m][i - 1]) for m in methods]
         passed = len({v for _, v in vals}) == 1
         claimed: int | str = vals[0][1] if passed else "; ".join(f"{m}={v}" for m, v in vals)
         oracle_value = dict(vals).get("oracle", vals[0][1])
-        records.append(
-            CheckRecord(f"{g.label()} i={i}", "+".join(methods), claimed, oracle_value, passed)
-        )
-    return _finish(f"cross-check {g.label()}", records, 0, t0)
+        records.append(CheckRecord(f"{label} i={i}", "+".join(methods), claimed, oracle_value, passed))
+    return _finish(f"cross-check {label}", records, 0, t0)

@@ -20,7 +20,7 @@ import wcds.oracle as oracle
 import wcds.verify as verify
 from wcds.cli import run
 from wcds.frontier import count_table_frontier
-from wcds.graph import FAMILIES, build_family, make_graph
+from wcds.graph import FAMILIES, build_family, family_label, family_order, make_graph
 from wcds.oracle import DEFAULT_CAP, count_table
 from wcds.verify import DEFAULT_SEED, METHODS, SUITES
 
@@ -201,6 +201,7 @@ def test_over_cap_family_is_refused_before_it_is_built(capsys, monkeypatch, argv
         raise AssertionError("build_family called")
 
     monkeypatch.setattr(cli, "build_family", no_build)
+    monkeypatch.setattr(verify, "build_family", no_build)
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -218,17 +219,33 @@ def test_over_cap_family_is_refused_before_it_is_built(capsys, monkeypatch, argv
     ),
 )
 def test_formula_and_recurrence_counts_build_no_family_graph(capsys, monkeypatch, argv):
-    # the rows equal those of the built graph's table_by_method
-    n, method = int(argv[4]), argv[6]
-    g = build_family(argv[2], n)
-    monkeypatch.setattr(cli, "build_family", lambda *args: pytest.fail("build_family called"))
+    # the rows equal those of the family's own family_rows
+    family, n, method = argv[2], int(argv[4]), argv[6]
+    (counts,) = verify.family_rows(family, [n], method)
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "build_family", lambda *args: pytest.fail("build_family called"))
     assert run(argv) == 0
     out = capsys.readouterr().out
-    counts = verify.table_by_method(g, method)
     if "--i" in argv:
         assert out == f"{counts[int(argv[-1]) - 1]}\n"
     else:
-        assert out == cli._render_rows([(g.order, counts)], argv[-1] if "--format" in argv else "md", g.label())
+        fmt = argv[-1] if "--format" in argv else "md"
+        assert out == cli._render_rows([(family_order(family, n), counts)], fmt, family_label(family, n))
+
+
+@pytest.mark.parametrize("family, n", (("path", 20), ("cycle", 20), ("complete", 8), ("star", 19), ("wheel", 20)))
+@pytest.mark.parametrize("fmt", ("md", "json"))
+def test_frontier_counts_of_a_family_build_no_graph_and_run_no_greedy(capsys, monkeypatch, family, n, fmt):
+    g = build_family(family, n)
+    expected = cli._render_rows([(g.order, count_table_frontier(g).counts)], fmt, family_label(family, n))
+
+    def refused(*args):
+        raise AssertionError("a family row built a graph or ran the greedy")
+
+    for module, name in ((cli, "build_family"), (verify, "build_family"), (frontier, "_plan")):
+        monkeypatch.setattr(module, name, refused)
+    assert run(["count", "--family", family, "--n", str(n), "--method", "frontier", "--format", fmt]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 @pytest.mark.parametrize(
@@ -402,13 +419,13 @@ def test_wheel_formula_row_is_stated_with_a_note(capsys):
 @pytest.mark.parametrize("fmt", ("md", "csv", "json"))
 def test_table_bytes_equal_the_sweep_rows(capsys, monkeypatch, fmt):
     dp_rows = {}
-    real = cli._frontier_rows
+    real = verify._frontier_rows
 
     def counted(plans):
         dp_rows[family] = len(plans)
         return real(plans)
 
-    monkeypatch.setattr(cli, "_frontier_rows", counted)
+    monkeypatch.setattr(verify, "_frontier_rows", counted)
     for family in FAMILIES:
         assert run(["table", "--family", family, "--max-n", "12", "--format", fmt]) == 0
         start = 4 if family == "wheel" else 1
@@ -428,6 +445,7 @@ def test_sparse_family_tables_build_no_graph_and_run_no_greedy(capsys, monkeypat
         raise AssertionError("a table row took a path its family does not take")
 
     monkeypatch.setattr(cli, "build_family", refused)
+    monkeypatch.setattr(verify, "build_family", refused)
     monkeypatch.setattr(frontier, "_plan", refused)
     for family in ("path", "cycle", "star", "wheel"):
         assert run(["table", "--family", family, "--max-n", "14", "--format", "csv"]) == 0
@@ -435,9 +453,9 @@ def test_sparse_family_tables_build_no_graph_and_run_no_greedy(capsys, monkeypat
     monkeypatch.undo()
     # a complete table sweeps every row: no plan, no DP, one count_table call per row
     monkeypatch.setattr(frontier, "_plan", refused)
-    monkeypatch.setattr(cli, "_frontier_rows", refused)
+    monkeypatch.setattr(verify, "_frontier_rows", refused)
     calls = []
-    monkeypatch.setattr(cli, "count_table", lambda g, cap: calls.append(g.order) or count_table(g, cap))
+    monkeypatch.setattr(verify, "count_table", lambda g, cap: calls.append(g.order) or count_table(g, cap))
     for fmt in ("md", "csv", "json"):
         calls.clear()
         assert run(["table", "--family", "complete", "--max-n", "16", "--format", fmt]) == 0
@@ -448,8 +466,8 @@ def test_sparse_family_tables_build_no_graph_and_run_no_greedy(capsys, monkeypat
 
 @pytest.mark.parametrize("family, top", (("star", 24), ("wheel", 25), ("path", 25), ("complete", 25)))
 def test_table_over_the_cap_is_refused_before_any_row(capsys, monkeypatch, family, top):
-    monkeypatch.setattr(cli, "_frontier_rows", lambda plans: pytest.fail("a row was counted"))
-    monkeypatch.setattr(cli, "count_table", lambda g, cap: pytest.fail("a row was counted"))
+    monkeypatch.setattr(verify, "_frontier_rows", lambda plans: pytest.fail("a row was counted"))
+    monkeypatch.setattr(verify, "count_table", lambda g, cap: pytest.fail("a row was counted"))
     assert run(["table", "--family", family, "--max-n", str(top)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

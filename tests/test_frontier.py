@@ -197,15 +197,17 @@ def test_restricted_greedy_equals_the_full_scan_on_random_graphs_and_families():
             assert frontier_order(g) == _greedy_over_every_vertex(g), (family, n)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_WIDTH))
+@pytest.mark.parametrize("family", FAMILIES)
 def test_family_plans_equal_the_greedy_plans_to_n_200(family):
-    # the greedy stays the reference: same order, width and signatures
-    for n in range(4 if family == "wheel" else 1, 201):
+    # the greedy stays the reference: same order, width and signatures, to
+    # n = 200 for the sparse families and to 60 for K_n, whose greedy scores
+    # every unplaced vertex at every step
+    for n in range(4 if family == "wheel" else 1, 61 if family == "complete" else 201):
         assert frontier.family_plan(family, n) == frontier._plan(build_family(family, n)), (family, n)
-    assert frontier.family_plan(family, 30)[1] == FAMILY_WIDTH[family]
+    assert frontier.family_plan(family, 30)[1] == FAMILY_WIDTH.get(family, 29)
 
 
-@pytest.mark.parametrize("family, n", (("complete", 5), ("path", 0), ("cycle", 0), ("star", 0), ("wheel", 3), ("grid", 4)))
+@pytest.mark.parametrize("family, n", (("path", 0), ("cycle", 0), ("complete", 0), ("star", 0), ("wheel", 3), ("grid", 4)))
 def test_family_plan_refuses_other_families_and_small_sizes(family, n):
     with pytest.raises(ValueError):
         frontier.family_plan(family, n)
@@ -278,7 +280,7 @@ def test_benchmark_tables_run_few_steps(capsys, monkeypatch, family, top, steps,
         rows.extend(plans)
         return real_rows(plans)
 
-    monkeypatch.setattr("wcds.cli._frontier_rows", counted)
+    monkeypatch.setattr("wcds.verify._frontier_rows", counted)
     assert run(["table", "--family", family, "--max-n", str(top)]) == 0
     capsys.readouterr()
     assert len(calls) == steps <= top + 2 * len(rows)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from wcds import (
+    Graph,
     build_family,
     corona,
     delete_edge,
@@ -152,6 +155,12 @@ def test_family_graphs_are_connected(family, n):
 @given(st.integers(4, 10))
 def test_wheel_degree_sum_counts_edges_twice(n):
     g = build_family("wheel", n)
-    degs = g.degree_sequence()
+    degs = [nbrs.bit_count() for nbrs in g.neighbor_masks()]
     assert sum(degs) == 2 * len(g.edges)
     assert max(degs) == n - 1
+
+
+def test_a_graph_is_its_order_and_edges():
+    # a named family member is named by (family, n) where it is needed, not tagged on the graph
+    assert [f.name for f in dataclasses.fields(Graph)] == ["order", "edges"]
+    assert build_family("wheel", 6) == join(build_family("cycle", 5), build_family("complete", 1))

@@ -336,6 +336,19 @@ def test_stacked_count_rows_equal_the_lone_counts():
     assert oracle.count_stack(graphs, oracle._dom_ok) == [dominating_counts(g) for g in graphs]
 
 
+@pytest.mark.parametrize("pred", [oracle._weak_ok, oracle._dom_ok], ids=["weak", "dom"])
+def test_a_stack_above_sixteen_bits_equals_its_lone_sweeps(monkeypatch, pred):
+    # above order 16 each call is one graph's chunk, taken chunk by chunk
+    # across the stack; each graph still gets its own hits and rows
+    graphs = [build_family("cycle", 17), build_family("star", 16), make_graph(17, [(1, v) for v in range(2, 18)] + [(2, 3)])]
+    stacks = []
+    real = oracle._calls
+    monkeypatch.setattr(oracle, "_calls", lambda adjs, *rest: stacks.append(len(adjs)) or real(adjs, *rest))
+    _assert_stack_matches_lone_sweeps(graphs, pred)
+    assert oracle.count_stack(graphs, pred) == [oracle.count_stack([g], pred)[0] for g in graphs]
+    assert 3 in stacks  # the stack was swept as one
+
+
 def test_lone_minimums_test_int_masks_one_graph_at_a_time(monkeypatch):
     # a stack of one graph is the lone query: int neighbour masks and 1-d
     # mask chunks, as before stacking
@@ -367,16 +380,15 @@ def test_layer_at_order_thirty(k):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_layer_floors_never_pass_the_exhaustive_minimum(n):
-    # the floor lemmas of _least_dom and _least_weak, on every labelled
-    # graph of order n
+    # the floor lemmas of _layer_floor, on every labelled graph of order n
     graphs = _labelled_graphs(n)
     adjs = [g.neighbor_masks() for g in graphs]
     weak = oracle._stack_hits(adjs, oracle._weak_ok)
     dom = oracle._stack_hits(adjs, oracle._dom_ok)
     for adj, w, d in zip(adjs, weak, dom):
-        assert oracle._layer_floor(adj, n, 1) <= np.bitwise_count(d).min(), adj
+        assert oracle._layer_floor(adj, oracle._dom_ok) <= np.bitwise_count(d).min(), adj
         if w.size:  # connected
-            assert oracle._layer_floor(adj, n - 1, 0) <= np.bitwise_count(w).min(), adj
+            assert oracle._layer_floor(adj, oracle._weak_ok) <= np.bitwise_count(w).min(), adj
 
 
 @pytest.mark.parametrize("query, kernel", [(gamma_w, "_weak_ok"), (gamma, "_dom_ok")])
@@ -488,6 +500,22 @@ def test_membership_sweeps_only_the_least_layer(monkeypatch):
     assert [has_minimum_dominating_containing(g, v) for v in g.vertices()] == [
         any(v in s for s in sets) for v in g.vertices()
     ]
+
+
+@pytest.mark.parametrize(
+    "query, kernel, least, calls",
+    [(has_minimum_wcds_containing, "_weak_ok", 10, 6), (has_minimum_dominating_containing, "_dom_ok", 7, 5)],
+)
+def test_membership_lists_the_least_layer_once(monkeypatch, query, kernel, least, calls):
+    # on C20 both floors are the minimum itself (gamma_w 10, gamma 7), so
+    # one walk lists that layer once: the masks tested are its masks, each once
+    seen = []
+    real = getattr(oracle, kernel)
+    monkeypatch.setattr(oracle, kernel, lambda adj, masks: seen.append(masks) or real(adj, masks))
+    assert query(build_family("cycle", 20), 1)
+    tested = np.concatenate(seen)
+    assert tested.size == np.unique(tested).size == comb(20, least)
+    assert len(seen) == calls
 
 
 def test_enumerate_sweeps_only_its_layer(monkeypatch):

@@ -671,9 +671,10 @@ def test_largest_order_is_the_order_the_suite_sweeps(suite):
 
 
 def test_cross_check_path_three_ways():
-    r = cross_check(build_family("path", 6), ("oracle", "formula", "recurrence"))
+    r = cross_check(("path", 6), ("oracle", "formula", "recurrence"))
     assert r.all_passed()
     assert len(r.records) == 6
+    assert r.suite == "cross-check P6" and r.records[0].key == "P6 i=1"
 
 
 def test_cross_check_cycle_oracle_row():
@@ -686,12 +687,56 @@ def test_cross_check_rejects_unrecognized_family():
     with pytest.raises(UnsupportedMethodError):
         cross_check(g, ("oracle", "formula"))
     with pytest.raises(UnsupportedMethodError):
-        table_by_method(build_family("cycle", 5), "recurrence")
+        table_by_method(("cycle", 5), "recurrence")
+    # a graph is its order and edges: the stated rows take a (family, n) pair
+    for method in ("formula", "recurrence"):
+        assert table_by_method(("path", 5), method) == (0, 1, 6, 5, 1)
+        with pytest.raises(UnsupportedMethodError, match=r"G\(n=5,m=4\)"):
+            table_by_method(build_family("path", 5), method)
 
 
 def test_table_by_method_wheel_wires_its_own_rim():
-    row = table_by_method(build_family("wheel", 5), "formula")
+    row = table_by_method(("wheel", 5), "formula")
     assert row == (1, 10, 10, 5, 1)
+
+
+@pytest.mark.parametrize(
+    "family, sizes, method, error",
+    (
+        ("path", range(20, 26), "oracle", "order 25 exceeds the subset-sweep cap 24"),
+        ("star", range(20, 25), "frontier", "order 25 exceeds the subset-sweep cap 24"),
+        ("complete", range(1, 10), "frontier", "frontier width 8 allows"),
+        ("path", (1999, 2000, 2001), "formula", "family size 2001 exceeds 2000"),
+        ("path", (1999, 2001), "recurrence", "family size 2001 exceeds 2000"),
+        ("wheel", (1999, 2000, 2001), "formula", "family size 2001 exceeds 2000"),
+        ("cycle", (3, 4), "recurrence", "no recurrence covers C3"),
+        ("wheel", (5, 3), "formula", "wheel requires n >= 4, got 3"),
+    ),
+)
+def test_family_rows_refuse_every_size_before_any_row(monkeypatch, family, sizes, method, error):
+    def counted(*args):
+        raise AssertionError("a row was counted")
+
+    monkeypatch.setattr(verify, "count_table", counted)
+    monkeypatch.setattr(verify, "_frontier_rows", counted)
+    monkeypatch.setattr(formulas, "count_path_recurrence", counted)
+    monkeypatch.setitem(verify._CLOSED_FORMS, "path", counted)
+    with pytest.raises(ValueError if "requires" in error else (CapacityError, UnsupportedMethodError), match=error):
+        verify.family_rows(family, sizes, method)
+
+
+@pytest.mark.parametrize("family", ("path", "cycle", "complete", "star", "wheel"))
+def test_family_rows_agree_by_every_method_that_covers_them(family):
+    sizes = range(4, 9)  # K_9's width 8 is above the DP's bound
+    rows = verify.family_rows(family, sizes, "oracle")
+    assert rows == [count_table(build_family(family, n)).counts for n in sizes]
+    assert verify.family_rows(family, sizes, "frontier") == rows
+    if family != "cycle":
+        stated = verify.family_rows(family, sizes, "formula")
+        if family == "wheel":  # the stated composition holds for W_5 and W_6 alone
+            assert [a == b for a, b in zip(stated, rows)] == [False, True, True, False, False]
+        else:
+            assert stated == rows
 
 
 def test_the_stated_wheel_row_reads_its_rim_from_the_frontier_dp(monkeypatch):
@@ -705,8 +750,7 @@ def test_the_stated_wheel_row_reads_its_rim_from_the_frontier_dp(monkeypatch):
 
     for module, name in ((verify, "count_table"), (verify, "build_family"), (oracle, "_weak_ok"), (oracle, "_dom_ok")):
         monkeypatch.setattr(module, name, refuse)
-    for n in range(4, 201):
-        row = verify.family_table("wheel", n, "formula")
+    for n, row in zip(range(4, 201), verify.family_rows("wheel", range(4, 201), "formula"), strict=True):
         assert len(row) == n
         if n in swept:
             assert row == swept[n], n
