@@ -92,18 +92,18 @@ def _render_rows(rows: list[tuple[int, tuple[int, ...]]], fmt: str, label: str) 
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_gamma(args: SimpleNamespace, cap: int) -> int:
+def _cmd_gamma(args: SimpleNamespace) -> int:
     g = _load_graph(args)
-    print(f"gamma_w {gamma_w(g, cap)}")
+    print(f"gamma_w {gamma_w(g, args.cap)}")
     if args.with_gamma:
-        print(f"gamma {gamma(g, cap)}")
+        print(f"gamma {gamma(g, args.cap)}")
     return 0
 
 
-def _cmd_count(args: SimpleNamespace, cap: int) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     family = _family_source(args)
     source = family or _read_input(args.input)
-    counts = table_by_method(source, args.method, cap)
+    counts = table_by_method(source, args.method, args.cap)
     if args.method == "formula" and family and family[0] == "wheel":
         print(
             "note: the formula method follows the stated wheel composition, which the sweep refutes; "
@@ -118,27 +118,27 @@ def _cmd_count(args: SimpleNamespace, cap: int) -> int:
     return 0
 
 
-def _cmd_enumerate(args: SimpleNamespace, cap: int) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     g = _load_graph(args)
-    for s in enumerate_wcds(g, args.i, cap):
+    for s in enumerate_wcds(g, args.i, args.cap):
         print(" ".join(str(v) for v in s))
     return 0
 
 
-def _cmd_table(args: SimpleNamespace, cap: int) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     start = family_start(args.family)
     if args.max_n < start:
         raise ValueError(f"--max-n must be at least {start} for family {args.family}")
     sizes = range(start, args.max_n + 1)
     # the sweep for complete rows, whose DP width grows with n; the DP for the rest
-    rows = family_rows(args.family, sizes, "oracle" if args.family == "complete" else "frontier", cap)
+    rows = family_rows(args.family, sizes, "oracle" if args.family == "complete" else "frontier", args.cap)
     sys.stdout.write(_render_rows(list(zip(sizes, rows)), args.fmt, args.family))
     return 0
 
 
-def _cmd_verify(args: SimpleNamespace, cap: int) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     report = verify_formula_suite(
-        args.suite, max_n=args.max_n, random_count=args.random_count, seed=args.seed, cap=cap
+        args.suite, max_n=args.max_n, random_count=args.random_count, seed=args.seed, cap=args.cap
     )
     if args.fmt == "md":
         sys.stdout.write(report.to_markdown())
@@ -234,7 +234,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         check_hard_limit(args.cap)  # every subcommand, whether or not it reads the cap
-        return COMMANDS[args.subcommand][0](args, args.cap)
+        return COMMANDS[args.subcommand][0](args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

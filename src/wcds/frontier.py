@@ -28,7 +28,8 @@ one snapshot, and the maps of signatures that run next.
 The named families need no search for their order. :func:`family_plan`
 writes the plan of a path, cycle, star or wheel from (family, n) alone as
 a word, prefix · bulk^k · suffix, over shared signature tuples, and that
-of K_n as its n steps; it equals ``_plan(build_family(family, n))``. So the
+of K_n, or of a member too small for its word, which is complete, as its
+n steps; it equals ``_plan(build_family(family, n))``. So the
 DP counts no family row from a built graph or a greedy order: the greedy
 stays the reference and serves the graphs that are given as graphs.
 
@@ -147,7 +148,6 @@ def _plan(g: Graph) -> Plan:
 
 # the step signatures of the family words (see _plan): the first and the last
 # vertex, then a path, a star leaf, a cycle and a wheel's hub and rim
-_ALONE = (0, (), (), False)
 _FIRST = (0, (), (0,), True)
 _LAST = (1, (0,), (), False)
 _PATH = (1, (0,), (1,), True)
@@ -159,7 +159,8 @@ _HUB = (2, (0, 1), (0, 1, 2), True)
 _RIM_FIRST = (3, (1, 2), (0, 2, 3), True)
 _RIM = (3, (1, 2), (0, 1, 3), True)
 _SPOKE_LAST = (3, (0, 1, 2), (), False)
-# family -> (width, prefix, bulk, suffix), for orders 2.., 2.., 3.. and 5..
+# family -> (width, prefix, bulk, suffix); a member of lower order than
+# prefix and suffix (P_1 = C_1 = K_1, C_2 = K_2, W_4 = K_4) is complete
 _WORDS = {
     "path": (1, (_FIRST,), _PATH, (_LAST,)),
     "star": (1, (_FIRST,), _LEAF, (_LAST,)),
@@ -170,25 +171,21 @@ _WORDS = {
 
 def family_plan(family: str, n: int) -> Plan:
     """``_plan(build_family(family, n))`` for a named family member, written
-    from (family, n) alone: no graph is built and no vertex scored. The
-    order is 1..order, except W_n = (1, 2, n, 3, ..., n - 1) for n >= 5 (the
-    hub third); W_4 = K_4 drops the wheel prefix's rim step. Step i of K_n
-    links to the whole frontier of i and keeps it and the new vertex until
-    the last step, so its width is n - 1. ValueError for an unknown family
-    and for n below the family's start."""
+    from (family, n) alone: no graph is built and no vertex scored. A path,
+    cycle, star or wheel reads its word, prefix · bulk^k · suffix; the order
+    is 1..order, except W_n = (1, 2, n, 3, ..., n - 1) (the hub third). A
+    member of lower order than its word's prefix and suffix is complete and
+    takes K_n's plan: step i links to the whole frontier of i and keeps it
+    and the new vertex until the last step, so its width is n - 1.
+    ValueError for an unknown family and for n below the family's start."""
     order = family_order(family, n)
-    if family == "complete":
-        steps = [(i, tuple(range(i)), tuple(range(i + 1)) if i < n - 1 else (), i < n - 1) for i in range(n)]
-        return tuple(range(1, n + 1)), n - 1, steps
-    if order == 1:
-        return (1,), 0, [_ALONE]
-    if family == "cycle" and n < 3:
-        family = "path"  # C_2 = P_2
-    width, prefix, bulk, suffix = _WORDS[family]
-    if family == "wheel" and n == 4:
-        prefix = prefix[:3]
-    vertices = (1, 2, n, *range(3, n)) if family == "wheel" and n > 4 else tuple(range(1, order + 1))
-    return vertices, width, [*prefix, *[bulk] * (order - len(prefix) - len(suffix)), *suffix]
+    if family != "complete":
+        width, prefix, bulk, suffix = _WORDS[family]
+        if order >= len(prefix) + len(suffix):
+            vertices = (1, 2, n, *range(3, n)) if family == "wheel" else tuple(range(1, order + 1))
+            return vertices, width, [*prefix, *[bulk] * (order - len(prefix) - len(suffix)), *suffix]
+    steps = [(i, tuple(range(i)), tuple(range(i + 1)) if i < order - 1 else (), i < order - 1) for i in range(order)]
+    return tuple(range(1, order + 1)), order - 1, steps
 
 
 def _successors(step: tuple, key: tuple) -> tuple:

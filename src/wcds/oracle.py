@@ -33,9 +33,8 @@ call by call (the join suite), and :func:`gamma_w_stack` and
 retires at its first layer with a hit (the join, corona and path/cycle
 minimum suites). A query on one graph is the one-graph case of the same
 routines: :func:`count_table`, :func:`sweep_counts` and
-:func:`dominating_counts` tally a stack of one graph, whose calls popcount
-their hits alone. No query result is memoised; a caller that needs a row
-twice keeps it.
+:func:`dominating_counts` tally a stack of one graph. No query result is
+memoised; a caller that needs a row twice keeps it.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:
     passes touch only the masks still growing.
 
     ``adj`` holds int neighbour masks, or (graphs, 1) columns for a
-    (graphs, masks) array (:func:`_stack_hits`); then each surviving mask
+    (graphs, masks) array (:func:`_calls`); then each surviving mask
     reads its own graph's N2 values, one vertex at a time, so the working
     arrays stay a few per surviving mask whatever the order.
     """
@@ -335,9 +334,6 @@ def _stack_rows(adjs: list[list[int]], pred: Callable) -> list[tuple[int, ...]]:
     n = len(adjs[0])
     counts = np.zeros((len(adjs), n + 1), dtype=np.int64)
     for first, masks, ok in _sweep(adjs, pred):
-        if len(ok) == 1:  # one graph: popcount its hits alone
-            counts[first, 1:] += _count_row(n, masks[ok[0]])
-            continue
         # cell (graph row, popcount) of each hit, as one flat index
         cells = np.arange(len(ok))[:, None] * (n + 1) + np.bitwise_count(masks)
         counts[first : first + len(ok)] += np.bincount(cells[ok], minlength=len(ok) * (n + 1)).reshape(-1, n + 1)

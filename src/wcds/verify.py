@@ -513,27 +513,25 @@ def _named_family_graphs(
     return [(label, g) for g, label in out.items()]
 
 
-def _random_connected(rng: random.Random, max_order: int, min_order: int = 2) -> Graph:
-    """Random connected graph: a uniform random labeled tree plus each extra
-    pair with probability one half."""
+def _random_connected(rng: random.Random, max_order: int, min_order: int) -> Graph:
+    """Random connected graph: a uniform random labeled tree, decoded from a
+    random Prüfer sequence, plus each extra pair with probability one half.
+    At order 2 the sequence is empty and the tree is the edge 1-2."""
     n = rng.randint(min_order, max_order)
     if n == 1:
         return make_graph(1, [])
     edges: set[tuple[int, int]] = set()
-    if n == 2:
-        edges.add((1, 2))
-    else:
-        seq = [rng.randint(1, n) for _ in range(n - 2)]
-        degree = [0] + [1] * n
-        for x in seq:
-            degree[x] += 1
-        for x in seq:
-            leaf = min(v for v in range(1, n + 1) if degree[v] == 1)
-            edges.add((min(leaf, x), max(leaf, x)))
-            degree[leaf] -= 1
-            degree[x] -= 1
-        u, v = (w for w in range(1, n + 1) if degree[w] == 1)
-        edges.add((u, v))
+    seq = [rng.randint(1, n) for _ in range(n - 2)]
+    degree = [0] + [1] * n
+    for x in seq:
+        degree[x] += 1
+    for x in seq:
+        leaf = min(v for v in range(1, n + 1) if degree[v] == 1)
+        edges.add((min(leaf, x), max(leaf, x)))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    u, v = (w for w in range(1, n + 1) if degree[w] == 1)
+    edges.add((u, v))
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             if (u, v) not in edges and rng.random() < 0.5:
@@ -968,9 +966,9 @@ def family_rows(family: str, sizes: Iterable[int], method: str, cap: int = DEFAU
     (``formula``, ``recurrence``)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    sizes = list(sizes)
     stated = method in ("formula", "recurrence")
     covered = family == "path" if method == "recurrence" else family in _CLOSED_FORMS or family == "wheel"
+    passed = []  # each size is refused as it is read, so a long refused range is never held
     for n in sizes:
         order = family_order(family, n)
         if not stated:
@@ -979,6 +977,8 @@ def family_rows(family: str, sizes: Iterable[int], method: str, cap: int = DEFAU
             raise UnsupportedMethodError(_unsupported(method, family_label(family, n)))
         elif n > FORMULA_MAX_N:
             raise CapacityError(f"family size {n} exceeds {FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate")
+        passed.append(n)
+    sizes = passed
     if method == "oracle":
         return [count_table(build_family(family, n), cap).counts for n in sizes]
     if method == "frontier":

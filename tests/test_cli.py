@@ -474,6 +474,25 @@ def test_table_over_the_cap_is_refused_before_any_row(capsys, monkeypatch, famil
     assert captured.err == "error: order 25 exceeds the subset-sweep cap 24 (2**25 subsets); raise the cap up to 30 to proceed\n"
 
 
+def test_a_table_to_a_billion_is_refused_with_empty_stdout(capsys):
+    assert run(["table", "--family", "path", "--max-n", "1000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 25 exceeds the subset-sweep cap 24 (2**25 subsets); raise the cap up to 30 to proceed\n"
+
+
+def test_count_labels_its_row_by_order_and_table_by_size(capsys):
+    # the star with 3 leaves has 4 vertices: count's row is 4, table's is 3
+    assert run(["count", "--family", "star", "--n", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "| 4 | 1 | 3 | 4 | 1 |"
+    assert run(["table", "--family", "star", "--max-n", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "| 3 | 1 | 3 | 4 | 1 |"
+    assert run(["count", "--family", "star", "--n", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [{"n": 4, "counts": [1, 3, 4, 1]}]
+    assert run(["table", "--family", "star", "--max-n", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][-1] == {"n": 3, "counts": [1, 3, 4, 1]}
+
+
 def test_a_raised_cap_prints_the_order_25_wheel_row(capsys):
     assert run(["table", "--family", "wheel", "--max-n", "25", "--cap", "30", "--format", "csv"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]

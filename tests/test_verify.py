@@ -725,6 +725,18 @@ def test_family_rows_refuse_every_size_before_any_row(monkeypatch, family, sizes
         verify.family_rows(family, sizes, method)
 
 
+def test_family_rows_refuse_a_long_range_without_holding_it():
+    # the first size above the cap raises while only the sizes before it are held
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="order 25 exceeds the subset-sweep cap 24"):
+            verify.family_rows("path", range(1, 10**6 + 1), "oracle")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("family", ("path", "cycle", "complete", "star", "wheel"))
 def test_family_rows_agree_by_every_method_that_covers_them(family):
     sizes = range(4, 9)  # K_9's width 8 is above the DP's bound
