@@ -9,9 +9,8 @@ seed; wall-clock timings go to stderr only.
 
 Exit status: 0 success / all checks pass, 1 verification failure, 2 usage
 or input error (every ValueError, from the parser or a command, leaves
-through one branch of ``run``), 3 order cap, frontier-width bound, listing
-bound (``oracle.LISTING_MAX`` sets), family size bound
-(``verify.FORMULA_MAX_N``) or all-graphs order limit (order 8) exceeded.
+through one branch of ``run``), 3 a bound exceeded (every
+:class:`oracle.CapacityError`, which lists the bounds).
 """
 
 from __future__ import annotations

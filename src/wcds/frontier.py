@@ -34,7 +34,9 @@ DP counts no family row from a built graph or a greedy order: the greedy
 stays the reference and serves the graphs that are given as graphs.
 
 With frontier width w there are at most 2^w * Bell(w) states, so work and
-memory follow the width of the order, not 2^order. Kawahara et al.,
+memory follow the width of the order, not 2^order. The live table is often
+far smaller (K_n's peaks at 2^(n-1) states), so the DP's one bound is
+checked on the table each step builds (:func:`_check_table`). Kawahara et al.,
 "Frontier-based search for enumerating all constrained subgraphs with
 compressed representation", IEICE Trans. Fundamentals E100-A(9), 2017;
 Cygan et al., *Parameterized Algorithms* (2015), ch. 7.
@@ -48,48 +50,26 @@ from operator import add
 from .graph import Graph, family_order
 from .oracle import CapacityError, CountTable
 
-# 2**7 * Bell(7) = 112 256 states fit, width 8 (1 059 840) does not; a state
-# holds at most order + 1 coefficients, 2000 on W_2000's width-2 rim (8 states)
-MAX_FRONTIER_STATES = 1 << 17
+# the most 64-bit words a live state table may hold (_check_table). 2**21 is
+# the least power of two that admits K_16 (32,768 states, 57 MiB VmHWM) and the
+# 8x8 grid (20,561 states, 64 MiB); K_17 and K_30 are refused at step 16 with
+# 65,536 states at 87 MiB, the 9x9 grid at step 30 at 48 MiB
+MAX_FRONTIER_WORDS = 1 << 21
 
 # a plan is what _plan and family_plan return: the vertex order, its width,
 # and the signature of each step, None for a disconnected graph
 Plan = tuple[tuple[int, ...], int, list[tuple] | None]
 
 
-def bell(k: int) -> int:
-    """The number of partitions of a k-set (Bell triangle)."""
-    row = [1]
-    for _ in range(k):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
-def projected_states(width: int) -> int:
-    """Upper bound on live DP states at frontier width ``width``: 2^w * Bell(w)."""
-    return (1 << width) * bell(width)
-
-
-def check_width(width: int) -> None:
-    """CapacityError when frontier width ``width`` allows more DP states
-    than :data:`MAX_FRONTIER_STATES`."""
-    if projected_states(width) > MAX_FRONTIER_STATES:
-        raise CapacityError(
-            f"frontier width {width} allows up to 2**{width} * Bell({width}) = "
-            f"{projected_states(width)} DP states, above the bound of {MAX_FRONTIER_STATES}"
-        )
-
-
-def frontier_order(g: Graph) -> tuple[tuple[int, ...], int]:
-    """A vertex order for the DP and its width, the largest frontier it leaves.
+def _plan(g: Graph) -> Plan:
+    """A vertex order for the DP, its width (the largest frontier it
+    leaves), and the signature of each step along it; in the positions that
+    stay, v is position w. A graph is disconnected iff its frontier empties
+    while vertices are unplaced; its signatures are None. Builds no DP
+    state.
 
     Greedy: place next the unplaced vertex that leaves the smallest
     frontier, ties to the most placed neighbours, then to the lowest label.
-    Builds no DP state.
-
     While the frontier F is not empty, only the unplaced neighbours of F are
     scored; the choice is the same as over every unplaced vertex. A vertex
     v with no placed neighbour is no frontier vertex's last unplaced
@@ -100,14 +80,6 @@ def frontier_order(g: Graph) -> tuple[tuple[int, ...], int]:
     while F is empty every unplaced vertex is scored, an isolated one
     leaves 0 and any other 1, so the isolated vertices come first.
     """
-    return _plan(g)[:2]
-
-
-def _plan(g: Graph) -> Plan:
-    """The order of :func:`frontier_order`, its width, and the signature of
-    each step along it; in the positions that stay, v is position w. A graph
-    is disconnected iff its frontier empties while vertices are unplaced;
-    its signatures are None."""
     adj = g.neighbor_masks()
     unplaced = (1 << g.order) - 1
     frontier: list[int] = []
@@ -184,7 +156,8 @@ def family_plan(family: str, n: int) -> Plan:
         if order >= len(prefix) + len(suffix):
             vertices = (1, 2, n, *range(3, n)) if family == "wheel" else tuple(range(1, order + 1))
             return vertices, width, [*prefix, *[bulk] * (order - len(prefix) - len(suffix)), *suffix]
-    steps = [(i, tuple(range(i)), tuple(range(i + 1)) if i < order - 1 else (), i < order - 1) for i in range(order)]
+    full = tuple(range(order))  # the steps' positions are slices of one tuple, sharing its ints
+    steps = [(i, full[:i], full[: i + 1] if i < order - 1 else (), i < order - 1) for i in range(order)]
     return tuple(range(1, order + 1)), order - 1, steps
 
 
@@ -234,9 +207,12 @@ def count_table_frontier(g: Graph) -> CountTable:
     """Full count table for g by the frontier DP; equals ``count_table(g)``.
 
     Disconnected graphs get the all-zero table with ``connected`` False. A
-    width whose projected states exceed :data:`MAX_FRONTIER_STATES` raises
-    :class:`CapacityError` before any state is built. There is no order cap.
+    step whose table passes :data:`MAX_FRONTIER_WORDS` raises
+    :class:`CapacityError` (see :func:`_check_table`), and so does an order
+    whose one-state table passes it, before the vertex order is searched.
+    There is no order cap.
     """
+    _check_table(1, g.order, 0, 0)  # every table holds a state: refuse before the greedy
     return next(_frontier_rows([_plan(g)]))
 
 
@@ -250,6 +226,18 @@ def _shared(a: list[tuple] | None, b: list[tuple] | None) -> int:
     return k
 
 
+def _check_table(live: int, order: int, kept: int, step: int) -> None:
+    """CapacityError when ``live`` states after step ``step`` of an
+    order-``order`` row pass :data:`MAX_FRONTIER_WORDS`: each holds order +
+    1 coefficients below 2^order, ⌈order / 64⌉ words each, and a key of 2
+    entries per ``kept`` frontier vertex."""
+    words = live * ((order + 1) * -(-order // 64) + 2 * kept)
+    if words > MAX_FRONTIER_WORDS:
+        raise CapacityError(
+            f"step {step} of {order} holds {live} live DP states, {words} words, above the bound of {MAX_FRONTIER_WORDS}"
+        )
+
+
 def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
     """Count tables of the graphs whose plans by :func:`_plan` are
     ``plans``, one at a time and in order.
@@ -258,21 +246,23 @@ def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
     steps whose signatures the two rows share, and runs only the steps after
     it; the snapshot of a row that resumed past its successor's k is the
     empty table. A step's compiled map is kept only while the row's next
-    step or a step the next row runs has its signature. A row's width is
-    checked against :data:`MAX_FRONTIER_STATES` when the row is reached, so
-    the rows before a refused one are yielded first.
+    step or a step the next row runs has its signature.
+
+    Each step's table is checked by :func:`_check_table`; the step that
+    passes the bound raises :class:`CapacityError`, so the rows before a
+    refused one are yielded first. A step at most doubles the live states,
+    so a refused table is about twice the bound at most.
     """
     rows = iter(plans)
     after = next(rows, None)
     start, resume = None, 0  # the table this row resumes from, after `resume` steps
     compiled: dict[tuple, dict] = {}  # signature -> its map
     while after is not None:
-        (order, width, steps), after = after, next(rows, None)
+        (order, _, steps), after = after, next(rows, None)
         if steps is None:
             yield CountTable(len(order), (0,) * len(order), connected=False)
             start, resume = None, 0
             continue
-        check_width(width)
         after_steps = after and after[2]
         keep = _shared(steps, after_steps)
         if keep < resume:
@@ -284,6 +274,7 @@ def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
             if k == keep:
                 snapshot = states
             states = _place(states, steps[k], compiled.setdefault(steps[k], {}))
+            _check_table(len(states), len(order), len(steps[k][2]), k + 1)
             if steps[k] not in wanted and steps[k + 1 : k + 2] != steps[k : k + 1]:
                 del compiled[steps[k]]
         if keep == len(steps):

@@ -60,9 +60,10 @@ _DISCONNECTED = "gamma_w undefined: graph is disconnected"
 
 
 class CapacityError(Exception):
-    """Raised past one of five bounds: the subset-sweep cap, the frontier
-    DP's width bound, ``LISTING_MAX`` listed sets, the stated family rows'
-    ``verify.FORMULA_MAX_N`` and the all-graphs order limit of 8."""
+    """Raised past a bound: the subset-sweep cap, the frontier DP's live
+    table (``frontier.MAX_FRONTIER_WORDS``), ``LISTING_MAX`` listed sets, the
+    family rows' ``verify.FORMULA_MAX_N`` and ``verify.MAX_ROW_WORDS``, and
+    the all-graphs order limit of 8."""
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,8 @@ def check_cap(order: int, cap: int) -> None:
     if cap > HARD_CAP:
         check_hard_limit(cap)
     if order > cap:
-        raise CapacityError(
-            f"order {order} exceeds the subset-sweep cap {cap} "
-            f"(2**{order} subsets); raise the cap up to {HARD_CAP} to proceed"
-        )
+        hint = f"raise the cap up to {HARD_CAP} to proceed" if order <= HARD_CAP else f"the sweep's hard limit is {HARD_CAP}"
+        raise CapacityError(f"order {order} exceeds the subset-sweep cap {cap} (2**{order} subsets); {hint}")
 
 
 def _weak_ok(adj: list[int], masks: np.ndarray) -> np.ndarray:

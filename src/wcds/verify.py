@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import formulas
-from .frontier import _frontier_rows, check_width, count_table_frontier, family_plan
+from .frontier import _frontier_rows, count_table_frontier, family_plan
 from .graph import Graph, RootedGraph, build_family, corona, family_label, family_order, family_start, join, make_graph, realize_extension
 from .oracle import (
     DEFAULT_CAP,
@@ -915,11 +915,12 @@ def verify_structural(max_order: int | None = None) -> VerificationReport:
 
 def table_by_method(source: Graph | tuple[str, int], method: str, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """Full count row of a graph or of a named family member ``(family,
-    n)`` by one of ``METHODS``: ``oracle`` (the subset sweep), ``frontier``
-    (the frontier DP, refused above its width bound), ``formula`` and
-    ``recurrence`` (the stated rows, see :func:`family_rows`). A pair's
-    row comes from :func:`family_rows`; a graph read as a graph, from an
-    edge list say, supports ``oracle`` and ``frontier`` only."""
+    n)`` by one of ``METHODS``: ``oracle`` (the subset sweep, refused above
+    ``cap``), ``frontier`` (the frontier DP, refused at a step whose table
+    passes its bound), ``formula`` and ``recurrence`` (the stated rows,
+    see :func:`family_rows`). A pair's row comes from :func:`family_rows`;
+    a graph read as a graph, from an edge list say, supports ``oracle`` and
+    ``frontier`` only."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(source, Graph):
@@ -928,7 +929,6 @@ def table_by_method(source: Graph | tuple[str, int], method: str, cap: int = DEF
     if method == "oracle":
         return count_table(source, cap).counts
     if method == "frontier":
-        check_cap(source.order, cap)
         return count_table_frontier(source).counts
     raise UnsupportedMethodError(_unsupported(method, source.label()))
 
@@ -938,6 +938,12 @@ def table_by_method(source: Graph | tuple[str, int], method: str, cap: int = DEF
 # takes about 0.2 s, the path recurrence to 2000 about 0.2 s and W_2000 with
 # its rim's DP about 0.8 s (README)
 FORMULA_MAX_N = 2000
+# the most 64-bit words of counts that ``family_rows`` returns, a row of order
+# n counted as n cells below 2^n, so ⌈n / 64⌉ words each. A table of n rows
+# grows as n^3 (the path table to 1000 took 143 MiB, to 2000 852 MiB); 2**17
+# words admit one row to order 2880 and the path, cycle and wheel tables to
+# 277 at 33-37 MiB VmHWM, and keep every stated row to FORMULA_MAX_N
+MAX_ROW_WORDS = 1 << 17
 
 
 def _unsupported(method: str, label: str) -> str:
@@ -961,31 +967,31 @@ def family_rows(family: str, sizes: Iterable[int], method: str, cap: int = DEFAU
     Every size is refused before any row is counted: ValueError for a size
     below the family's start, :class:`UnsupportedMethodError` for a stated
     method that does not cover the family, and :class:`CapacityError` for
-    an order above ``cap`` (``oracle``, ``frontier``), a width above the
-    DP's bound (``frontier``) or a size above ``FORMULA_MAX_N``
-    (``formula``, ``recurrence``)."""
+    an order above ``cap`` (``oracle``), a size above ``FORMULA_MAX_N``
+    (``formula``, ``recurrence``) or rows past ``MAX_ROW_WORDS`` (every
+    method). The DP refuses a row at the step its table passes its bound."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     stated = method in ("formula", "recurrence")
     covered = family == "path" if method == "recurrence" else family in _CLOSED_FORMS or family == "wheel"
-    passed = []  # each size is refused as it is read, so a long refused range is never held
+    passed, words = [], 0  # each size is refused as it is read, so a long refused range is never held
     for n in sizes:
         order = family_order(family, n)
-        if not stated:
+        if method == "oracle":
             check_cap(order, cap)
-        elif not covered:
+        elif stated and not covered:
             raise UnsupportedMethodError(_unsupported(method, family_label(family, n)))
-        elif n > FORMULA_MAX_N:
+        elif stated and n > FORMULA_MAX_N:
             raise CapacityError(f"family size {n} exceeds {FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate")
+        words += order * -(-order // 64)
+        if words > MAX_ROW_WORDS:
+            raise CapacityError(f"the rows to size {n} take up to {words} words, above the bound of {MAX_ROW_WORDS}")
         passed.append(n)
     sizes = passed
     if method == "oracle":
         return [count_table(build_family(family, n), cap).counts for n in sizes]
     if method == "frontier":
-        plans = [family_plan(family, n) for n in sizes]
-        for _, width, _ in plans:
-            check_width(width)
-        return [t.counts for t in _frontier_rows(plans)]
+        return [t.counts for t in _frontier_rows([family_plan(family, n) for n in sizes])]
     if method == "recurrence":
         return [formulas.count_path_recurrence(n).counts for n in sizes]
     if family == "wheel":

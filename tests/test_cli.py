@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -8,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ import wcds.oracle as oracle
 import wcds.verify as verify
 from wcds.cli import run
 from wcds.frontier import count_table_frontier
-from wcds.graph import FAMILIES, build_family, family_label, family_order, make_graph
+from wcds.graph import FAMILIES, build_family, family_label, family_order, family_start, make_graph
 from wcds.oracle import DEFAULT_CAP, count_table
 from wcds.verify import DEFAULT_SEED, METHODS, SUITES
 
@@ -188,12 +190,27 @@ def test_capacity_exit_status(capsys):
 
 
 @pytest.mark.parametrize(
+    "n, cap, hint",
+    (
+        (25, "24", "raise the cap up to 30 to proceed"),
+        (30, "29", "raise the cap up to 30 to proceed"),
+        (31, "24", "the sweep's hard limit is 30"),
+        (31, "30", "the sweep's hard limit is 30"),
+    ),
+)
+def test_the_cap_refusal_hints_at_a_raise_only_where_one_helps(capsys, n, cap, hint):
+    # no cap sweeps an order above the hard limit, so none is suggested there
+    assert run(["gamma", "--family", "path", "--n", str(n), "--cap", cap]) == 3
+    assert capsys.readouterr() == ("", f"error: order {n} exceeds the subset-sweep cap {cap} (2**{n} subsets); {hint}\n")
+
+
+@pytest.mark.parametrize(
     "argv,order",
     (
         (["gamma", "--family", "complete", "--n", "1000"], 1000),
         (["enumerate", "--family", "star", "--n", "24", "--i", "3"], 25),  # star(n) has n + 1 vertices
         (["count", "--family", "wheel", "--n", "25"], 25),
-        (["count", "--family", "path", "--n", "25", "--method", "frontier"], 25),
+        (["count", "--family", "path", "--n", "25", "--method", "oracle"], 25),
     ),
 )
 def test_over_cap_family_is_refused_before_it_is_built(capsys, monkeypatch, argv, order):
@@ -286,11 +303,14 @@ def test_formula_and_recurrence_refuse_an_uncovered_family_of_any_size(capsys):
 
 
 def test_table_refuses_an_over_cap_order_before_any_sweep(capsys, sweep_calls):
-    assert run(["table", "--family", "star", "--max-n", "10", "--cap", "10"]) == 3
+    # complete rows are swept, so --cap bounds their table; the DP rows read no cap
+    assert run(["table", "--family", "complete", "--max-n", "11", "--cap", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "order 11 exceeds the subset-sweep cap 10" in captured.err
     assert sweep_calls == []
+    assert run(["table", "--family", "star", "--max-n", "10", "--cap", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "| 10 | " + " | ".join(map(str, count_table(build_family("star", 10)).counts)) + " |"
 
 
 @pytest.mark.parametrize(
@@ -464,7 +484,7 @@ def test_sparse_family_tables_build_no_graph_and_run_no_greedy(capsys, monkeypat
         assert calls == list(range(1, 17))
 
 
-@pytest.mark.parametrize("family, top", (("star", 24), ("wheel", 25), ("path", 25), ("complete", 25)))
+@pytest.mark.parametrize("family, top", (("complete", 25),))
 def test_table_over_the_cap_is_refused_before_any_row(capsys, monkeypatch, family, top):
     monkeypatch.setattr(verify, "_frontier_rows", lambda plans: pytest.fail("a row was counted"))
     monkeypatch.setattr(verify, "count_table", lambda g, cap: pytest.fail("a row was counted"))
@@ -474,11 +494,52 @@ def test_table_over_the_cap_is_refused_before_any_row(capsys, monkeypatch, famil
     assert captured.err == "error: order 25 exceeds the subset-sweep cap 24 (2**25 subsets); raise the cap up to 30 to proceed\n"
 
 
-def test_a_table_to_a_billion_is_refused_with_empty_stdout(capsys):
-    assert run(["table", "--family", "path", "--max-n", "1000000000"]) == 3
+def _row_words(family, top):
+    """The words ``family_rows`` counts for the table of ``family`` to ``top``."""
+    start = family_start(family)
+    return sum(family_order(family, n) * -(-family_order(family, n) // 64) for n in range(start, top + 1))
+
+
+@pytest.mark.parametrize("family, top", (("path", 278), ("cycle", 278), ("star", 277), ("wheel", 278)))
+def test_a_table_past_the_row_bound_is_refused_before_any_row(capsys, monkeypatch, family, top):
+    # each row of order n holds n counts below 2^n; the table to top - 1 fits the bound
+    assert _row_words(family, top - 1) <= verify.MAX_ROW_WORDS < _row_words(family, top)
+    monkeypatch.setattr(verify, "_frontier_rows", lambda plans: pytest.fail("a row was counted"))
+    monkeypatch.setattr(verify, "family_plan", lambda *a: pytest.fail("a row was planned"))
+    assert run(["table", "--family", family, "--max-n", str(top)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: order 25 exceeds the subset-sweep cap 24 (2**25 subsets); raise the cap up to 30 to proceed\n"
+    words = _row_words(family, top)
+    assert captured.err == f"error: the rows to size {top} take up to {words} words, above the bound of {verify.MAX_ROW_WORDS}\n"
+
+
+def test_a_table_to_a_billion_is_refused_with_empty_stdout(capsys):
+    # the sizes are read one at a time, so the refused range is never held
+    tracemalloc.start()
+    try:
+        assert run(["table", "--family", "path", "--max-n", "1000000000"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the rows to size 278 take up to {_row_words('path', 278)} words, above the bound of {verify.MAX_ROW_WORDS}\n"
+
+
+def test_the_wheel_table_to_200_begins_with_the_table_to_20(capsys):
+    # the DP rows need no cap: rows 4..20 of the table to 200 render to the
+    # bytes of the table to 20, whose sha256 the golden corpus pins
+    assert run(["table", "--family", "wheel", "--max-n", "200", "--format", "json"]) == 0
+    rows = [(r["n"], r["counts"]) for r in json.loads(capsys.readouterr().out)["rows"]]
+    assert [n for n, _ in rows] == list(range(4, 201))
+    assert run(["table", "--family", "wheel", "--max-n", "20"]) == 0
+    assert capsys.readouterr().out == cli._render_rows(rows[:17], "md", "wheel")
+    golden = json.loads((ROOT / "tests" / "golden" / "stdout.json").read_text())["table --family wheel --max-n 20"]
+    rendered = cli._render_rows(rows[:17], "md", "wheel").encode()
+    assert hashlib.sha256(rendered).hexdigest() == golden["sha256"]
+    n, counts = rows[-1]
+    assert counts[0] == 1 and counts[-2:] == [n, 1]
 
 
 def test_count_labels_its_row_by_order_and_table_by_size(capsys):
@@ -766,17 +827,17 @@ def _flag_cells(kind, default, required):
 def test_readme_flag_table_lists_exactly_the_options_of_the_cli():
     text = (ROOT / "README.md").read_text()
     rows = text.split("| option | subcommands | value | default | required | bound |\n| --- | --- | --- | --- | --- | --- |\n")[1]
-    width = max(w for w in range(16) if frontier.projected_states(w) <= frontier.MAX_FRONTIER_STATES)
     # the largest random pool of the join suites and of the extension suites, one each
     pools = [{s.random_max for name, s in SUITES.items() if name.startswith(kind)} for kind in ("join", "extension")]
     assert [len(pool) for pool in pools] == [1, 1] and sum(s.random_max is not None for s in SUITES.values()) == 5
     # the numbers each row's bound quotes, besides its exit statuses, and the constants they are
     quoted = {
-        ("--n", "gamma"): [DEFAULT_CAP, verify.FORMULA_MAX_N],
+        ("--n", "gamma"): [DEFAULT_CAP, verify.FORMULA_MAX_N, verify.MAX_ROW_WORDS],
         ("--input", "gamma"): [DEFAULT_CAP],
         ("--cap", "gamma"): [1, oracle.HARD_CAP],
         ("--i", "enumerate"): [oracle.LISTING_MAX],
-        ("--method", "count"): [width],
+        ("--method", "count"): [frontier.MAX_FRONTIER_WORDS],
+        ("--max-n", "table"): [verify.MAX_ROW_WORDS],
         ("--max-n", "verify"): [verify._DENSE_MAX_ORDER],
         ("--random-count", "verify"): [pool.pop() for pool in pools],
     }

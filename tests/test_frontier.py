@@ -1,11 +1,12 @@
 """The frontier DP against the subset sweep, its vertex order and width,
-its up-front refusal, and row sequences that resume from shared steps."""
+its bound on the live table, and row sequences that resume from shared
+steps."""
 
+import json
 import random
 import tracemalloc
 import weakref
 from itertools import combinations
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +17,12 @@ from wcds import (
     count_table,
     count_table_frontier,
     cross_check,
-    frontier_order,
     is_connected,
     make_graph,
 )
 from wcds import frontier
 from wcds.cli import run
+from wcds.formulas import count_complete
 from wcds.graph import FAMILIES
 
 FAMILY_WIDTH = {"path": 1, "cycle": 2, "star": 1, "wheel": 3}
@@ -55,10 +56,9 @@ def graphs(draw):
 @settings(max_examples=120, deadline=None)
 @given(graphs())
 def test_random_graphs_match_the_sweep(g):
-    # dense order-12 graphs reach width 11, far above the refusal bound, yet
-    # hold at most 2^11 live states; lift the bound to compare them too
-    with mock.patch.object(frontier, "MAX_FRONTIER_STATES", frontier.projected_states(g.order)):
-        _same(g)
+    # dense order-12 graphs reach width 11 yet hold at most 2^11 live states,
+    # far within the bound on the live table
+    _same(g)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_WIDTH))
@@ -66,29 +66,24 @@ def test_sparse_families_to_order_twenty(family):
     start = 4 if family == "wheel" else 1
     for n in range(start, 21 if family != "star" else 20):
         g = build_family(family, n)
-        order, width = frontier_order(g)
+        order, width = frontier._plan(g)[:2]
         assert sorted(order) == list(g.vertices())
         assert width <= FAMILY_WIDTH[family]
         _same(g)
 
 
 def test_order_and_width_of_small_cases():
-    assert frontier_order(make_graph(1, [])) == ((1,), 0)
-    assert frontier_order(build_family("path", 4)) == ((1, 2, 3, 4), 1)
+    assert frontier._plan(make_graph(1, []))[:2] == ((1,), 0)
+    assert frontier._plan(build_family("path", 4))[:2] == ((1, 2, 3, 4), 1)
     # the hub joins the frontier before the rim grows past three
-    order, width = frontier_order(build_family("wheel", 8))
+    order, width = frontier._plan(build_family("wheel", 8))[:2]
     assert order[:3] == (1, 2, 8) and width == 3
-    assert frontier_order(build_family("complete", 6))[1] == 5
+    assert frontier._plan(build_family("complete", 6))[1] == 5
 
 
 def test_disconnected_graph_gets_the_zero_table():
     t = count_table_frontier(make_graph(4, [(1, 2), (3, 4)]))
     assert not t.connected and t.counts == (0, 0, 0, 0)
-
-
-def test_bell_and_projected_states():
-    assert [frontier.bell(k) for k in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
-    assert frontier.projected_states(3) == 8 * 5
 
 
 def test_cross_check_oracle_against_frontier():
@@ -98,23 +93,54 @@ def test_cross_check_oracle_against_frontier():
         assert cross_check(g, ("oracle", "frontier")).all_passed()
 
 
-def test_wide_graph_is_refused_before_any_state(capsys, monkeypatch):
+def _k10_words(step):
+    """The words of K_10's table after ``step`` steps: 2^step states, each
+    11 coefficients of one word and a key of 2 * step entries."""
+    return 2**step * (11 + 2 * step)
+
+
+def test_a_graph_past_the_bound_is_refused_at_its_step(capsys, monkeypatch):
+    # K_10's table doubles at each of its first 9 steps; with the bound at
+    # its table after step 6, step 7 is the one refused, after 7 steps ran
     steps = []
-    monkeypatch.setattr(frontier, "_place", lambda *a: steps.append(a))
-    assert run(["count", "--family", "complete", "--n", "16", "--method", "frontier"]) == 3
+    place = frontier._place
+    monkeypatch.setattr(frontier, "_place", lambda *a: steps.append(a[1]) or place(*a))
+    monkeypatch.setattr(frontier, "MAX_FRONTIER_WORDS", _k10_words(6))
+    assert run(["count", "--family", "complete", "--n", "10", "--method", "frontier"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "frontier width 15" in captured.err
-    assert f"bound of {frontier.MAX_FRONTIER_STATES}" in captured.err
-    assert steps == []
-    with pytest.raises(CapacityError, match="frontier width 8"):
-        count_table_frontier(build_family("complete", 9))
-    assert steps == []
+    assert captured.err == f"error: step 7 of 10 holds 128 live DP states, {_k10_words(7)} words, above the bound of {_k10_words(6)}\n"
+    assert len(steps) == 7
+    steps.clear()
+    with pytest.raises(CapacityError, match="^step 7 of 10 holds 128 live DP states"):
+        count_table_frontier(build_family("complete", 10))
+    assert len(steps) == 7
+    # at the bound itself the row is counted
+    monkeypatch.setattr(frontier, "MAX_FRONTIER_WORDS", _k10_words(9))
+    assert count_table_frontier(build_family("complete", 10)) == count_table(build_family("complete", 10))
 
 
-def test_widest_accepted_width_is_seven():
-    assert frontier.projected_states(7) <= frontier.MAX_FRONTIER_STATES < frontier.projected_states(8)
-    assert count_table_frontier(build_family("complete", 8)) == count_table(build_family("complete", 8))
+def test_an_order_whose_one_state_passes_the_bound_runs_no_greedy(monkeypatch):
+    # every table holds at least one state of order + 1 coefficients, so a
+    # given graph that large is refused before its vertex order is searched
+    monkeypatch.setattr(frontier, "_plan", lambda g: pytest.fail("the greedy ran"))
+    # a coefficient below 2^order takes one word per 64 bits: 20,001 of 313 words
+    with pytest.raises(CapacityError, match="^step 0 of 20000 holds 1 live DP states, 6260313 words, above the bound of 2097152$"):
+        count_table_frontier(build_family("path", 20000))
+    monkeypatch.setattr(frontier, "MAX_FRONTIER_WORDS", 10)
+    with pytest.raises(CapacityError, match="^step 0 of 10 holds 1 live DP states, 11 words, above the bound of 10$"):
+        count_table_frontier(build_family("path", 10))
+
+
+def test_complete_graphs_to_k16_equal_the_closed_form(capsys):
+    # K_n's table peaks at 2^(n-1) states, far below 2^w * Bell(w) at width
+    # n - 1; K_16's 32,768 states fit the bound and K_17's 65,536 do not
+    for n in range(9, 17):
+        assert run(["count", "--family", "complete", "--n", str(n), "--method", "frontier", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [{"n": n, "counts": [count_complete(n, i) for i in range(1, n + 1)]}]
+    assert run(["count", "--family", "complete", "--n", "17", "--method", "frontier"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: step 16 of 17 holds 65536 live DP states")
 
 
 def test_long_cycles_and_wheels_beyond_the_sweep():
@@ -128,16 +154,17 @@ def test_long_cycles_and_wheels_beyond_the_sweep():
 
 
 def test_command_line_keeps_the_order_cap(capsys):
-    # the DP has no order cap of its own; the command line still applies --cap
-    assert run(["count", "--family", "cycle", "--n", "25", "--method", "frontier"]) == 3
+    # --cap bounds the subset sweep alone; the DP reads no cap
+    assert run(["count", "--family", "cycle", "--n", "25"]) == 3
     assert "order 25 exceeds the subset-sweep cap 24" in capsys.readouterr().err
-    assert run(["count", "--family", "cycle", "--n", "25", "--method", "frontier", "--cap", "25", "--i", "25"]) == 0
-    assert capsys.readouterr().out == "1\n"
+    for cap in ("1", "24"):
+        assert run(["count", "--family", "cycle", "--n", "25", "--method", "frontier", "--cap", cap, "--i", "25"]) == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 def _greedy_over_every_vertex(g):
     """The greedy order scoring every unplaced vertex at every step: the
-    reference that :func:`frontier_order`'s restricted scan must equal."""
+    reference that the restricted scan of :func:`frontier._plan` must equal."""
     adj = g.neighbor_masks()
     unplaced = (1 << g.order) - 1
     frontier_: list[int] = []
@@ -177,7 +204,7 @@ def test_restricted_greedy_equals_the_full_scan_on_every_small_graph():
         pairs = list(combinations(range(1, n + 1), 2))
         for bits in range(1 << len(pairs)):
             g = make_graph(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
-            assert frontier_order(g) == _greedy_over_every_vertex(g), g.edges
+            assert frontier._plan(g)[:2] == _greedy_over_every_vertex(g), g.edges
 
 
 def test_restricted_greedy_equals_the_full_scan_on_random_graphs_and_families():
@@ -189,12 +216,12 @@ def test_restricted_greedy_equals_the_full_scan_on_random_graphs_and_families():
         adj = g.neighbor_masks()
         shapes["isolated"] += 0 in adj
         shapes["disconnected"] += not is_connected(g)
-        assert frontier_order(g) == _greedy_over_every_vertex(g), g.edges
+        assert frontier._plan(g)[:2] == _greedy_over_every_vertex(g), g.edges
     assert min(shapes.values()) >= 50, shapes
     for family in FAMILIES:
         for n in range(4 if family == "wheel" else 1, 61):
             g = build_family(family, n)
-            assert frontier_order(g) == _greedy_over_every_vertex(g), (family, n)
+            assert frontier._plan(g)[:2] == _greedy_over_every_vertex(g), (family, n)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -289,20 +316,25 @@ def test_benchmark_tables_run_few_steps(capsys, monkeypatch, family, top, steps,
     assert sum(len(order) for order, _, _ in rows) > 4 * steps
 
 
-def test_wide_graph_in_a_sequence_is_refused_before_its_states(monkeypatch):
+def test_wide_graph_in_a_sequence_is_refused_at_its_step(monkeypatch):
+    # C_9 and W_8 fit a bound of 1000 words; K_9's table after step 6, 64
+    # states of 10 coefficients and 12 key entries, does not. K_9 resumes
+    # from W_8's table after the steps the two share, and runs only the rest
     before = [build_family("cycle", 9), build_family("wheel", 8)]
+    monkeypatch.setattr(frontier, "MAX_FRONTIER_WORDS", 1000)
     calls = []
     real = frontier._place
     monkeypatch.setattr(frontier, "_place", lambda states, step, compiled: calls.append(step) or real(states, step, compiled))
     alone = _rows(before)
     ran = len(calls)
     calls.clear()
-    rows = frontier._frontier_rows([frontier._plan(g) for g in (*before, build_family("complete", 9), build_family("cycle", 10))])
+    plans = [frontier._plan(g) for g in (*before, build_family("complete", 9), build_family("cycle", 10))]
+    rows = frontier._frontier_rows(plans)
     assert [next(rows), next(rows)] == alone == [count_table(g) for g in before]
     assert len(calls) == ran
-    with pytest.raises(CapacityError, match="frontier width 8"):
+    with pytest.raises(CapacityError, match="^step 6 of 9 holds 64 live DP states, 1408 words, above the bound of 1000$"):
         next(rows)
-    assert len(calls) == ran
+    assert len(calls) == ran + 6 - frontier._shared(plans[1][2], plans[2][2])
 
 
 def _grid(rows, cols):
@@ -332,7 +364,7 @@ def test_a_sequence_holds_at_most_one_snapshot(monkeypatch):
     # counted, not their bytes, so the bound does not move when a state
     # gets smaller
     grids = [_grid(k, 4) for k in range(4, 9)]
-    assert {frontier_order(g)[1] for g in grids} == {4}
+    assert {frontier._plan(g)[1] for g in grids} == {4}
     expected = [count_table_frontier(g) for g in grids]
     tables, alive = [], []
     place = frontier._place
@@ -354,5 +386,5 @@ def test_a_lone_grid_holds_the_live_table_and_few_maps():
     # so the traced peak stays within 1.5 times the 5.5 MiB the DP peaked at
     # before it compiled its steps
     g = _grid(7, 7)
-    assert frontier_order(g)[1] == 7
+    assert frontier._plan(g)[1] == 7
     assert _peak(lambda: count_table_frontier(g)) < 1.5 * 5.5 * 2**20

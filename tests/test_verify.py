@@ -704,8 +704,8 @@ def test_table_by_method_wheel_wires_its_own_rim():
     "family, sizes, method, error",
     (
         ("path", range(20, 26), "oracle", "order 25 exceeds the subset-sweep cap 24"),
-        ("star", range(20, 25), "frontier", "order 25 exceeds the subset-sweep cap 24"),
-        ("complete", range(1, 10), "frontier", "frontier width 8 allows"),
+        ("star", range(1, 10**6), "frontier", "the rows to size 277 take up to 132144 words"),
+        ("complete", (2881,), "frontier", "the rows to size 2881 take up to 132526 words"),
         ("path", (1999, 2000, 2001), "formula", "family size 2001 exceeds 2000"),
         ("path", (1999, 2001), "recurrence", "family size 2001 exceeds 2000"),
         ("wheel", (1999, 2000, 2001), "formula", "family size 2001 exceeds 2000"),
@@ -739,7 +739,7 @@ def test_family_rows_refuse_a_long_range_without_holding_it():
 
 @pytest.mark.parametrize("family", ("path", "cycle", "complete", "star", "wheel"))
 def test_family_rows_agree_by_every_method_that_covers_them(family):
-    sizes = range(4, 9)  # K_9's width 8 is above the DP's bound
+    sizes = range(4, 9)
     rows = verify.family_rows(family, sizes, "oracle")
     assert rows == [count_table(build_family(family, n)).counts for n in sizes]
     assert verify.family_rows(family, sizes, "frontier") == rows
