@@ -20,8 +20,10 @@ import io
 import json
 import re
 import sys
+from contextlib import nullcontext
 from types import SimpleNamespace
 
+from .frontier import _check_table
 from .graph import FAMILIES, Graph, build_family, family_label, family_order, family_start, read_edge_list
 from .oracle import CapacityError, DEFAULT_CAP, check_cap, check_hard_limit, enumerate_wcds, gamma, gamma_w
 from .verify import DEFAULT_SEED, METHODS, SUITES, family_rows, table_by_method, verify_formula_suite
@@ -37,18 +39,24 @@ def _family_source(args: SimpleNamespace) -> tuple[str, int] | None:
     return None if args.family is None else (args.family, args.n)
 
 
-def _read_input(path: str) -> Graph:
-    """The graph of the edge-list file ``path``, "-" for stdin."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read {path}: {exc.strerror}")
+def _admit(order: int) -> None:
+    """CapacityError for an edge list of ``order`` vertices or more: every DP
+    table holds a state, one state of that order passes the DP's bound
+    (:func:`frontier._check_table`), and the sweep's cap is lower still."""
     try:
-        g, mapping = read_edge_list(text)
+        _check_table(1, order, 0, 0)
+    except CapacityError as exc:
+        raise CapacityError(f"an input of order {order} or more is beyond every method: {exc}") from None
+
+
+def _read_input(path: str) -> Graph:
+    """The graph of the edge-list file ``path``, "-" for stdin, read a line at
+    a time and refused by :func:`_admit` as soon as its order is too large."""
+    try:
+        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+            g, mapping = read_edge_list(fh, _admit)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
     except ValueError as exc:
         raise ValueError(f"bad edge list: {exc}")
     if any(old != new for old, new in mapping.items()):

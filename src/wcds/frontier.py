@@ -13,7 +13,7 @@ by size, as a list of Python ints. A component with no frontier vertex can
 never grow again, so it kills the state unless it is the whole graph.
 
 States are keyed by frontier position, not by vertex label, so a step
-reads only its signature (:func:`_plan`): the frontier width, the
+reads only its signature (:func:`_plan`): the frontier's size, the
 positions the new vertex links to, the positions of frontier + [v] that
 stay, and whether any vertex is left unplaced. Two graphs whose first k
 signatures are equal therefore have equal state tables after k steps.
@@ -29,14 +29,15 @@ The named families need no search for their order. :func:`family_plan`
 writes the plan of a path, cycle, star or wheel from (family, n) alone as
 a word, prefix · bulk^k · suffix, over shared signature tuples, and that
 of K_n, or of a member too small for its word, which is complete, as its
-n steps; it equals ``_plan(build_family(family, n))``. So the
-DP counts no family row from a built graph or a greedy order: the greedy
-stays the reference and serves the graphs that are given as graphs.
+n steps; it equals ``_plan(build_family(family, n))``. So the DP counts no
+family row from a built graph or a greedy order: the greedy stays the
+reference and serves the graphs that are given as graphs.
 
-With frontier width w there are at most 2^w * Bell(w) states, so work and
-memory follow the width of the order, not 2^order. The live table is often
-far smaller (K_n's peaks at 2^(n-1) states), so the DP's one bound is
-checked on the table each step builds (:func:`_check_table`). Kawahara et al.,
+With w the longest ``kept`` of an order's signatures (its width) there are
+at most 2^w * Bell(w) states, so work and memory follow the width of the
+order, not 2^order. The live table is often far smaller (K_n's peaks at
+2^(n-1) states), so the DP's one bound is checked on the table each step
+builds (:func:`_check_table`). Kawahara et al.,
 "Frontier-based search for enumerating all constrained subgraphs with
 compressed representation", IEICE Trans. Fundamentals E100-A(9), 2017;
 Cygan et al., *Parameterized Algorithms* (2015), ch. 7.
@@ -56,17 +57,17 @@ from .oracle import CapacityError, CountTable
 # 65,536 states at 87 MiB, the 9x9 grid at step 30 at 48 MiB
 MAX_FRONTIER_WORDS = 1 << 21
 
-# a plan is what _plan and family_plan return: the vertex order, its width,
-# and the signature of each step, None for a disconnected graph
-Plan = tuple[tuple[int, ...], int, list[tuple] | None]
+# a plan is what _plan and family_plan return: the vertex order and the
+# signature of each step along it
+Plan = tuple[tuple[int, ...], list[tuple]]
 
 
 def _plan(g: Graph) -> Plan:
-    """A vertex order for the DP, its width (the largest frontier it
-    leaves), and the signature of each step along it; in the positions that
-    stay, v is position w. A graph is disconnected iff its frontier empties
-    while vertices are unplaced; its signatures are None. Builds no DP
-    state.
+    """A vertex order for the DP and the signature of each step along it; in
+    the positions that stay, v is position w. The order's width, the largest
+    frontier it leaves, is the longest ``kept`` among the signatures. A
+    disconnected graph's frontier empties while vertices are unplaced, so
+    the DP kills every state at that step. Builds no DP state.
 
     Greedy: place next the unplaced vertex that leaves the smallest
     frontier, ties to the most placed neighbours, then to the lowest label.
@@ -85,7 +86,6 @@ def _plan(g: Graph) -> Plan:
     frontier: list[int] = []
     order: list[int] = []
     steps: list[tuple] = []
-    width = 0
     for _ in range(g.order):
         # frontier vertices whose last unplaced neighbour is v leave with v
         leaving: dict[int, int] = {}
@@ -106,16 +106,14 @@ def _plan(g: Graph) -> Plan:
             key = (size, -(adj[v] & placed).bit_count(), v)
             if best is None or key < best:
                 best = key
-        size, _, v = best
-        width = max(width, size)
+        v = best[2]
         unplaced &= ~(1 << v)
         ext = (*frontier, v)
         kept = tuple([i for i, u in enumerate(ext) if adj[u] & unplaced])
         steps.append((len(frontier), tuple([i for i, u in enumerate(frontier) if adj[v] >> u & 1]), kept, unplaced != 0))
         frontier = [ext[i] for i in kept]
         order.append(v + 1)
-    connected = all(kept or not more for _, _, kept, more in steps)
-    return tuple(order), width, steps if connected else None
+    return tuple(order), steps
 
 
 # the step signatures of the family words (see _plan): the first and the last
@@ -131,13 +129,13 @@ _HUB = (2, (0, 1), (0, 1, 2), True)
 _RIM_FIRST = (3, (1, 2), (0, 2, 3), True)
 _RIM = (3, (1, 2), (0, 1, 3), True)
 _SPOKE_LAST = (3, (0, 1, 2), (), False)
-# family -> (width, prefix, bulk, suffix); a member of lower order than
-# prefix and suffix (P_1 = C_1 = K_1, C_2 = K_2, W_4 = K_4) is complete
+# family -> (prefix, bulk, suffix); a member of lower order than prefix and
+# suffix (P_1 = C_1 = K_1, C_2 = K_2, W_4 = K_4) is complete
 _WORDS = {
-    "path": (1, (_FIRST,), _PATH, (_LAST,)),
-    "star": (1, (_FIRST,), _LEAF, (_LAST,)),
-    "cycle": (2, (_FIRST, _OPEN), _ARC, (_CLOSE,)),
-    "wheel": (3, (_FIRST, _OPEN, _HUB, _RIM_FIRST), _RIM, (_SPOKE_LAST,)),
+    "path": ((_FIRST,), _PATH, (_LAST,)),
+    "star": ((_FIRST,), _LEAF, (_LAST,)),
+    "cycle": ((_FIRST, _OPEN), _ARC, (_CLOSE,)),
+    "wheel": ((_FIRST, _OPEN, _HUB, _RIM_FIRST), _RIM, (_SPOKE_LAST,)),
 }
 
 
@@ -148,17 +146,19 @@ def family_plan(family: str, n: int) -> Plan:
     is 1..order, except W_n = (1, 2, n, 3, ..., n - 1) (the hub third). A
     member of lower order than its word's prefix and suffix is complete and
     takes K_n's plan: step i links to the whole frontier of i and keeps it
-    and the new vertex until the last step, so its width is n - 1.
+    and the new vertex until the last step, so step i + 1 links to the very
+    tuple that step i keeps and each frontier is stored once.
     ValueError for an unknown family and for n below the family's start."""
     order = family_order(family, n)
     if family != "complete":
-        width, prefix, bulk, suffix = _WORDS[family]
+        prefix, bulk, suffix = _WORDS[family]
         if order >= len(prefix) + len(suffix):
             vertices = (1, 2, n, *range(3, n)) if family == "wheel" else tuple(range(1, order + 1))
-            return vertices, width, [*prefix, *[bulk] * (order - len(prefix) - len(suffix)), *suffix]
-    full = tuple(range(order))  # the steps' positions are slices of one tuple, sharing its ints
-    steps = [(i, full[:i], full[: i + 1] if i < order - 1 else (), i < order - 1) for i in range(order)]
-    return tuple(range(1, order + 1)), order - 1, steps
+            return vertices, [*prefix, *[bulk] * (order - len(prefix) - len(suffix)), *suffix]
+    full = tuple(range(order))
+    frontiers = [full[:i] for i in range(order)]  # slices of one tuple, sharing its ints
+    steps = [(i, frontiers[i], frontiers[i + 1] if i < order - 1 else (), i < order - 1) for i in range(order)]
+    return tuple(range(1, order + 1)), steps
 
 
 def _successors(step: tuple, key: tuple) -> tuple:
@@ -216,10 +216,10 @@ def count_table_frontier(g: Graph) -> CountTable:
     return next(_frontier_rows([_plan(g)]))
 
 
-def _shared(a: list[tuple] | None, b: list[tuple] | None) -> int:
+def _shared(a: list[tuple], b: list[tuple]) -> int:
     """How many leading step signatures a and b have in common."""
     k = 0
-    for x, y in zip(a or (), b or ()):
+    for x, y in zip(a, b):
         if x != y:
             break
         k += 1
@@ -245,8 +245,11 @@ def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
     Each row resumes from a snapshot of the row before, taken after the k
     steps whose signatures the two rows share, and runs only the steps after
     it; the snapshot of a row that resumed past its successor's k is the
-    empty table. A step's compiled map is kept only while the row's next
-    step or a step the next row runs has its signature.
+    table before any step. A step's compiled map is kept only while the
+    row's next step or a step the next row runs has its signature. A row is
+    read off ``()``, the one key a last step leaves; a disconnected graph's
+    frontier empties while vertices are unplaced, which kills every state,
+    so it has no such key and its row is all zero.
 
     Each step's table is checked by :func:`_check_table`; the step that
     passes the bound raises :class:`CapacityError`, so the rows before a
@@ -258,16 +261,12 @@ def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
     start, resume = None, 0  # the table this row resumes from, after `resume` steps
     compiled: dict[tuple, dict] = {}  # signature -> its map
     while after is not None:
-        (order, _, steps), after = after, next(rows, None)
-        if steps is None:
-            yield CountTable(len(order), (0,) * len(order), connected=False)
-            start, resume = None, 0
-            continue
-        after_steps = after and after[2]
+        (order, steps), after = after, next(rows, None)
+        after_steps = after[1] if after else []
         keep = _shared(steps, after_steps)
         if keep < resume:
             keep = 0  # the table after `keep` steps is gone; the next row starts afresh
-        wanted = set(after_steps[keep:] if after_steps else ())  # the steps the next row runs
+        wanted = set(after_steps[keep:])  # the steps the next row runs
         states = start if resume else {(): [1]}
         start = snapshot = None
         for k in range(resume, len(steps)):
@@ -279,6 +278,6 @@ def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
                 del compiled[steps[k]]
         if keep == len(steps):
             snapshot = states
-        (poly,) = states.values()
-        yield CountTable(len(order), tuple(poly[1:]), connected=True)
+        poly = states.get(())  # None when every state was killed
+        yield CountTable(len(order), tuple(poly[1:]) if poly else (0,) * len(order), connected=poly is not None)
         start, resume = snapshot, keep

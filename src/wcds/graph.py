@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 FAMILIES = ("path", "cycle", "complete", "star", "wheel")
 
@@ -202,8 +202,9 @@ def is_connected(g: Graph) -> bool:
     return weak_reach(g.neighbor_masks(), full) == full
 
 
-def read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
-    """Parse the edge-list text format.
+def read_edge_list(lines: str | Iterable[str], admit: Callable[[int], None] = lambda order: None) -> tuple[Graph, dict[int, int]]:
+    """Parse the edge-list text format, given whole or as lines (such as an
+    open file, read one line at a time).
 
     An optional first line ``n <order>`` fixes the order; otherwise the order
     is the largest label seen. Lines are ``u v`` pairs, ``#`` starts a
@@ -211,12 +212,16 @@ def read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
     a header, files that use label 0 are renumbered to 1..k in sorted label
     order, and with one, labels must lie in 1..order. Returns the graph and
     the original-to-normalized label mapping.
+
+    ``admit`` is called with the header's order, and without a header with
+    each new count of distinct labels; both are lower bounds on the order.
+    It may raise to refuse the graph, and then no further line is read.
     """
     header: int | None = None
     pairs: list[tuple[int, int]] = []
     labels: set[int] = set()
     seen_any = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines.splitlines() if isinstance(lines, str) else lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -228,6 +233,7 @@ def read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
                 header = int(parts[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-integer order in {line!r}") from None
+            admit(header)
             seen_any = True
             continue
         seen_any = True
@@ -240,7 +246,10 @@ def read_edge_list(text: str) -> tuple[Graph, dict[int, int]]:
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: negative label")
         pairs.append((u, v))
+        known = len(labels)
         labels.update((u, v))
+        if header is None and len(labels) > known:
+            admit(len(labels))
 
     if header is not None:
         mapping = {lab: lab for lab in sorted(labels)}

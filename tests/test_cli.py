@@ -166,6 +166,44 @@ def test_a_malformed_edge_list_file_is_refused_with_its_reason(capsys, tmp_path,
     assert capsys.readouterr() == ("", f"error: bad edge list: {message}\n")
 
 
+def _least_refused_order():
+    """The least order whose one-state DP table passes the DP's bound: no
+    method admits a graph of this order or more."""
+    n = 1
+    while True:
+        try:
+            frontier._check_table(1, n, 0, 0)
+        except oracle.CapacityError:
+            return n
+        n += 1
+
+
+@pytest.mark.parametrize("header", ("", "n 500000\n"), ids=("labels", "header"))
+@pytest.mark.parametrize("method", ("oracle", "frontier"))
+def test_an_edge_list_past_every_bound_is_refused_as_it_is_read(capsys, tmp_path, header, method):
+    # a path of order 500,000 is refused at its header, or without one at the
+    # line whose label makes 11,585 distinct ones, before the graph is built
+    least = _least_refused_order()
+    assert least == 11585
+    f = tmp_path / "path.edges"
+    f.write_text(header + "".join(f"{i} {i + 1}\n" for i in range(1, 500000)))
+    tracemalloc.start()
+    try:
+        assert run(["count", "--input", str(f), "--method", method]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    order = 500000 if header else least
+    words = (order + 1) * -(-order // 64)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: an input of order {order} or more is beyond every method: "
+        f"step 0 of {order} holds 1 live DP states, {words} words, above the bound of {frontier.MAX_FRONTIER_WORDS}\n"
+    )
+
+
 def test_renumbered_labels_print_a_note_and_the_same_row(capsys, tmp_path):
     zero, one = tmp_path / "zero.edges", tmp_path / "one.edges"
     zero.write_text("0 1\n1 2\n")
@@ -833,7 +871,7 @@ def test_readme_flag_table_lists_exactly_the_options_of_the_cli():
     # the numbers each row's bound quotes, besides its exit statuses, and the constants they are
     quoted = {
         ("--n", "gamma"): [DEFAULT_CAP, verify.FORMULA_MAX_N, verify.MAX_ROW_WORDS],
-        ("--input", "gamma"): [DEFAULT_CAP],
+        ("--input", "gamma"): [DEFAULT_CAP, _least_refused_order()],
         ("--cap", "gamma"): [1, oracle.HARD_CAP],
         ("--i", "enumerate"): [oracle.LISTING_MAX],
         ("--method", "count"): [frontier.MAX_FRONTIER_WORDS],

@@ -28,6 +28,17 @@ from wcds.graph import FAMILIES
 FAMILY_WIDTH = {"path": 1, "cycle": 2, "star": 1, "wheel": 3}
 
 
+def _width(steps):
+    """The width of a plan's order: the largest frontier it leaves, the
+    longest ``kept`` among its signatures."""
+    return max(len(kept) for _, _, kept, _ in steps)
+
+
+def _order_and_width(g):
+    order, steps = frontier._plan(g)
+    return order, _width(steps)
+
+
 def _same(g):
     dp, sweep = count_table_frontier(g), count_table(g)
     assert dp.connected == sweep.connected
@@ -66,19 +77,19 @@ def test_sparse_families_to_order_twenty(family):
     start = 4 if family == "wheel" else 1
     for n in range(start, 21 if family != "star" else 20):
         g = build_family(family, n)
-        order, width = frontier._plan(g)[:2]
+        order, steps = frontier._plan(g)
         assert sorted(order) == list(g.vertices())
-        assert width <= FAMILY_WIDTH[family]
+        assert _width(steps) <= FAMILY_WIDTH[family]
         _same(g)
 
 
 def test_order_and_width_of_small_cases():
-    assert frontier._plan(make_graph(1, []))[:2] == ((1,), 0)
-    assert frontier._plan(build_family("path", 4))[:2] == ((1, 2, 3, 4), 1)
+    assert _order_and_width(make_graph(1, [])) == ((1,), 0)
+    assert _order_and_width(build_family("path", 4)) == ((1, 2, 3, 4), 1)
     # the hub joins the frontier before the rim grows past three
-    order, width = frontier._plan(build_family("wheel", 8))[:2]
+    order, width = _order_and_width(build_family("wheel", 8))
     assert order[:3] == (1, 2, 8) and width == 3
-    assert frontier._plan(build_family("complete", 6))[1] == 5
+    assert _order_and_width(build_family("complete", 6))[1] == 5
 
 
 def test_disconnected_graph_gets_the_zero_table():
@@ -204,7 +215,7 @@ def test_restricted_greedy_equals_the_full_scan_on_every_small_graph():
         pairs = list(combinations(range(1, n + 1), 2))
         for bits in range(1 << len(pairs)):
             g = make_graph(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
-            assert frontier._plan(g)[:2] == _greedy_over_every_vertex(g), g.edges
+            assert _order_and_width(g) == _greedy_over_every_vertex(g), g.edges
 
 
 def test_restricted_greedy_equals_the_full_scan_on_random_graphs_and_families():
@@ -216,12 +227,12 @@ def test_restricted_greedy_equals_the_full_scan_on_random_graphs_and_families():
         adj = g.neighbor_masks()
         shapes["isolated"] += 0 in adj
         shapes["disconnected"] += not is_connected(g)
-        assert frontier._plan(g)[:2] == _greedy_over_every_vertex(g), g.edges
+        assert _order_and_width(g) == _greedy_over_every_vertex(g), g.edges
     assert min(shapes.values()) >= 50, shapes
     for family in FAMILIES:
         for n in range(4 if family == "wheel" else 1, 61):
             g = build_family(family, n)
-            assert frontier._plan(g)[:2] == _greedy_over_every_vertex(g), (family, n)
+            assert _order_and_width(g) == _greedy_over_every_vertex(g), (family, n)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -231,7 +242,15 @@ def test_family_plans_equal_the_greedy_plans_to_n_200(family):
     # every unplaced vertex at every step
     for n in range(4 if family == "wheel" else 1, 61 if family == "complete" else 201):
         assert frontier.family_plan(family, n) == frontier._plan(build_family(family, n)), (family, n)
-    assert frontier.family_plan(family, 30)[1] == FAMILY_WIDTH.get(family, 29)
+    assert _width(frontier.family_plan(family, 30)[1]) == FAMILY_WIDTH.get(family, 29)
+
+
+def test_consecutive_complete_steps_share_their_frontier_tuple():
+    # step i keeps the frontier that step i + 1 links to: one tuple, stored once
+    for n in (2, 3, 10, 60):
+        _, steps = frontier.family_plan("complete", n)
+        assert all(steps[i + 1][1] is steps[i][2] for i in range(n - 2)), n
+        assert steps[-1][2] == () and [len(step[1]) for step in steps] == list(range(n))
 
 
 @pytest.mark.parametrize("family, n", (("path", 0), ("cycle", 0), ("complete", 0), ("star", 0), ("wheel", 3), ("grid", 4)))
@@ -274,6 +293,28 @@ def test_a_row_sequence_equals_each_one_graph_dp():
     assert not rows[6].connected and not rows[12].connected
 
 
+def test_a_disconnected_graph_resumes_and_is_resumed_from_like_any_row(monkeypatch):
+    # P6 and P3 apart: the greedy walks P6 as it walks a longer path, and
+    # the frontier empties at the sixth step with vertices left, which kills
+    # every state. So the graph shares its first five steps with the paths
+    # around it; a repeat of it resumes from its own table after the kill,
+    # which has no state left
+    apart = make_graph(9, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9)])
+    seq = [build_family("path", 8), apart, apart, build_family("path", 9), apart, build_family("cycle", 7)]
+    plans = [frontier._plan(g) for g in seq]
+    assert [frontier._shared(a[1], b[1]) for a, b in zip(plans, plans[1:])] == [5, 9, 5, 5, 1]
+    steps = []
+    place = frontier._place
+    monkeypatch.setattr(frontier, "_place", lambda *a: steps.append(a[1]) or place(*a))
+    rows = list(frontier._frontier_rows(plans))
+    # a row that resumed past the steps it shares with the next one leaves
+    # it no snapshot, so P9 and C7 run in full
+    assert len(steps) == 8 + 4 + 0 + 9 + 4 + 7
+    for g, row in zip(seq, rows):
+        assert row == count_table_frontier(g) == count_table(g)
+    assert [row.connected for row in rows] == [True, False, False, True, False, True]
+
+
 def test_shared_steps_are_run_once(monkeypatch):
     steps = []
     real = frontier._place
@@ -313,7 +354,7 @@ def test_benchmark_tables_run_few_steps(capsys, monkeypatch, family, top, steps,
     assert len(calls) == steps <= top + 2 * len(rows)
     assert sum(calls) == state_steps and len(worked) <= transitions
     # one row at a time the DP runs every row's order in full
-    assert sum(len(order) for order, _, _ in rows) > 4 * steps
+    assert sum(len(order) for order, _ in rows) > 4 * steps
 
 
 def test_wide_graph_in_a_sequence_is_refused_at_its_step(monkeypatch):
@@ -334,7 +375,7 @@ def test_wide_graph_in_a_sequence_is_refused_at_its_step(monkeypatch):
     assert len(calls) == ran
     with pytest.raises(CapacityError, match="^step 6 of 9 holds 64 live DP states, 1408 words, above the bound of 1000$"):
         next(rows)
-    assert len(calls) == ran + 6 - frontier._shared(plans[1][2], plans[2][2])
+    assert len(calls) == ran + 6 - frontier._shared(plans[1][1], plans[2][1])
 
 
 def _grid(rows, cols):
@@ -364,7 +405,7 @@ def test_a_sequence_holds_at_most_one_snapshot(monkeypatch):
     # counted, not their bytes, so the bound does not move when a state
     # gets smaller
     grids = [_grid(k, 4) for k in range(4, 9)]
-    assert {frontier._plan(g)[1] for g in grids} == {4}
+    assert {_width(frontier._plan(g)[1]) for g in grids} == {4}
     expected = [count_table_frontier(g) for g in grids]
     tables, alive = [], []
     place = frontier._place
@@ -386,5 +427,5 @@ def test_a_lone_grid_holds_the_live_table_and_few_maps():
     # so the traced peak stays within 1.5 times the 5.5 MiB the DP peaked at
     # before it compiled its steps
     g = _grid(7, 7)
-    assert frontier._plan(g)[1] == 7
+    assert _width(frontier._plan(g)[1]) == 7
     assert _peak(lambda: count_table_frontier(g)) < 1.5 * 5.5 * 2**20
