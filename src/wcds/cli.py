@@ -10,7 +10,8 @@ seed; wall-clock timings go to stderr only.
 Exit status: 0 success / all checks pass, 1 verification failure, 2 usage
 or input error (every ValueError, from the parser or a command, leaves
 through one branch of ``run``), 3 a bound exceeded (every
-:class:`oracle.CapacityError`, which lists the bounds).
+:class:`oracle.CapacityError`, which lists the bounds), 141 (128 + SIGPIPE)
+when the reader of stdout closed it early, as ``wcds ... | head`` does.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -251,7 +253,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, and the exit flush with it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

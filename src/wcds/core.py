@@ -27,16 +27,6 @@ def mask_is_wcds(order: int, adj: list[int], mask: int) -> bool:
     return weak_reach(adj, mask) == (1 << order) - 1
 
 
-def weakly_induced(g: Graph, s: Iterable[int]) -> Graph:
-    """The spanning subgraph keeping exactly the edges with an endpoint in s.
-
-    All vertices survive; vertices not touched by a kept edge become isolated.
-    """
-    mask = _member_mask(g, s)
-    kept = frozenset(e for e in g.edges if (mask >> (e[0] - 1)) & 1 or (mask >> (e[1] - 1)) & 1)
-    return Graph(g.order, kept)
-
-
 def is_wcds(g: Graph, s: Iterable[int]) -> bool:
     """True iff s is a weakly connected dominating set of g.
 

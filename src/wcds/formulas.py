@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .graph import Graph, RootedGraph, family_start, is_connected, realize_extension
-from .oracle import DEFAULT_CAP, CountTable, _as_tuples, _count_row, count_table, sweep_stack
+from .oracle import DEFAULT_CAP, _as_tuples, _count_row, count_table, sweep_stack
 
 
 class RecurrenceAssumptionError(Exception):
@@ -95,16 +95,16 @@ def _pendant_rows(row0: tuple[int, ...], row1: tuple[int, ...], m: int) -> Itera
         yield prev
 
 
-def count_path_recurrence(n: int) -> CountTable:
-    """Full path table by the two-step recurrence of :func:`_pendant_rows`:
-    a path is a pendant path on one vertex. It starts from the stated rows
-    P1 = (1,) and P2 = (2, 1), not from the exhaustive counter, so it stays
-    an independent method."""
+def count_path_recurrence(n: int) -> tuple[int, ...]:
+    """The path's count row, row[i - 1] sets of size i, by the two-step
+    recurrence of :func:`_pendant_rows`: a path is a pendant path on one
+    vertex. It starts from the stated rows P1 = (1,) and P2 = (2, 1), not
+    from the exhaustive counter, so it stays an independent method."""
     if n < 1:
         raise ValueError("order must be positive")
     for row in _pendant_rows((1,), (2, 1), n - 1):
         pass  # keep the last row only
-    return CountTable(n, row, connected=True)
+    return row
 
 
 def count_cycle_top(n: int, i: int) -> int:
@@ -121,19 +121,20 @@ def count_cycle_top(n: int, i: int) -> int:
     )
 
 
-def count_join(table_g: CountTable, table_h: CountTable, i: int) -> int:
-    """Stated composition for the join of two connected graphs: one-part
-    terms taken from each part's own count table, plus all two-part splits
-    with i_1, i_2 >= 1 counted as free binomial choices.
+def count_join(row_g: tuple[int, ...], row_h: tuple[int, ...], i: int) -> int:
+    """Stated composition for the join of two connected graphs, from the
+    parts' count rows (``row_g[i - 1]`` weakly connected dominating sets of
+    G of cardinality i): one-part terms taken from each part's own row, plus
+    all two-part splits with i_1, i_2 >= 1 counted as free binomial choices.
+    That is :func:`count_join_dominating`'s arithmetic on the parts' weakly
+    connected rows in place of their dominating rows.
 
     Implemented exactly as stated. The verify module's join suite shows the
     one-part terms undercount (membership in the join depends on domination
     of the part, a weaker condition), so do not treat this as ground truth;
     :func:`count_join_dominating` is the corrected rule.
     """
-    if i < 1:
-        return 0
-    return table_g.count(i) + table_h.count(i) + _join_cross(table_g.order, table_h.order, i)
+    return count_join_dominating(row_g, row_h, i)
 
 
 def count_join_dominating(dom_g: tuple[int, ...], dom_h: tuple[int, ...], i: int) -> int:
@@ -144,7 +145,8 @@ def count_join_dominating(dom_g: tuple[int, ...], dom_h: tuple[int, ...], i: int
     On a join every dominating set is weakly connected, so this is the
     domination polynomial of the join, D(G v H, x) = ((1+x)^n1 - 1)((1+x)^n2
     - 1) + D(G, x) + D(H, x) (Alikhani & Peng, "Introduction to domination
-    polynomial of a graph", Ars Combin. 114, 2014). It is the stated join
+    polynomial of a graph", Ars Combin. 114, 2014): the one-part terms, and
+    the sets with at least one vertex in each part. It is the stated join
     composition with dominating one-part terms in place of weakly connected
     ones, which is why that composition and the wheel rule undercount. A
     wheel is its rim joined with K1, so ``dom_h = (1,)``.
@@ -153,17 +155,13 @@ def count_join_dominating(dom_g: tuple[int, ...], dom_h: tuple[int, ...], i: int
         return 0
     n1, n2 = len(dom_g), len(dom_h)
     one_part = (dom_g[i - 1] if i <= n1 else 0) + (dom_h[i - 1] if i <= n2 else 0)
-    return one_part + _join_cross(n1, n2, i)
+    return one_part + sum(_choose(n1, i1) * _choose(n2, i - i1) for i1 in range(1, i))
 
 
-def _join_cross(n1: int, n2: int, i: int) -> int:
-    """Sets of cardinality i in a join with at least one vertex in each part."""
-    return sum(_choose(n1, i1) * _choose(n2, i - i1) for i1 in range(1, i))
-
-
-def count_wheel(n: int, i: int, cycle_table: CountTable) -> int:
-    """Stated wheel counts from the rim cycle's table: 1 at cardinality 1,
-    rim count plus hub-assisted binomial above that.
+def count_wheel(n: int, i: int, cycle_row: tuple[int, ...]) -> int:
+    """Stated wheel counts from the rim cycle's count row (``cycle_row[i -
+    1]`` sets of cardinality i, order n - 1): 1 at cardinality 1, rim count
+    plus hub-assisted binomial above that.
 
     Inherits the join composition's one-part undercount (the hub-free term
     should count dominating rim sets); the verify module reports where it
@@ -171,13 +169,13 @@ def count_wheel(n: int, i: int, cycle_table: CountTable) -> int:
     """
     if n < family_start("wheel"):
         raise ValueError(f"wheel order must be at least {family_start('wheel')}")
-    if cycle_table.order != n - 1:
-        raise ValueError(f"cycle table has order {cycle_table.order}, expected {n - 1}")
+    if len(cycle_row) != n - 1:
+        raise ValueError(f"cycle row has order {len(cycle_row)}, expected {n - 1}")
     if i < 1 or i > n:
         return 0
     if i == 1:
         return 1
-    return cycle_table.count(i) + _choose(n - 1, i - 1)
+    return (cycle_row[i - 1] if i < n else 0) + _choose(n - 1, i - 1)
 
 
 def gamma_w_path(n: int) -> int:
@@ -226,17 +224,15 @@ def gamma_w_extension(gw_base: int, root_in_some_gw_set: bool, m: int) -> int:
     return gw_base + m // 2
 
 
-def count_extension_table(rg: RootedGraph, cap: int = DEFAULT_CAP) -> tuple[CountTable, ...]:
-    """Tables for G(0)..G(m), indexed by k: the first two from the
+def count_extension_table(rg: RootedGraph, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
+    """The count rows of G(0)..G(m), indexed by k: the first two from the
     exhaustive counter, the rest by the two-step recurrence of
     :func:`_pendant_rows`."""
     m = rg.extension_length
     if m < 2:
         raise ValueError("the recurrence needs extension length at least 2")
-    base0 = count_table(rg.base, cap)
-    base1 = count_table(realize_extension(RootedGraph(rg.base, rg.root, 1)), cap)
-    rows = _pendant_rows(base0.counts, base1.counts, m)
-    return tuple(CountTable(len(row), row, connected=base0.connected) for row in rows)
+    base1 = realize_extension(RootedGraph(rg.base, rg.root, 1))
+    return tuple(_pendant_rows(count_table(rg.base, cap), count_table(base1, cap), m))
 
 
 def _pendant_families(

@@ -49,7 +49,7 @@ from collections.abc import Iterable, Iterator
 from operator import add
 
 from .graph import Graph, family_order
-from .oracle import CapacityError, CountTable
+from .oracle import CapacityError
 
 # the most 64-bit words a live state table may hold (_check_table). 2**21 is
 # the least power of two that admits K_16 (32,768 states, 57 MiB VmHWM) and the
@@ -203,11 +203,10 @@ def _place(states: dict, step: tuple, compiled: dict) -> dict:
     return nxt
 
 
-def count_table_frontier(g: Graph) -> CountTable:
-    """Full count table for g by the frontier DP; equals ``count_table(g)``.
-
-    Disconnected graphs get the all-zero table with ``connected`` False. A
-    step whose table passes :data:`MAX_FRONTIER_WORDS` raises
+def count_table_frontier(g: Graph) -> tuple[int, ...]:
+    """The count row of g by the frontier DP, row[i - 1] sets of size i;
+    equals ``count_table(g)``, so a disconnected graph's row is all zero.
+    A step whose table passes :data:`MAX_FRONTIER_WORDS` raises
     :class:`CapacityError` (see :func:`_check_table`), and so does an order
     whose one-state table passes it, before the vertex order is searched.
     There is no order cap.
@@ -238,9 +237,10 @@ def _check_table(live: int, order: int, kept: int, step: int) -> None:
         )
 
 
-def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
-    """Count tables of the graphs whose plans by :func:`_plan` are
-    ``plans``, one at a time and in order.
+def _frontier_rows(plans: Iterable[Plan]) -> Iterator[tuple[int, ...]]:
+    """The count rows, as :func:`count_table_frontier` gives them, of the
+    graphs whose plans by :func:`_plan` are ``plans``, one at a time and in
+    order.
 
     Each row resumes from a snapshot of the row before, taken after the k
     steps whose signatures the two rows share, and runs only the steps after
@@ -279,5 +279,5 @@ def _frontier_rows(plans: Iterable[Plan]) -> Iterator[CountTable]:
         if keep == len(steps):
             snapshot = states
         poly = states.get(())  # None when every state was killed
-        yield CountTable(len(order), tuple(poly[1:]) if poly else (0,) * len(order), connected=poly is not None)
+        yield tuple(poly[1:]) if poly else (0,) * len(order)
         start, resume = snapshot, keep

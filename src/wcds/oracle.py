@@ -39,7 +39,6 @@ memoised; a caller that needs a row twice keeps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -64,40 +63,6 @@ class CapacityError(Exception):
     table (``frontier.MAX_FRONTIER_WORDS``), ``LISTING_MAX`` listed sets, the
     family rows' ``verify.FORMULA_MAX_N`` and ``verify.MAX_ROW_WORDS``, and
     the all-graphs order limit of 8."""
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts of weakly connected dominating sets by cardinality.
-
-    ``counts[k]`` is the number of such sets of size k + 1; cardinalities run
-    1..order. ``connected`` is False for a disconnected input, in which case
-    every entry is zero.
-    """
-
-    order: int
-    counts: tuple[int, ...]
-    connected: bool = True
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.order:
-            raise ValueError("counts length must equal order")
-
-    def count(self, i: int) -> int:
-        """Count at cardinality i, 0 outside 1..order."""
-        if 1 <= i <= self.order:
-            return self.counts[i - 1]
-        return 0
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def min_size(self) -> int | None:
-        """Smallest cardinality with a non-zero count, None if all zero."""
-        for i, c in enumerate(self.counts, start=1):
-            if c:
-                return i
-        return None
 
 
 def check_hard_limit(cap: int) -> None:
@@ -345,11 +310,11 @@ def _count_row(n: int, hits: np.ndarray) -> tuple[int, ...]:
     return tuple(np.bincount(np.bitwise_count(hits), minlength=n + 1)[1:].tolist())
 
 
-def sweep_counts(order: int, edges: frozenset[tuple[int, int]]) -> list[int]:
-    """Raw subset sweep: counts[k] = number of k-subsets whose weakly induced
-    spanning subgraph is connected."""
+def sweep_counts(order: int, edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
+    """Raw subset sweep: row[k - 1] = number of k-subsets whose weakly
+    induced spanning subgraph is connected, for k = 1..order."""
     adj = Graph(order, frozenset(edges)).neighbor_masks()
-    return [0, *_stack_rows([adj], _weak_ok)[0]]
+    return _stack_rows([adj], _weak_ok)[0]
 
 
 def _in_a_minimum(sets: np.ndarray, v: int) -> bool:
@@ -358,17 +323,17 @@ def _in_a_minimum(sets: np.ndarray, v: int) -> bool:
     return bool(np.any(sets[sizes == sizes.min()] & 1 << (v - 1)))
 
 
-def count_table(g: Graph, cap: int = DEFAULT_CAP) -> CountTable:
-    """Full count table for g by brute force.
+def count_table(g: Graph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """The count row of g by brute force: row[i - 1] weakly connected
+    dominating sets of size i, for i = 1..order.
 
-    Disconnected graphs get the all-zero table with ``connected`` False (no
-    subset can weakly connect them), so composition code can proceed
-    uniformly. Orders above ``cap`` raise :class:`CapacityError`.
+    A connected graph's row ends in 1 (S = V). A disconnected graph gets the
+    all-zero row with no sweep, since no subset can weakly connect it, so
+    composition code can proceed uniformly. Orders above ``cap`` raise
+    :class:`CapacityError`.
     """
     check_cap(g.order, cap)
-    if not is_connected(g):
-        return CountTable(g.order, (0,) * g.order, connected=False)
-    return CountTable(g.order, tuple(sweep_counts(g.order, g.edges)[1:]))
+    return sweep_counts(g.order, g.edges) if is_connected(g) else (0,) * g.order
 
 
 def _stacked(graphs: Iterable[Graph], cap: int, query: Callable[[list[list[int]]], list]) -> list:

@@ -33,7 +33,6 @@ from .graph import Graph, RootedGraph, build_family, corona, family_label, famil
 from .oracle import (
     DEFAULT_CAP,
     CapacityError,
-    CountTable,
     _as_tuples,
     _count_row,
     _dom_ok,
@@ -656,8 +655,7 @@ def _suite_join(max_n: int, random_count: int, seed: int, cap: int) -> list[Chec
         dominating = _per_part(window, partial(count_stack, pred=_dom_ok, cap=cap))
         joined = count_stack((join(g, h) for _, g, h in window), cap=cap)
         for (key, g, h), actual_row in zip(window, joined):
-            tg, th = (CountTable(x.order, rows[x]) for x in (g, h))
-            claimed_row = tuple(formulas.count_join(tg, th, i) for i in range(1, len(actual_row) + 1))
+            claimed_row = tuple(formulas.count_join(rows[g], rows[h], i) for i in range(1, len(actual_row) + 1))
             mismatches = []
             for i, (claimed, o) in enumerate(zip(claimed_row, actual_row), start=1):
                 if claimed != o:
@@ -927,9 +925,9 @@ def table_by_method(source: Graph | tuple[str, int], method: str, cap: int = DEF
         family, n = source
         return family_rows(family, [n], method, cap)[0]
     if method == "oracle":
-        return count_table(source, cap).counts
+        return count_table(source, cap)
     if method == "frontier":
-        return count_table_frontier(source).counts
+        return count_table_frontier(source)
     raise UnsupportedMethodError(_unsupported(method, source.label()))
 
 
@@ -989,11 +987,11 @@ def family_rows(family: str, sizes: Iterable[int], method: str, cap: int = DEFAU
         passed.append(n)
     sizes = passed
     if method == "oracle":
-        return [count_table(build_family(family, n), cap).counts for n in sizes]
+        return [count_table(build_family(family, n), cap) for n in sizes]
     if method == "frontier":
-        return [t.counts for t in _frontier_rows([family_plan(family, n) for n in sizes])]
+        return list(_frontier_rows([family_plan(family, n) for n in sizes]))
     if method == "recurrence":
-        return [formulas.count_path_recurrence(n).counts for n in sizes]
+        return [formulas.count_path_recurrence(n) for n in sizes]
     if family == "wheel":
         rims = _frontier_rows([family_plan("cycle", n - 1) for n in sizes])
         return [tuple(formulas.count_wheel(n, i, rim) for i in range(1, n + 1)) for n, rim in zip(sizes, rims)]

@@ -97,7 +97,7 @@ def test_c06_join_count_composition():
     assert len(r.records) == 120
     predicted = set()
     for (key, g, h), rec in zip(instances, r.records):
-        stated = _join_row(count_table(g).counts, count_table(h).counts, g.order, h.order)
+        stated = _join_row(count_table(g), count_table(h), g.order, h.order)
         corrected = _join_row(dominating_counts(g), dominating_counts(h), g.order, h.order)
         assert ast.literal_eval(rec.claimed_value) == stated, key
         assert ast.literal_eval(rec.oracle_value) == corrected, key
@@ -111,7 +111,7 @@ def test_c06_join_count_composition():
     # smallest clash, by hand: a 4-path has 3 weakly connected pairs but 4
     # dominating pairs, and a single vertex joined to it adds 4 cross pairs
     p4 = build_family("path", 4)
-    assert count_table(p4).count(2) == 3 and dominating_counts(p4)[1] == 4
+    assert count_table(p4)[1] == 3 and dominating_counts(p4)[1] == 4
     (clash,) = [rec for rec in r.records if rec.key == "P1+P4"]
     assert not clash.passed
     assert ast.literal_eval(clash.claimed_value)[1] == 0 + 3 + 4
@@ -138,7 +138,7 @@ def test_c07_wheel_count_composition():
                 stated, corrected = 1, dom_rim[0] + 1
             else:
                 hub_sets = comb(n - 1, i - 1)
-                stated = wcds_rim.count(i) + hub_sets
+                stated = (wcds_rim[i - 1] if i <= n - 1 else 0) + hub_sets
                 corrected = (dom_rim[i - 1] if i <= n - 1 else 0) + hub_sets
             rec = by_key[key]
             assert rec.claimed_value == stated, key

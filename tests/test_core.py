@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from wcds import build_family, is_dominating, is_wcds, make_graph, weakly_induced
+from wcds import build_family, is_dominating, is_wcds, make_graph
 
 
 def test_single_vertex_graph():
@@ -31,13 +31,6 @@ def test_star_center_alone():
     g = build_family("star", 5)
     assert is_wcds(g, {1})
     assert not is_wcds(g, {2})
-
-
-def test_weakly_induced_keeps_all_vertices():
-    g = build_family("cycle", 5)
-    h = weakly_induced(g, {1})
-    assert h.order == 5
-    assert h.edges == frozenset({(1, 2), (1, 5)})
 
 
 def _wcds_by_hand(g, s):

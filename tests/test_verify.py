@@ -482,7 +482,7 @@ def test_extension_recurrence_tallies_its_rows_from_the_stacked_hits(monkeypatch
     chains = verify._extension_chains(verify.SUITES["extension_recurrence"].random_count, DEFAULT_SEED)
     instances = (instance for chain, _ in chains for instance in chain)
     for r, (key, rg, _) in zip(report.records, instances, strict=True):
-        assert r.key == key and r.claimed_value == str(count_extension_table(rg)[-1].counts), key
+        assert r.key == key and r.claimed_value == str(count_extension_table(rg)[-1]), key
 
 
 def test_extension_suites_sweep_a_window_before_drawing_more(monkeypatch):
@@ -602,7 +602,7 @@ def test_constructive_suite_refuses_every_cardinality_that_reaches_a_failed_step
         refused = [i for i in range(1, 4 + m) if reaches(m, i)]
         assert refused and not r.passed
         assert r.detail == "; ".join(f"i={i}: {reason}" for i in refused)
-        row = count_table(build_family("path", 3 + m)).counts  # G(m) is a path
+        row = count_table(build_family("path", 3 + m))  # G(m) is a path
         assert (r.claimed_value, r.oracle_value) == (sum(row) - sum(row[i - 1] for i in refused), sum(row))
 
 
@@ -741,7 +741,7 @@ def test_family_rows_refuse_a_long_range_without_holding_it():
 def test_family_rows_agree_by_every_method_that_covers_them(family):
     sizes = range(4, 9)
     rows = verify.family_rows(family, sizes, "oracle")
-    assert rows == [count_table(build_family(family, n)).counts for n in sizes]
+    assert rows == [count_table(build_family(family, n)) for n in sizes]
     assert verify.family_rows(family, sizes, "frontier") == rows
     if family != "cycle":
         stated = verify.family_rows(family, sizes, "formula")
