@@ -223,7 +223,7 @@ def test_python_dash_m_wcds_runs_the_command_line():
 
 
 def test_a_reader_closing_stdout_early_ends_with_status_141_and_no_stderr():
-    # about 250 KB of sets, past the 64 KiB a pipe buffers, so a write fails
+    # about 230 KB of sets, past the 64 KiB a pipe buffers, so a write fails
     # after the reader has gone
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [sys.executable, "-m", "wcds", "enumerate", "--family", "path", "--n", "22", "--i", "14"]
