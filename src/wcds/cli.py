@@ -41,22 +41,27 @@ def _family_source(args: SimpleNamespace) -> tuple[str, int] | None:
     return None if args.family is None else (args.family, args.n)
 
 
-def _admit(order: int) -> None:
-    """CapacityError for an edge list of ``order`` vertices or more: every DP
-    table holds a state, one state of that order passes the DP's bound
-    (:func:`frontier._check_table`), and the sweep's cap is lower still."""
+def _admit(order: int, cap: int | None = None) -> None:
+    """CapacityError for an edge list of ``order`` vertices or more: above
+    ``cap`` for the commands that sweep, and with no cap past every method,
+    as every DP table holds a state and one state of that order passes the
+    DP's bound (:func:`frontier._check_table`)."""
     try:
-        _check_table(1, order, 0, 0)
+        if cap is None:
+            _check_table(1, order, 0, 0)
+        else:
+            check_cap(order, cap)
     except CapacityError as exc:
-        raise CapacityError(f"an input of order {order} or more is beyond every method: {exc}") from None
+        beyond = "every method" if cap is None else "the subset sweep"
+        raise CapacityError(f"an input of order {order} or more is beyond {beyond}: {exc}") from None
 
 
-def _read_input(path: str) -> Graph:
+def _read_input(path: str, cap: int | None = None) -> Graph:
     """The graph of the edge-list file ``path``, "-" for stdin, read a line at
-    a time and refused by :func:`_admit` as soon as its order is too large."""
+    a time and refused by :func:`_admit` at ``cap`` once its order is too large."""
     try:
         with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
-            g, mapping = read_edge_list(fh, _admit)
+            g, mapping = read_edge_list(fh, lambda order: _admit(order, cap))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
     except ValueError as exc:
@@ -69,7 +74,7 @@ def _read_input(path: str) -> Graph:
 def _load_graph(args: SimpleNamespace) -> Graph:
     source = _family_source(args)
     if source is None:
-        return _read_input(args.input)
+        return _read_input(args.input, args.cap)
     # refuse before building: K_n alone has n(n - 1)/2 edges
     check_cap(family_order(*source), args.cap)
     return build_family(*source)
@@ -111,7 +116,7 @@ def _cmd_gamma(args: SimpleNamespace) -> int:
 
 def _cmd_count(args: SimpleNamespace) -> int:
     family = _family_source(args)
-    source = family or _read_input(args.input)
+    source = family or _read_input(args.input, args.cap if args.method == "oracle" else None)
     counts = table_by_method(source, args.method, args.cap)
     if args.method == "formula" and family and family[0] == "wheel":
         print(

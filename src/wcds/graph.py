@@ -210,15 +210,16 @@ def read_edge_list(lines: str | Iterable[str], admit: Callable[[int], None] = la
     is the largest label seen. Lines are ``u v`` pairs, ``#`` starts a
     comment, blank lines are skipped. Labels must be non-negative; without
     a header, files that use label 0 are renumbered to 1..k in sorted label
-    order, and with one, labels must lie in 1..order. Returns the graph and
-    the original-to-normalized label mapping.
+    order, and with one, labels must lie in 1..order. Each distinct edge is
+    held once however often it is repeated. Returns the graph and the
+    original-to-normalized label mapping.
 
     ``admit`` is called with the header's order, and without a header with
     each new count of distinct labels; both are lower bounds on the order.
     It may raise to refuse the graph, and then no further line is read.
     """
     header: int | None = None
-    pairs: list[tuple[int, int]] = []
+    pairs: set[tuple[int, int]] = set()  # as (min, max): a repeated line adds nothing
     labels: set[int] = set()
     seen_any = False
     for lineno, raw in enumerate(lines.splitlines() if isinstance(lines, str) else lines, 1):
@@ -245,23 +246,24 @@ def read_edge_list(lines: str | Iterable[str], admit: Callable[[int], None] = la
             raise ValueError(f"line {lineno}: non-integer label in {line!r}") from exc
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: negative label")
-        pairs.append((u, v))
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if header is not None and not (1 <= u <= header and 1 <= v <= header):
+            raise ValueError(f"edge ({u}, {v}) outside 1..{header}")
+        pairs.add((u, v) if u < v else (v, u))
         known = len(labels)
         labels.update((u, v))
         if header is None and len(labels) > known:
             admit(len(labels))
 
-    if header is not None:
-        mapping = {lab: lab for lab in sorted(labels)}
-        return make_graph(header, pairs), mapping
-    if not labels:
+    if header is None and not labels:
         raise ValueError("no edges and no order header")
-    if 0 in labels:
+    if header is None and 0 in labels:
         mapping = {lab: k for k, lab in enumerate(sorted(labels), start=1)}
-        remapped = [(mapping[u], mapping[v]) for u, v in pairs]
-        return make_graph(len(labels), remapped), mapping
+        # the renumbering keeps label order, so each pair stays (min, max)
+        return Graph(len(labels), frozenset((mapping[u], mapping[v]) for u, v in pairs)), mapping
     mapping = {lab: lab for lab in sorted(labels)}
-    return make_graph(max(labels), pairs), mapping
+    return Graph(max(labels) if header is None else header, frozenset(pairs)), mapping
 
 
 def write_edge_list(g: Graph) -> str:

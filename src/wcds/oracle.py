@@ -61,8 +61,8 @@ _DISCONNECTED = "gamma_w undefined: graph is disconnected"
 class CapacityError(Exception):
     """Raised past a bound: the subset-sweep cap, the frontier DP's live
     table (``frontier.MAX_FRONTIER_WORDS``), ``LISTING_MAX`` listed sets, the
-    family rows' ``verify.FORMULA_MAX_N`` and ``verify.MAX_ROW_WORDS``, and
-    the all-graphs order limit of 8."""
+    family rows' ``verify.MAX_ROW_WORDS``, and the all-graphs order limit of
+    8."""
 
 
 def check_hard_limit(cap: int) -> None:

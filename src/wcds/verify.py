@@ -163,10 +163,6 @@ class VerificationReport:
         return buf.getvalue()
 
 
-def _finish(suite: str, records: list[CheckRecord], skipped: int, t0: float) -> VerificationReport:
-    return VerificationReport(suite, tuple(records), skipped, time.perf_counter() - t0)
-
-
 def _check(key: str, source: str, claimed: int | str, exhaustive: int | str, detail: str = "") -> CheckRecord:
     """A record whose verdict is plain equality of claim and exhaustive value."""
     return CheckRecord(key, source, claimed, exhaustive, claimed == exhaustive, detail)
@@ -893,7 +889,7 @@ def verify_formula_suite(
     t0 = time.perf_counter()
     out = spec.build(max_n=max_n, random_count=random_count, seed=seed, cap=cap)
     records, skipped = out if isinstance(out, tuple) else (out, 0)
-    return _finish(suite, records, skipped, t0)
+    return VerificationReport(suite, tuple(records), skipped, time.perf_counter() - t0)
 
 
 def verify_path_table(max_n: int | None = None, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -931,16 +927,11 @@ def table_by_method(source: Graph | tuple[str, int], method: str, cap: int = DEF
     raise UnsupportedMethodError(_unsupported(method, source.label()))
 
 
-# the largest family size that ``family_rows`` evaluates by ``formula`` or
-# ``recurrence``: K_2000's closed row, 2000 binomials of up to 600 digits,
-# takes about 0.2 s, the path recurrence to 2000 about 0.2 s and W_2000 with
-# its rim's DP about 0.8 s (README)
-FORMULA_MAX_N = 2000
 # the most 64-bit words of counts that ``family_rows`` returns, a row of order
 # n counted as n cells below 2^n, so ⌈n / 64⌉ words each. A table of n rows
 # grows as n^3 (the path table to 1000 took 143 MiB, to 2000 852 MiB); 2**17
-# words admit one row to order 2880 and the path, cycle and wheel tables to
-# 277 at 33-37 MiB VmHWM, and keep every stated row to FORMULA_MAX_N
+# words admit one row to order 2880 (the stated wheel row in 2.7 s at 40 MiB
+# VmHWM) and the path, cycle and wheel tables to 277 at 33-37 MiB
 MAX_ROW_WORDS = 1 << 17
 
 
@@ -965,9 +956,9 @@ def family_rows(family: str, sizes: Iterable[int], method: str, cap: int = DEFAU
     Every size is refused before any row is counted: ValueError for a size
     below the family's start, :class:`UnsupportedMethodError` for a stated
     method that does not cover the family, and :class:`CapacityError` for
-    an order above ``cap`` (``oracle``), a size above ``FORMULA_MAX_N``
-    (``formula``, ``recurrence``) or rows past ``MAX_ROW_WORDS`` (every
-    method). The DP refuses a row at the step its table passes its bound."""
+    an order above ``cap`` (``oracle``) or rows past ``MAX_ROW_WORDS``
+    (every method). The DP refuses a row at the step its table passes its
+    bound."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     stated = method in ("formula", "recurrence")
@@ -979,8 +970,6 @@ def family_rows(family: str, sizes: Iterable[int], method: str, cap: int = DEFAU
             check_cap(order, cap)
         elif stated and not covered:
             raise UnsupportedMethodError(_unsupported(method, family_label(family, n)))
-        elif stated and n > FORMULA_MAX_N:
-            raise CapacityError(f"family size {n} exceeds {FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate")
         words += order * -(-order // 64)
         if words > MAX_ROW_WORDS:
             raise CapacityError(f"the rows to size {n} take up to {words} words, above the bound of {MAX_ROW_WORDS}")
@@ -997,28 +986,3 @@ def family_rows(family: str, sizes: Iterable[int], method: str, cap: int = DEFAU
         return [tuple(formulas.count_wheel(n, i, rim) for i in range(1, n + 1)) for n, rim in zip(sizes, rims)]
     closed = _CLOSED_FORMS[family]
     return [tuple(closed(n, i) for i in range(1, family_order(family, n) + 1)) for n in sizes]
-
-
-def cross_check(
-    source: Graph | tuple[str, int], methods: tuple[str, ...] | list[str], cap: int = DEFAULT_CAP
-) -> VerificationReport:
-    """Compute the full count table of a graph or of a named family member
-    ``(family, n)`` by each requested method and compare cell for cell.
-    See :func:`table_by_method` for what each method covers."""
-    t0 = time.perf_counter()
-    methods = tuple(methods)
-    if not methods:
-        raise ValueError("at least one method required")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
-    label = source.label() if isinstance(source, Graph) else family_label(*source)
-    tables = {method: table_by_method(source, method, cap) for method in methods}
-    records = []
-    for i in range(1, len(tables[methods[0]]) + 1):
-        vals = [(m, tables[m][i - 1]) for m in methods]
-        passed = len({v for _, v in vals}) == 1
-        claimed: int | str = vals[0][1] if passed else "; ".join(f"{m}={v}" for m, v in vals)
-        oracle_value = dict(vals).get("oracle", vals[0][1])
-        records.append(CheckRecord(f"{label} i={i}", "+".join(methods), claimed, oracle_value, passed))
-    return _finish(f"cross-check {label}", records, 0, t0)

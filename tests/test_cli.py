@@ -182,7 +182,8 @@ def _least_refused_order():
 @pytest.mark.parametrize("method", ("oracle", "frontier"))
 def test_an_edge_list_past_every_bound_is_refused_as_it_is_read(capsys, tmp_path, header, method):
     # a path of order 500,000 is refused at its header, or without one at the
-    # line whose label makes 11,585 distinct ones, before the graph is built
+    # line whose label makes 25 distinct ones (the sweep's cap) or 11,585
+    # (every method's bound), before the graph is built
     least = _least_refused_order()
     assert least == 11585
     f = tmp_path / "path.edges"
@@ -194,10 +195,18 @@ def test_an_edge_list_past_every_bound_is_refused_as_it_is_read(capsys, tmp_path
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    order = 500000 if header else least
-    words = (order + 1) * -(-order // 64)
     captured = capsys.readouterr()
     assert captured.out == ""
+    if method == "oracle":
+        order = 500000 if header else DEFAULT_CAP + 1
+        hint = f"the sweep's hard limit is {oracle.HARD_CAP}" if header else f"raise the cap up to {oracle.HARD_CAP} to proceed"
+        assert captured.err == (
+            f"error: an input of order {order} or more is beyond the subset sweep: "
+            f"order {order} exceeds the subset-sweep cap {DEFAULT_CAP} (2**{order} subsets); {hint}\n"
+        )
+        return
+    order = 500000 if header else least
+    words = (order + 1) * -(-order // 64)
     assert captured.err == (
         f"error: an input of order {order} or more is beyond every method: "
         f"step 0 of {order} holds 1 live DP states, {words} words, above the bound of {frontier.MAX_FRONTIER_WORDS}\n"
@@ -317,11 +326,11 @@ def test_frontier_counts_of_a_family_build_no_graph_and_run_no_greedy(capsys, mo
 @pytest.mark.parametrize(
     "argv",
     (
-        ["count", "--family", "complete", "--n", "2001", "--method", "formula"],
+        ["count", "--family", "complete", "--n", "2881", "--method", "formula"],
         ["count", "--family", "star", "--n", "1000000000", "--method", "formula", "--i", "2"],
-        ["count", "--family", "path", "--n", "2001", "--method", "recurrence"],
+        ["count", "--family", "path", "--n", "2881", "--method", "recurrence"],
         ["count", "--family", "wheel", "--n", "5000", "--method", "formula"],
-        ["count", "--family", "wheel", "--n", "2001", "--method", "formula"],
+        ["count", "--family", "wheel", "--n", "2881", "--method", "formula"],
     ),
 )
 def test_formula_and_recurrence_refuse_a_size_above_the_bound(capsys, monkeypatch, argv):
@@ -330,12 +339,13 @@ def test_formula_and_recurrence_refuse_a_size_above_the_bound(capsys, monkeypatc
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"exceeds {verify.FORMULA_MAX_N}, the largest the closed forms and the recurrence evaluate" in captured.err
+    assert captured.err.startswith("error: the rows to size ")
+    assert captured.err.endswith(f" words, above the bound of {verify.MAX_ROW_WORDS}\n")
 
 
 @pytest.mark.parametrize("n", (25, 26, 2000))
 def test_the_stated_wheel_row_takes_no_cap(capsys, n):
-    # the rim row comes from the frontier DP, so only FORMULA_MAX_N bounds n,
+    # the rim row comes from the frontier DP, so only MAX_ROW_WORDS bounds n,
     # not the default cap 24 (the rim of W_26 has order 25)
     assert run(["count", "--family", "wheel", "--n", str(n), "--method", "formula", "--format", "csv"]) == 0
     header, row = capsys.readouterr().out.splitlines()
@@ -881,7 +891,7 @@ def test_readme_flag_table_lists_exactly_the_options_of_the_cli():
     assert [len(pool) for pool in pools] == [1, 1] and sum(s.random_max is not None for s in SUITES.values()) == 5
     # the numbers each row's bound quotes, besides its exit statuses, and the constants they are
     quoted = {
-        ("--n", "gamma"): [DEFAULT_CAP, verify.FORMULA_MAX_N, verify.MAX_ROW_WORDS],
+        ("--n", "gamma"): [DEFAULT_CAP, verify.MAX_ROW_WORDS],
         ("--input", "gamma"): [DEFAULT_CAP, _least_refused_order()],
         ("--cap", "gamma"): [1, oracle.HARD_CAP],
         ("--i", "enumerate"): [oracle.LISTING_MAX],

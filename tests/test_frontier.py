@@ -16,7 +16,6 @@ from wcds import (
     build_family,
     count_table,
     count_table_frontier,
-    cross_check,
     is_connected,
     make_graph,
 )
@@ -102,7 +101,7 @@ def test_cross_check_oracle_against_frontier():
     # the last graph is a triangle with a pendant path of two on each corner
     spider = make_graph(9, [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (2, 6), (6, 7), (3, 8), (8, 9)])
     for g in (build_family("wheel", 9), build_family("star", 7), build_family("complete", 6), spider):
-        assert cross_check(g, ("oracle", "frontier")).all_passed()
+        assert count_table(g) == count_table_frontier(g)
 
 
 def _k10_words(step):

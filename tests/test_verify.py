@@ -21,7 +21,6 @@ from wcds import (
     build_family,
     count_extension_table,
     count_table,
-    cross_check,
     gamma_w,
     is_connected,
     is_wcds,
@@ -671,21 +670,19 @@ def test_largest_order_is_the_order_the_suite_sweeps(suite):
 
 
 def test_cross_check_path_three_ways():
-    r = cross_check(("path", 6), ("oracle", "formula", "recurrence"))
-    assert r.all_passed()
-    assert len(r.records) == 6
-    assert r.suite == "cross-check P6" and r.records[0].key == "P6 i=1"
+    oracle, formula, recurrence = (table_by_method(("path", 6), m) for m in ("oracle", "formula", "recurrence"))
+    assert oracle == formula == recurrence
+    assert len(oracle) == 6
 
 
 def test_cross_check_cycle_oracle_row():
-    r = cross_check(build_family("cycle", 7), ("oracle",))
-    assert [rec.oracle_value for rec in r.records] == [0, 0, 7, 28, 21, 7, 1]
+    assert count_table(build_family("cycle", 7)) == (0, 0, 7, 28, 21, 7, 1)
 
 
 def test_cross_check_rejects_unrecognized_family():
     g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)])
     with pytest.raises(UnsupportedMethodError):
-        cross_check(g, ("oracle", "formula"))
+        table_by_method(g, "formula")
     with pytest.raises(UnsupportedMethodError):
         table_by_method(("cycle", 5), "recurrence")
     # a graph is its order and edges: the stated rows take a (family, n) pair
@@ -706,9 +703,9 @@ def test_table_by_method_wheel_wires_its_own_rim():
         ("path", range(20, 26), "oracle", "order 25 exceeds the subset-sweep cap 24"),
         ("star", range(1, 10**6), "frontier", "the rows to size 277 take up to 132144 words"),
         ("complete", (2881,), "frontier", "the rows to size 2881 take up to 132526 words"),
-        ("path", (1999, 2000, 2001), "formula", "family size 2001 exceeds 2000"),
-        ("path", (1999, 2001), "recurrence", "family size 2001 exceeds 2000"),
-        ("wheel", (1999, 2000, 2001), "formula", "family size 2001 exceeds 2000"),
+        ("path", (2880, 2881), "formula", "the rows to size 2881 take up to 262126 words"),
+        ("path", (1, 2881), "recurrence", "the rows to size 2881 take up to 132527 words"),
+        ("wheel", (2880, 2881), "formula", "the rows to size 2881 take up to 262126 words"),
         ("cycle", (3, 4), "recurrence", "no recurrence covers C3"),
         ("wheel", (5, 3), "formula", "wheel requires n >= 4, got 3"),
     ),
@@ -787,5 +784,5 @@ def test_markdown_shows_failing_rows():
 
 def test_cross_check_refuses_an_unknown_method_before_any_sweep(sweep_calls):
     with pytest.raises(ValueError, match="unknown method 'closed_form'"):
-        cross_check(build_family("path", 6), ("oracle", "closed_form"))
+        table_by_method(build_family("path", 6), "closed_form")
     assert sweep_calls == []
